@@ -530,7 +530,9 @@ def _add_target(parser):
     parser.add_argument("--lam", type=float, help="eigenvalue to target")
     parser.add_argument("--p", type=float, help="nonlinearity exponent (default 3)")
     parser.add_argument("--backend", choices=["exact-quartic", "quadrature"])
-    parser.add_argument("--seed-budget", dest="seed_budget", type=int)
+    parser.add_argument("--seed-budget", dest="seed_budget", type=int,
+                        help="minimum total seed count, not a cap: random seeds "
+                             "top the 4(3^k-1) structured seeds up to it")
     parser.add_argument("--oracle", action="store_true",
                         help="cross-check against the grid oracle (k <= 3)")
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 import itertools
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import (
     DegeneratePresentWarning,
@@ -60,8 +59,10 @@ class SearchConfig:
     """Multistart search knobs.
 
     Structured seeds place every sign/support pattern at each radius (times
-    the functional's mode scale); the remaining budget goes to random
-    directions.  Defaults reproduce all published examples.
+    the functional's mode scale), 4 (3^k - 1) seeds at the default radii,
+    and always run.  ``seed_budget`` is the minimum total seed count, not a
+    cap: random directions top the structured seeds up to it (none for
+    k >= 4 at the default 200).  Defaults reproduce all published examples.
     """
 
     seed_budget: int = 200
@@ -136,17 +137,29 @@ def _classify(f: ReducedFunctional, a: np.ndarray, cfg: SearchConfig) -> Critica
     )
 
 
-def dedup_pairs(candidates, radius: float):
-    """Merge candidate vectors modulo sign into canonical representatives,
-    two points identified when their canonical forms are within ``radius``
-    in the max norm.  Returns representatives in deterministic sorted order."""
-    reps: list[np.ndarray] = []
-    for a in candidates:
+def _pair_representatives(candidates, radius: float):
+    """Canonical representatives of the sign pairs among ``candidates``,
+    two points being one pair when their canonical forms are within
+    ``radius`` in the max norm; the search, the oracle and
+    :func:`predict_branches` all decide pairs here.
+
+    Returns (representative, position in ``candidates`` of the pair's
+    first point) in deterministic sorted order."""
+    reps = np.empty((len(candidates), len(candidates[0]) if candidates else 0))
+    first: list[int] = []
+    for i, a in enumerate(candidates):
         c = canonicalize(a, tol=radius)
-        if all(float(np.max(np.abs(c - r))) > radius for r in reps):
-            reps.append(c)
-    reps.sort(key=lambda r: tuple(r))
-    return reps
+        if np.all(np.max(np.abs(reps[:len(first)] - c), axis=1) > radius):
+            reps[len(first)] = c
+            first.append(i)
+    order = sorted(range(len(first)), key=lambda r: tuple(reps[r]))
+    return [(reps[r], first[r]) for r in order]
+
+
+def dedup_pairs(candidates, radius: float):
+    """Merge candidate vectors modulo sign into canonical representatives
+    (see :func:`_pair_representatives`), in deterministic sorted order."""
+    return [rep for rep, _ in _pair_representatives(list(candidates), radius)]
 
 
 def pair_set_distance(points_a, points_b) -> float:
@@ -165,11 +178,6 @@ def pair_set_distance(points_a, points_b) -> float:
         return max(min(float(np.max(np.abs(x - y))) for y in ys) for x in xs)
 
     return max(one_sided(A, B), one_sided(B, A))
-
-
-def _finish(f, converged, cfg):
-    reps = dedup_pairs(converged, cfg.dedup_radius)
-    return [_classify(f, a, cfg) for a in reps]
 
 
 @dataclass(frozen=True)
@@ -222,10 +230,8 @@ def find_critical_points_with_diagnostics(
         d /= np.linalg.norm(d)
         seeds.append(rng.uniform(0.25, 2.0) * scale * d)
 
-    converged = []
-    reps_seen: list[np.ndarray] = []
+    converged, ordinals = [], []
     failures = 0
-    last_new = -1
     for ordinal, s in enumerate(seeds):
         a, ok, _ = _newton_refine(f, s, cfg)
         if not ok:
@@ -234,10 +240,9 @@ def find_critical_points_with_diagnostics(
         if float(np.max(np.abs(a))) <= cfg.dedup_radius:
             continue  # trivial critical point
         converged.append(a)
-        c = canonicalize(a, tol=cfg.dedup_radius)
-        if all(float(np.max(np.abs(c - r))) > cfg.dedup_radius for r in reps_seen):
-            reps_seen.append(c)
-            last_new = ordinal
+        ordinals.append(ordinal)
+    reps = _pair_representatives(converged, cfg.dedup_radius)
+    last_new = max((ordinals[i] for _, i in reps), default=-1)
     if failures:
         logger.debug("%d of %d seeds failed to converge", failures, len(seeds))
 
@@ -256,7 +261,7 @@ def find_critical_points_with_diagnostics(
         saturated=saturated,
         completeness=completeness,
     )
-    return _finish(f, converged, cfg), diagnostics
+    return [_classify(f, a, cfg) for a, _ in reps], diagnostics
 
 
 def brute_force_oracle(
@@ -280,7 +285,7 @@ def brute_force_oracle(
     mesh = np.meshgrid(*([axis] * k), indexing="ij")
     A = np.column_stack([m.ravel() for m in mesh])
     G = np.sum(f.gradient_many(A) ** 2, axis=1).reshape((npts,) * k)
-    is_min = G <= ndimage.minimum_filter(G, size=3, mode="nearest")
+    is_min = G <= _neighbourhood_min(G)
     candidates = A[is_min.ravel()]
 
     converged = []
@@ -288,7 +293,16 @@ def brute_force_oracle(
         a, ok, _ = _newton_refine(f, a0, cfg)
         if ok and float(np.max(np.abs(a))) > cfg.dedup_radius:
             converged.append(a)
-    return _finish(f, converged, cfg)
+    return [_classify(f, a, cfg) for a in dedup_pairs(converged, cfg.dedup_radius)]
+
+
+def _neighbourhood_min(G: np.ndarray) -> np.ndarray:
+    """Minimum over each point's 3 x ... x 3 neighbourhood, the grid edges
+    repeated outward; the box minimum is separable, so one axis at a time."""
+    for ax in range(G.ndim):
+        padded = np.pad(G, [(int(d == ax),) * 2 for d in range(G.ndim)], mode="edge")
+        G = np.lib.stride_tricks.sliding_window_view(padded, 3, axis=ax).min(axis=-1)
+    return G
 
 
 @dataclass(frozen=True)
@@ -399,23 +413,10 @@ def predict_branches(group: EigenGroup, points, p: float = 3.0) -> BranchPredict
     output is invariant under flipping the sign of any input point.
     """
     pts = list(points)
-    radius = 1e-6
-    reps = dedup_pairs([cp.a for cp in pts], radius)
-
-    def match(rep):
-        for cp in pts:
-            if (np.max(np.abs(canonicalize(cp.a, radius) - rep)) <= radius):
-                return cp
-        raise RuntimeError("dedup produced an unmatched representative")
-
-    chosen = []
-    for rep in reps:
-        cp = match(rep)
-        chosen.append(CriticalPoint(
-            a=rep, value=cp.value, grad_norm=cp.grad_norm,
-            hess_eigs=cp.hess_eigs, morse_index=cp.morse_index,
-            nondegenerate=cp.nondegenerate, margin=cp.margin,
-        ))
+    chosen = [
+        replace(pts[i], a=rep)
+        for rep, i in _pair_representatives([cp.a for cp in pts], 1e-6)
+    ]
     exact = all(cp.nondegenerate for cp in chosen)
     if not exact:
         warnings.warn(

@@ -19,12 +19,11 @@ shift; grid bias is checked separately by grid refinement.
 
 The discrete Laplacian is diagonalized exactly by the type-I sine
 transform, which provides the mass-inverse for eigenvalue computations and
-the spectral preconditioner for the 3-D Krylov solves.
+the spectral preconditioner of the MINRES Newton steps in 2-D and 3-D.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -42,8 +41,6 @@ from .errors import (
     SupercriticalP,
 )
 from .spectrum import DomainSpec, EigenGroup, eigenfunction_eval, enumerate_modes
-
-logger = logging.getLogger(__name__)
 
 
 def _sine_eigenvalues_1d(n: int, L: float) -> np.ndarray:
@@ -74,19 +71,11 @@ class _SineTransform:
         coeff = dstn(vec.reshape(self.shape), type=1, norm="ortho")
         return idstn(coeff * weights, type=1, norm="ortho").ravel()
 
-    def solve_shifted(self, rhs: np.ndarray, shift: float) -> np.ndarray:
-        """(A - shift I)^(-1) rhs, exact up to rounding."""
-        return self.apply_spectral(rhs, 1.0 / (self.eigenvalues - shift))
-
-    def inv_operator(self, n: int) -> spla.LinearOperator:
+    def operator(self, weights: np.ndarray) -> spla.LinearOperator:
+        """The function of A whose eigenvalues are ``weights``."""
+        n = weights.size
         return spla.LinearOperator(
-            (n, n), matvec=lambda b: self.apply_spectral(b, 1.0 / self.eigenvalues)
-        )
-
-    def abs_shift_preconditioner(self, shift: float, n: int) -> spla.LinearOperator:
-        w = np.maximum(np.abs(self.eigenvalues - shift), 1e-10)
-        return spla.LinearOperator(
-            (n, n), matvec=lambda b: self.apply_spectral(b, 1.0 / w)
+            (n, n), matvec=lambda b: self.apply_spectral(b, weights)
         )
 
 
@@ -278,18 +267,14 @@ def _check_exponent(domain: DomainSpec, p: float) -> None:
 
 
 def _linear_solve(dp: DiscreteProblem, S: sp.csr_matrix, rhs: np.ndarray,
-                  lam: float, rtol: float) -> np.ndarray:
-    """Newton-step solve: direct factorization in 2-D, preconditioned
-    MINRES in 3-D (the matrix is symmetric indefinite near a bifurcation,
-    which rules out plain CG)."""
-    if dp.domain.dimension == 2:
-        return spla.splu(S.tocsc()).solve(rhs)
-    M = dp.transform.abs_shift_preconditioner(lam, dp.n)
-    x, info = spla.minres(S, rhs, M=M, rtol=rtol, maxiter=2000)
-    if info != 0:
-        logger.warning("minres stalled (info=%d); falling back to direct solve", info)
-        x = spla.splu(S.tocsc()).solve(rhs)
-    return x
+                  lam: float, rtol: float) -> tuple[np.ndarray, int]:
+    """Newton-step solve in any dimension: MINRES (the matrix is symmetric
+    indefinite near a bifurcation, which rules out plain CG) preconditioned
+    by |A - lam|^(-1), applied exactly through the sine transform.  Returns
+    MINRES's ``(x, info)``; a nonzero ``info`` is a stall."""
+    w = np.maximum(np.abs(dp.transform.eigenvalues - lam), 1e-10)
+    M = dp.transform.operator(1.0 / w)
+    return spla.minres(S, rhs, M=M, rtol=rtol, maxiter=2000)
 
 
 def _shifted_jacobian(dp: DiscreteProblem, lam: float, diag_extra: np.ndarray) -> sp.csr_matrix:
@@ -334,7 +319,13 @@ def solve_branch(
         if rn <= tol:
             break
         S = _shifted_jacobian(dp, lam, epsilon * p * np.abs(v) ** (p - 1.0))
-        step = _linear_solve(dp, S, -r, lam, linear_rtol)
+        step, info = _linear_solve(dp, S, -r, lam, linear_rtol)
+        if info != 0:
+            raise NewtonDiverged(
+                f"MINRES stalled (info={info}) at eps={epsilon:g} "
+                f"(residual {rn:.3e})",
+                history,
+            )
         s = 1.0
         while s >= 2.0**-30:
             v_new = v + s * step
@@ -403,7 +394,7 @@ def discrete_morse_index(
     j, k = dp.group.j, dp.group.k
     diag_extra = record.epsilon * p * np.abs(record.v) ** (p - 1.0)
     S = _shifted_jacobian(dp, record.lam, diag_extra)
-    Minv = dp.transform.inv_operator(dp.n)
+    Minv = dp.transform.operator(1.0 / dp.transform.eigenvalues)
     rng = np.random.default_rng(rng_seed)
     v0 = rng.standard_normal(dp.n)
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bifurcbox
 from bifurcbox.cli import main
 
 
@@ -216,3 +221,11 @@ class TestConfigAndReport:
     def test_report_missing_file(self, tmp_path):
         assert main(["report", "--input", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
+
+
+def test_cli_import_skips_scipy_ndimage():
+    env = dict(os.environ, PYTHONPATH=str(Path(bifurcbox.__file__).parents[1]))
+    code = "import sys, bifurcbox.cli; print('scipy.ndimage' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

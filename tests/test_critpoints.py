@@ -7,6 +7,7 @@ import pytest
 import bifurcbox as bb
 from bifurcbox.critpoints import (
     SearchConfig,
+    _neighbourhood_min,
     canonicalize,
     dedup_pairs,
     pair_set_distance,
@@ -107,6 +108,15 @@ class TestOracle:
         assert len(oracle) == 13
         dist = pair_set_distance([p.a for p in cube6_points], [p.a for p in oracle])
         assert dist <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 4, 6)])
+    def test_neighbourhood_min_matches_loop(self, shape):
+        G = np.random.default_rng(3).integers(0, 4, shape).astype(float)
+        expected = np.empty_like(G)
+        for idx in np.ndindex(shape):
+            box = tuple(slice(max(i - 1, 0), i + 2) for i in idx)
+            expected[idx] = G[box].min()
+        assert np.array_equal(_neighbourhood_min(G), expected)
 
     def test_rejects_large_k(self):
         f = bb.ReducedFunctional.from_tensor(QuarticTensor.from_pattern(4, 9.0, 4.0))

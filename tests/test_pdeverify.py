@@ -232,6 +232,29 @@ class TestContinuation:
         assert not verdicts[0].passed
         assert verdicts[0].notes
 
+    @pytest.mark.parametrize("domain", ["square", "cube"])
+    def test_minres_stall_marks_inconclusive(self, domain, monkeypatch):
+        dom = getattr(bb.DomainSpec, domain)()
+        group = bb.find_group(dom, j=1)
+        dp = bb.build_laplacian(dom, 32 if domain == "square" else 12, group)
+        pred = bb.predict_branches(
+            group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom))
+        )
+
+        def no_direct_solve(*args, **kwargs):
+            raise AssertionError("Newton steps must not factorize")
+
+        monkeypatch.setattr(
+            "bifurcbox.pdeverify.spla.minres", lambda A, b, **kw: (np.zeros_like(b), 1)
+        )
+        monkeypatch.setattr("bifurcbox.pdeverify.spla.splu", no_direct_solve)
+        with pytest.raises(NewtonDiverged, match="MINRES stalled") as err:
+            bb.solve_branch(dp, pred.pairs[0].a, 0.05)
+        assert err.value.history
+        (verdict,) = bb.continuation_run(dp, pred, [0.05], VerifyConfig(morse=False))
+        assert verdict.inconclusive and not verdict.passed
+        assert any("MINRES stalled" in note for note in verdict.notes)
+
     def test_supercritical_refused(self, cube, cube_g6, f_cube6):
         dp = bb.build_laplacian(cube, 12, cube_g6)
         pred = bb.predict_branches(cube_g6, bb.find_critical_points(f_cube6), p=7.0)
