@@ -18,8 +18,11 @@ one, so the eps asymptotics are not polluted by the O(h^2) discretization
 shift; grid bias is checked separately by grid refinement.
 
 The discrete Laplacian is diagonalized exactly by the type-I sine
-transform, which provides the mass-inverse for eigenvalue computations and
-the spectral preconditioner of the MINRES Newton steps in 2-D and 3-D.
+transform, applied as dense matrix products along each axis.  It gives
+the spectral preconditioner of the MINRES Newton steps in 2-D and 3-D,
+and the whitened, matrix-free operator whose eigenvalues give the Morse
+index.  Newton keeps the sparse stencil for the residual and the
+Jacobian, where a stencil matvec is cheaper than a transform pair.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import dstn, idstn
 
 from .critpoints import BranchPrediction, CriticalPoint, canonicalize
 from .errors import (
@@ -54,8 +56,23 @@ def _sine_eigenvalues_1d(n: int, L: float) -> np.ndarray:
 class _SineTransform:
     """Exact spectral calculus for the discrete Dirichlet Laplacian.
 
-    The orthonormal type-I DST is involutory, so applying any function of
-    the stencil eigenvalues costs two transforms.
+    The orthonormal type-I DST diagonalizes the stencil and is its own
+    inverse, so applying any function of the stencil eigenvalues costs two
+    transforms.  Each axis keeps its dense DST-I matrix
+    S[i, m] = sqrt(2/(n+1)) sin(pi i m/(n+1)) (32 KB at n = 64) and
+    applies it by matrix products: O(n) work per point per axis, against
+    O(log n) for an FFT.  At the grids of 3-D verification the products
+    win by far, since the FFT lengths 2(n+1) have awkward factors (66,
+    130); in 2-D an FFT catches up near 200 points per axis, and at 255^2
+    a transform pair costs about 1.3-1.4x an FFT pair on one x86 core.
+
+    In 3-D each axis is a stack of n x n slice products rather than one
+    GEMM over the whole grid.  On one thread both cost the same; but
+    OpenBLAS splits a GEMM across threads once m n k exceeds 2^18, and on
+    a busy machine those small split GEMMs wait on their threads: at
+    32^3 on 2 vCPUs a transform pair as three whole-grid GEMMs averaged
+    2.8 ms against a median of 0.4 ms.  Slice products of n <= 64 stay on
+    one thread.
     """
 
     def __init__(self, shape, freq_1d):
@@ -66,16 +83,29 @@ class _SineTransform:
             bshape[d] = -1
             W = W + w.reshape(bshape)
         self.eigenvalues = W
+        self.matrices = []
+        for n in self.shape:
+            i = np.arange(1, n + 1)
+            self.matrices.append(
+                math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(i, i) / (n + 1))
+            )
+
+    def dst(self, vec: np.ndarray) -> np.ndarray:
+        """Orthonormal DST-I along every axis, returned in grid shape."""
+        X = vec.reshape(self.shape)
+        for d, S in enumerate(self.matrices[:-1]):
+            # a stack of slice products; the strided views need no copy
+            X = np.moveaxis(np.matmul(S, np.moveaxis(X, d, -2)), -2, d)
+        return np.matmul(X, self.matrices[-1])
 
     def apply_spectral(self, vec: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        coeff = dstn(vec.reshape(self.shape), type=1, norm="ortho")
-        return idstn(coeff * weights, type=1, norm="ortho").ravel()
+        return self.dst(self.dst(vec) * weights).ravel()
 
     def operator(self, weights: np.ndarray) -> spla.LinearOperator:
         """The function of A whose eigenvalues are ``weights``."""
         n = weights.size
         return spla.LinearOperator(
-            (n, n), matvec=lambda b: self.apply_spectral(b, weights)
+            (n, n), matvec=lambda b: self.apply_spectral(b, weights), dtype=float
         )
 
 
@@ -388,23 +418,33 @@ def discrete_morse_index(
     the pencil (A - lambda I - eps F) x = mu A x with F = diag(p |v|^(p-1));
     since A is positive definite, the number of negative mu equals the
     inertia of the shifted matrix, so counting the smallest pencil
-    eigenvalues (computed with the exact sine-transform mass inverse) gives
-    the Morse index directly.
+    eigenvalues gives the Morse index directly.  Whitening with A^(-1/2)
+    turns the pencil into the standard problem mu = 1 - kappa, kappa an
+    eigenvalue of K = A^(-1/2) (lambda + eps F) A^(-1/2).  In sine
+    coordinates K is D^(-1/2) Q c Q D^(-1/2), with Q the sine transform, D
+    the stencil eigenvalues and c = lambda + eps F pointwise, so ARPACK
+    needs neither a mass matrix nor a Jacobian, only two transforms per
+    matvec.
     """
     j, k = dp.group.j, dp.group.k
-    diag_extra = record.epsilon * p * np.abs(record.v) ** (p - 1.0)
-    S = _shifted_jacobian(dp, record.lam, diag_extra)
-    Minv = dp.transform.operator(1.0 / dp.transform.eigenvalues)
+    Q = dp.transform
+    c = (record.lam + record.epsilon * p * np.abs(record.v) ** (p - 1.0)).reshape(Q.shape)
+    d = Q.eigenvalues ** -0.5
+
+    def whitened(y):
+        return (d * Q.dst(c * Q.dst(d * y.reshape(Q.shape)))).ravel()
+
+    K = spla.LinearOperator((dp.n, dp.n), matvec=whitened, dtype=float)
     rng = np.random.default_rng(rng_seed)
     v0 = rng.standard_normal(dp.n)
 
     ell = j - 1 + k + n_extra
     for _ in range(2):
-        vals = spla.eigsh(
-            S, k=min(ell, dp.n - 1), M=dp.laplacian, Minv=Minv, which="SA",
-            v0=v0, maxiter=20000, return_eigenvectors=False,
+        kappa = spla.eigsh(
+            K, k=min(ell, dp.n - 1), which="LA", v0=v0, maxiter=20000,
+            return_eigenvectors=False,
         )
-        vals = np.sort(vals)
+        vals = np.sort(1.0 - kappa)
         if vals[-1] > 0.0:
             break
         ell *= 2  # more negatives than expected; widen the window

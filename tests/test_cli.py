@@ -223,9 +223,19 @@ class TestConfigAndReport:
                      "--out", str(tmp_path)]) == 1
 
 
-def test_cli_import_skips_scipy_ndimage():
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after importing
+    the CLI; each module left out is import time every CLI call saves."""
     env = dict(os.environ, PYTHONPATH=str(Path(bifurcbox.__file__).parents[1]))
-    code = "import sys, bifurcbox.cli; print('scipy.ndimage' in sys.modules)"
+    code = f"import sys, bifurcbox.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_cli_import_skips_scipy_ndimage():
+    assert not _loaded_by_cli_import("scipy.ndimage")
+
+
+def test_cli_import_skips_scipy_fft():
+    assert not _loaded_by_cli_import("scipy.fft")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.linalg
 
 import bifurcbox as bb
 from bifurcbox.errors import (
@@ -13,6 +15,8 @@ from bifurcbox.errors import (
 )
 from bifurcbox.pdeverify import (
     VerifyConfig,
+    _sine_eigenvalues_1d,
+    _SineTransform,
     diagram_rows,
     discrete_reference_point,
     fit_order,
@@ -92,6 +96,31 @@ class TestBuildLaplacian:
         direct = dp_sq5.laplacian @ v
         spectral = dp_sq5.transform.apply_spectral(v, dp_sq5.transform.eigenvalues)
         assert np.max(np.abs(direct - spectral)) <= 1e-10 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("shape", [(17, 23), (11, 13, 16)])
+    def test_sine_transform_matches_scipy_dst(self, shape):
+        # anisotropic shapes catch an axis-order slip in the per-axis products
+        T = _SineTransform(shape, [_sine_eigenvalues_1d(n + 1, 1.0) for n in shape])
+        x = np.random.default_rng(1).standard_normal(shape)
+        ref = scipy.fft.dstn(x, type=1, norm="ortho")
+        assert np.max(np.abs(T.dst(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(T.dst(T.dst(x)) - x)) <= 1e-13 * np.max(np.abs(x))
+        w = T.eigenvalues
+        ref = scipy.fft.idstn(ref * w, type=1, norm="ortho").ravel()
+        got = T.apply_spectral(x.ravel(), w)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_operator_builds_without_a_matvec(self, dp_sq5, monkeypatch):
+        T = dp_sq5.transform
+        calls = []
+        apply = T.apply_spectral
+        monkeypatch.setattr(
+            T, "apply_spectral", lambda *args: calls.append(1) or apply(*args)
+        )
+        op = T.operator(1.0 / T.eigenvalues)
+        assert calls == []
+        op.matvec(np.ones(dp_sq5.n))
+        assert len(calls) == 1
 
 
 class TestSolveBranch:
@@ -182,6 +211,25 @@ class TestMorseIndex:
     def test_spectrum_too_close_guard(self, dp_sq1, rec_sq1):
         with pytest.raises(SpectrumTooClose):
             bb.discrete_morse_index(dp_sq1, rec_sq1, zero_tol=1.0)
+
+    @pytest.mark.parametrize("domain, eigenvalue, grid", [("square", 5, 32), ("cube", 6, 12)])
+    def test_whitened_solve_matches_dense_pencil(self, domain, eigenvalue, grid):
+        dom = getattr(bb.DomainSpec, domain)()
+        group = bb.find_group(dom, eigenvalue=eigenvalue)
+        dp = bb.build_laplacian(dom, grid, group)
+        pred = bb.predict_branches(
+            group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom))
+        )
+        cp = max(pred.pairs, key=lambda c: c.morse_index)
+        rec = bb.solve_branch(dp, cp.a, 0.05)
+        A = dp.laplacian.toarray()
+        S = A - np.diag(rec.lam + 3.0 * rec.epsilon * rec.v**2)
+        mu = scipy.linalg.eigh(S, A, eigvals_only=True)
+        near_ref = np.sort(mu[np.argsort(np.abs(mu))[:group.k]])
+        for seed in (0, 1):
+            morse, near = bb.discrete_morse_index(dp, rec, rng_seed=seed)
+            assert morse == int(np.sum(mu < 0.0))
+            np.testing.assert_allclose(near, near_ref, rtol=1e-9, atol=0.0)
 
 
 class TestContinuation:
