@@ -4,7 +4,7 @@ Configuration comes from a JSON file (--config) with flag overrides; every
 report echoes the effective configuration and its hash, so identical
 configs and seeds give byte-identical output.  Exit codes: 0 success,
 1 usage or configuration error, 2 verification mismatch (or a prediction
-containing degenerate points).
+containing degenerate points, or from an unsaturated search).
 
 The output directory resolves as: --out flag, then the BIFURCBOX_OUT
 environment variable, then the config file, then ./bifurcbox-out.
@@ -318,28 +318,31 @@ def cmd_spectrum(args, cfg: dict) -> int:
 
 
 def _run_prediction(cfg: dict):
+    """Search the target group; ``search`` is the block every report carries."""
     domain = _domain_from_config(cfg["domain"])
     cfg["domain"] = _domain_echo(domain)
     group = _target_group(domain, cfg)
     functional = _build_functional(group, domain, cfg)
-    points, diagnostics = find_critical_points_with_diagnostics(
-        functional, _search_config(cfg)
+    scfg = _search_config(cfg)
+    points, diagnostics = find_critical_points_with_diagnostics(functional, scfg)
+    prediction = predict_branches(
+        group, points, p=float(cfg["p"]), dedup_radius=scfg.dedup_radius
     )
-    prediction = predict_branches(group, points, p=float(cfg["p"]))
-    return domain, group, functional, prediction, diagnostics
-
-
-def cmd_predict(args, cfg: dict) -> int:
-    domain, group, functional, prediction, diagnostics = _run_prediction(cfg)
-    payload = _report_header(cfg, "prediction")
-    payload.update(prediction_to_dict(prediction, domain))
-    payload["search"] = {
+    search = {
         "n_seeds": diagnostics.n_seeds,
         "n_converged": diagnostics.n_converged,
         "n_failed": diagnostics.n_failed,
         "saturated": diagnostics.saturated,
         "completeness": diagnostics.completeness,
     }
+    return domain, group, functional, prediction, search
+
+
+def cmd_predict(args, cfg: dict) -> int:
+    domain, group, functional, prediction, search = _run_prediction(cfg)
+    payload = _report_header(cfg, "prediction")
+    payload.update(prediction_to_dict(prediction, domain))
+    payload["search"] = search
     note = _normalization_note(group, domain, functional)
     if note is not None:
         payload["normalization_note"] = note
@@ -362,11 +365,13 @@ def cmd_predict(args, cfg: dict) -> int:
     _write_json(out / "prediction.json", payload)
     _write_prediction_csv(out / "prediction.csv", payload)
 
+    unsaturated = search["completeness"] == "unsaturated"
+    qualifier = ("at least, degenerate present" if not prediction.exact else
+                 "not certified: the search is unsaturated" if unsaturated else "exact")
     lam = payload["lambda_j"]
     print(
         f"lambda_j={lam:g} (j={group.j}, k={group.k}, p={cfg['p']:g}): "
-        f"{prediction.pair_count_h} pairs of branches"
-        f"{' (exact)' if prediction.exact else ' (at least, degenerate present)'}"
+        f"{prediction.pair_count_h} pairs of branches ({qualifier})"
     )
     print(f"{'pair':>4}  {'m':>2}  {'m+j-1':>5}  {'J':>12}  a")
     for i, cp in enumerate(prediction.pairs):
@@ -376,7 +381,7 @@ def cmd_predict(args, cfg: dict) -> int:
             f"{cp.value:12.6g}  {a}"
         )
     print(f"wrote {out / 'prediction.json'}")
-    return 0 if prediction.exact else 2
+    return 0 if prediction.exact and not unsaturated else 2
 
 
 def _write_prediction_csv(path: Path, payload: dict) -> None:
@@ -396,7 +401,7 @@ def _write_prediction_csv(path: Path, payload: dict) -> None:
 
 
 def cmd_verify(args, cfg: dict) -> int:
-    domain, group, functional, prediction, _ = _run_prediction(cfg)
+    domain, group, functional, prediction, search = _run_prediction(cfg)
     vcfg = _verify_config(cfg)
     grid = cfg["verify"]["grid"]
     if grid is None:
@@ -421,6 +426,7 @@ def cmd_verify(args, cfg: dict) -> int:
 
     payload = _report_header(cfg, "verify")
     payload["prediction"] = prediction_to_dict(prediction, domain)
+    payload["search"] = search
     note = _normalization_note(group, domain, functional)
     if note is not None:
         payload["normalization_note"] = note

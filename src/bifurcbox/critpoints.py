@@ -405,17 +405,19 @@ class BranchPrediction:
         }
 
 
-def predict_branches(group: EigenGroup, points, p: float = 3.0) -> BranchPrediction:
+def predict_branches(group: EigenGroup, points, p: float = 3.0,
+                     dedup_radius: float = 1e-6) -> BranchPrediction:
     """Fold classified critical points into a branch prediction.
 
     Input points may come in any sign convention and may contain both
-    members of a pair; they are canonicalized and merged first, so the
-    output is invariant under flipping the sign of any input point.
+    members of a pair; they are canonicalized and merged first (points
+    within ``dedup_radius`` modulo sign are one pair), so the output is
+    invariant under flipping the sign of any input point.
     """
     pts = list(points)
     chosen = [
         replace(pts[i], a=rep)
-        for rep, i in _pair_representatives([cp.a for cp in pts], 1e-6)
+        for rep, i in _pair_representatives([cp.a for cp in pts], dedup_radius)
     ]
     exact = all(cp.nondegenerate for cp in chosen)
     if not exact:

@@ -17,12 +17,12 @@ eps is measured from the *discrete* group eigenvalue, not the continuum
 one, so the eps asymptotics are not polluted by the O(h^2) discretization
 shift; grid bias is checked separately by grid refinement.
 
-The discrete Laplacian is diagonalized exactly by the type-I sine
-transform, applied as dense matrix products along each axis.  It gives
-the spectral preconditioner of the MINRES Newton steps in 2-D and 3-D,
-and the whitened, matrix-free operator whose eigenvalues give the Morse
-index.  Newton keeps the sparse stencil for the residual and the
-Jacobian, where a stencil matvec is cheaper than a transform pair.
+The discrete Laplacian is never assembled: the type-I sine transform,
+applied as dense matrix products along each axis, diagonalizes it
+exactly.  The Newton residual and the H1 norm apply its eigenvalues in
+sine coordinates, and the MINRES Newton steps and the Morse eigensolve
+run on operators of one shape there: pointwise, transform, pointwise,
+transform, pointwise.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .critpoints import BranchPrediction, CriticalPoint, canonicalize
@@ -54,17 +53,18 @@ def _sine_eigenvalues_1d(n: int, L: float) -> np.ndarray:
 
 
 class _SineTransform:
-    """Exact spectral calculus for the discrete Dirichlet Laplacian.
+    """The discrete Dirichlet Laplacian A, held as its sine transform.
 
-    The orthonormal type-I DST diagonalizes the stencil and is its own
-    inverse, so applying any function of the stencil eigenvalues costs two
-    transforms.  Each axis keeps its dense DST-I matrix
-    S[i, m] = sqrt(2/(n+1)) sin(pi i m/(n+1)) (32 KB at n = 64) and
-    applies it by matrix products: O(n) work per point per axis, against
-    O(log n) for an FFT.  At the grids of 3-D verification the products
-    win by far, since the FFT lengths 2(n+1) have awkward factors (66,
-    130); in 2-D an FFT catches up near 200 points per axis, and at 255^2
-    a transform pair costs about 1.3-1.4x an FFT pair on one x86 core.
+    The orthonormal type-I DST Q diagonalizes the 5/7-point stencil,
+    A = Q D Q with D the stencil eigenvalues, and is its own inverse, so
+    applying any function of A costs two transforms.  Each axis keeps its
+    dense DST-I matrix S[i, m] = sqrt(2/(n+1)) sin(pi i m/(n+1)) (32 KB
+    at n = 64) and applies it by matrix products: O(n) work per point per
+    axis, against O(log n) for an FFT.  At the grids of 3-D verification
+    the products win by far, since the FFT lengths 2(n+1) have awkward
+    factors (66, 130); in 2-D an FFT catches up near 200 points per axis,
+    and at 255^2 a transform pair costs about 1.3-1.4x an FFT pair on one
+    x86 core.
 
     In 3-D each axis is a stack of n x n slice products rather than one
     GEMM over the whole grid.  On one thread both cost the same; but
@@ -99,19 +99,29 @@ class _SineTransform:
         return np.matmul(X, self.matrices[-1])
 
     def apply_spectral(self, vec: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """f(A) vec, for the f with values ``weights`` on D."""
         return self.dst(self.dst(vec) * weights).ravel()
 
-    def operator(self, weights: np.ndarray) -> spla.LinearOperator:
-        """The function of A whose eigenvalues are ``weights``."""
-        n = weights.size
-        return spla.LinearOperator(
-            (n, n), matvec=lambda b: self.apply_spectral(b, weights), dtype=float
-        )
+    def operator(self, outer: np.ndarray, inner: np.ndarray,
+                 diag: np.ndarray | None = None) -> spla.LinearOperator:
+        """y -> diag y + outer Q(inner Q(outer y)), every factor pointwise
+        in grid shape: an operator on sine coordinates."""
+
+        def matvec(y):
+            y = y.reshape(self.shape)
+            out = outer * self.dst(inner * self.dst(outer * y))
+            if diag is not None:
+                out += diag * y
+            return out.ravel()
+
+        n = math.prod(self.shape)
+        return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
 
 
 @dataclass(frozen=True)
 class DiscreteProblem:
-    """Immutable discretization of a domain around one eigenvalue group."""
+    """Immutable discretization of a domain around one eigenvalue group;
+    the stencil A = -lap_h is kept only as its sine ``transform``."""
 
     domain: DomainSpec
     group: EigenGroup
@@ -119,7 +129,6 @@ class DiscreteProblem:
     shape: tuple[int, ...]         # interior points per axis
     h: tuple[float, ...]
     weight: float                  # volume element prod(h)
-    laplacian: sp.csr_matrix       # A = -lap_h on interior points, SPD
     eigvecs: np.ndarray            # (n, k) discretely orthonormal group basis
     lambda_h: float                # discrete group eigenvalue
     splitting: float               # spread of the discrete multiplet
@@ -128,7 +137,7 @@ class DiscreteProblem:
 
     @property
     def n(self) -> int:
-        return self.laplacian.shape[0]
+        return math.prod(self.shape)
 
     def inner(self, u, v) -> float:
         return self.weight * float(u @ v)
@@ -137,28 +146,12 @@ class DiscreteProblem:
         return math.sqrt(self.inner(u, u))
 
     def norm_h1(self, u) -> float:
-        return math.sqrt(self.weight * float(u @ (self.laplacian @ u)))
+        Q = self.transform
+        return math.sqrt(self.weight * float(np.sum(Q.eigenvalues * Q.dst(u) ** 2)))
 
     def project(self, v) -> np.ndarray:
         """Discrete L2 projections of v onto the group basis."""
         return self.weight * (self.eigvecs.T @ v)
-
-
-def _assemble_laplacian(ns, Ls) -> sp.csr_matrix:
-    mats, eyes = [], []
-    for nsub, L in zip(ns, Ls):
-        h = L / nsub
-        m = nsub - 1
-        mats.append(sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m)) / h**2)
-        eyes.append(sp.identity(m, format="csr"))
-    A = None
-    for d in range(len(ns)):
-        term = None
-        for e in range(len(ns)):
-            f = mats[d] if e == d else eyes[e]
-            term = f if term is None else sp.kron(term, f, format="csr")
-        A = term if A is None else A + term
-    return A.tocsr()
 
 
 def _discrete_mode_value(freq_1d, indices) -> float:
@@ -167,8 +160,9 @@ def _discrete_mode_value(freq_1d, indices) -> float:
 
 
 def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProblem:
-    """Standard second-order stencil with Dirichlet elimination, plus the
-    discretely re-orthonormalized sine basis of the group.
+    """Standard second-order stencil with Dirichlet elimination, held as
+    its sine transform, plus the discretely re-orthonormalized sine basis
+    of the group.
 
     Raises :class:`GridTooCoarse` when the discrete multiplet splitting
     exceeds half the gap to the nearest non-group discrete eigenvalue.
@@ -194,7 +188,6 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
     sides = domain.sides
     hs = tuple(L / g for L, g in zip(sides, grid))
     shape = tuple(g - 1 for g in grid)
-    A = _assemble_laplacian(grid, sides)
     freq_1d = [_sine_eigenvalues_1d(g, L) for g, L in zip(grid, sides)]
     transform = _SineTransform(shape, freq_1d)
 
@@ -237,7 +230,7 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
 
     return DiscreteProblem(
         domain=domain, group=group, grid=grid, shape=shape, h=hs, weight=weight,
-        laplacian=A, eigvecs=E, lambda_h=lambda_h, splitting=splitting,
+        eigvecs=E, lambda_h=lambda_h, splitting=splitting,
         neighbor_gap=neighbor_gap, transform=transform,
     )
 
@@ -296,21 +289,21 @@ def _check_exponent(domain: DomainSpec, p: float) -> None:
         raise ValueError("p must exceed 1")
 
 
-def _linear_solve(dp: DiscreteProblem, S: sp.csr_matrix, rhs: np.ndarray,
-                  lam: float, rtol: float) -> tuple[np.ndarray, int]:
-    """Newton-step solve in any dimension: MINRES (the matrix is symmetric
-    indefinite near a bifurcation, which rules out plain CG) preconditioned
-    by |A - lam|^(-1), applied exactly through the sine transform.  Returns
-    MINRES's ``(x, info)``; a nonzero ``info`` is a stall."""
-    w = np.maximum(np.abs(dp.transform.eigenvalues - lam), 1e-10)
-    M = dp.transform.operator(1.0 / w)
-    return spla.minres(S, rhs, M=M, rtol=rtol, maxiter=2000)
+def _linear_solve(dp: DiscreteProblem, lam: float, extra: np.ndarray,
+                  rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+    """Newton-step solve of (A - lam - diag(extra)) x = rhs in any dimension.
 
-
-def _shifted_jacobian(dp: DiscreteProblem, lam: float, diag_extra: np.ndarray) -> sp.csr_matrix:
-    S = dp.laplacian.copy()
-    S.setdiag(dp.laplacian.diagonal() - lam - diag_extra)
-    return S
+    MINRES (the matrix is symmetric indefinite near a bifurcation, which
+    rules out plain CG) runs split-preconditioned by |A - lam|^(-1/2) in
+    sine coordinates: with w = |D - lam|^(-1/2) it solves T y = w Q rhs,
+    T = w (D - lam) w - w Q extra Q w, and returns x = Q (w y) with
+    MINRES's ``info``; a nonzero ``info`` is a stall."""
+    Q = dp.transform
+    shift = Q.eigenvalues - lam
+    w = np.maximum(np.abs(shift), 1e-10) ** -0.5
+    T = Q.operator(w, -extra.reshape(Q.shape), diag=w * shift * w)
+    y, info = spla.minres(T, (w * Q.dst(rhs)).ravel(), rtol=rtol, maxiter=2000)
+    return Q.dst(w * y.reshape(Q.shape)).ravel(), info
 
 
 def solve_branch(
@@ -338,9 +331,11 @@ def solve_branch(
     a = np.asarray(a, dtype=float)
     lam = dp.lambda_h - epsilon
     v = dp.eigvecs @ a if v0 is None else v0.copy()
+    Q = dp.transform
 
     def residual(vec):
-        return dp.laplacian @ vec - lam * vec - epsilon * np.abs(vec) ** (p - 1.0) * vec
+        return (Q.apply_spectral(vec, Q.eigenvalues) - lam * vec
+                - epsilon * np.abs(vec) ** (p - 1.0) * vec)
 
     r = residual(v)
     rn = dp.norm_l2(r)
@@ -348,8 +343,8 @@ def solve_branch(
     for _ in range(max_iter):
         if rn <= tol:
             break
-        S = _shifted_jacobian(dp, lam, epsilon * p * np.abs(v) ** (p - 1.0))
-        step, info = _linear_solve(dp, S, -r, lam, linear_rtol)
+        f = epsilon * p * np.abs(v) ** (p - 1.0)
+        step, info = _linear_solve(dp, lam, f, -r, linear_rtol)
         if info != 0:
             raise NewtonDiverged(
                 f"MINRES stalled (info={info}) at eps={epsilon:g} "
@@ -429,12 +424,7 @@ def discrete_morse_index(
     j, k = dp.group.j, dp.group.k
     Q = dp.transform
     c = (record.lam + record.epsilon * p * np.abs(record.v) ** (p - 1.0)).reshape(Q.shape)
-    d = Q.eigenvalues ** -0.5
-
-    def whitened(y):
-        return (d * Q.dst(c * Q.dst(d * y.reshape(Q.shape)))).ravel()
-
-    K = spla.LinearOperator((dp.n, dp.n), matvec=whitened, dtype=float)
+    K = Q.operator(Q.eigenvalues ** -0.5, c)
     rng = np.random.default_rng(rng_seed)
     v0 = rng.standard_normal(dp.n)
 

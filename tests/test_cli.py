@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bifurcbox
+import bifurcbox.cli
 from bifurcbox.cli import main
 
 
@@ -94,6 +95,33 @@ class TestPredict:
         payload = json.loads((out / "prediction.json").read_text())
         assert payload["search"]["completeness"] == "oracle-checkable"
         assert payload["search"]["saturated"] is True
+        _, out = run(tmp_path, "verify", "--domain", "square", "--j", "2",
+                     "--grid", "32", "--eps-steps", "1", "--no-morse", name="v")
+        verify = json.loads((out / "verdicts.json").read_text())
+        assert verify["search"] == payload["search"]
+
+    def test_unsaturated_search_exits_two(self, tmp_path, capsys):
+        code, out = run(tmp_path, "predict", "--domain", "cube", "--lam", "14")
+        assert code == 2
+        payload = json.loads((out / "prediction.json").read_text())
+        assert payload["search"]["completeness"] == "unsaturated"
+        assert payload["exact"] is True  # the fields keep their meaning
+        stdout = capsys.readouterr().out
+        assert "not certified: the search is unsaturated" in stdout
+        assert "(exact)" not in stdout
+
+    def test_dedup_radius_reaches_prediction(self, tmp_path, monkeypatch):
+        seen = []
+        fold = bifurcbox.cli.predict_branches
+        monkeypatch.setattr(
+            bifurcbox.cli, "predict_branches",
+            lambda *args, **kw: seen.append(kw["dedup_radius"]) or fold(*args, **kw),
+        )
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"domain": "square", "target": {"lambda": 5},
+                                   "search": {"dedup_radius": 1e-5}}))
+        assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert seen == [1e-5]
 
     def test_conflicting_target_is_usage_error(self, tmp_path):
         code, _ = run(tmp_path, "predict", "--domain", "square", "--j", "2", "--lam", "5")

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,6 +249,12 @@ class TestPrediction:
             for cp in sq5_points
         ]
         assert bb.predict_branches(sq_g5, doubled).pair_count_h == 4
+
+    def test_dedup_radius_is_configurable(self, sq_g5, sq5_points):
+        cp = sq5_points[0]
+        pts = [cp, replace(cp, a=cp.a * (1.0 + 1e-4))]
+        assert bb.predict_branches(sq_g5, pts).pair_count_h == 2
+        assert bb.predict_branches(sq_g5, pts, dedup_radius=1e-3).pair_count_h == 1
 
     def test_degenerate_downgrades_exactness(self, sq_g5):
         # alpha = 3 beta makes the single-mode points exactly degenerate

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg
+import scipy.sparse as sp
 
 import bifurcbox as bb
 from bifurcbox.errors import (
@@ -15,6 +17,7 @@ from bifurcbox.errors import (
 )
 from bifurcbox.pdeverify import (
     VerifyConfig,
+    _linear_solve,
     _sine_eigenvalues_1d,
     _SineTransform,
     diagram_rows,
@@ -25,6 +28,25 @@ from bifurcbox.pdeverify import (
 )
 
 PI = math.pi
+
+
+def reference_stencil(dp) -> sp.csr_matrix:
+    """The 5/7-point Dirichlet stencil A = -lap_h of ``dp``'s grid, assembled
+    as a Kronecker sum of 1-D second differences: an independent reference
+    for the sine-transform form the package keeps."""
+    mats, eyes = [], []
+    for nsub, L in zip(dp.grid, dp.domain.sides):
+        m = nsub - 1
+        mats.append(sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m)) / (L / nsub) ** 2)
+        eyes.append(sp.identity(m, format="csr"))
+    A = None
+    for d in range(len(dp.grid)):
+        term = None
+        for e in range(len(dp.grid)):
+            f = mats[d] if e == d else eyes[e]
+            term = f if term is None else sp.kron(term, f, format="csr")
+        A = term if A is None else A + term
+    return A.tocsr()
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +74,11 @@ def rec_sq1(dp_sq1, pred_sq1):
     return bb.solve_branch(dp_sq1, pred_sq1.pairs[0].a, 0.05)
 
 
+@pytest.fixture(scope="module")
+def rec_sq5(dp_sq5, pred_sq5):
+    return bb.solve_branch(dp_sq5, pred_sq5.pairs[0].a, 0.05)
+
+
 class TestBuildLaplacian:
     def test_discrete_ground_eigenvalue(self, square, sq_g1):
         dp = bb.build_laplacian(square, 64, sq_g1)
@@ -60,8 +87,26 @@ class TestBuildLaplacian:
         assert dp.lambda_h == pytest.approx(closed, rel=1e-14)
         assert abs(dp.lambda_h - 2.0) <= 1e-3 * 2.0  # within 0.1%
 
-    def test_stencil_exactly_symmetric(self, dp_sq5):
-        assert (dp_sq5.laplacian - dp_sq5.laplacian.T).nnz == 0
+    def test_newton_operator_symmetric(self, dp_sq5, rec_sq5):
+        # the split-preconditioned Jacobian MINRES runs on, as a dense matrix
+        Q = dp_sq5.transform
+        shift = Q.eigenvalues - rec_sq5.lam
+        w = np.abs(shift) ** -0.5
+        f = 3.0 * rec_sq5.epsilon * rec_sq5.v.reshape(Q.shape) ** 2
+        T = Q.operator(w, -f, diag=w * shift * w) @ np.eye(dp_sq5.n)
+        assert np.max(np.abs(T - T.T)) <= 1e-13 * np.max(np.abs(T))
+
+    def test_build_peak_memory(self, cube, cube_g6):
+        # the sine-transform form needs no Kronecker intermediates: about
+        # 3.4 MB at 33^3, against 6.9 MB with an assembled sparse stencil
+        bb.build_laplacian(cube, 33, cube_g6)
+        tracemalloc.start()
+        try:
+            bb.build_laplacian(cube, 33, cube_g6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
 
     def test_multiplet_splitting_zero_on_symmetric_grid(self, dp_sq5, cube, cube_g6):
         assert dp_sq5.splitting <= 1e-12
@@ -93,7 +138,7 @@ class TestBuildLaplacian:
     def test_sine_transform_applies_operator(self, dp_sq5):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(dp_sq5.n)
-        direct = dp_sq5.laplacian @ v
+        direct = reference_stencil(dp_sq5) @ v
         spectral = dp_sq5.transform.apply_spectral(v, dp_sq5.transform.eigenvalues)
         assert np.max(np.abs(direct - spectral)) <= 1e-10 * np.max(np.abs(direct))
 
@@ -113,14 +158,33 @@ class TestBuildLaplacian:
     def test_operator_builds_without_a_matvec(self, dp_sq5, monkeypatch):
         T = dp_sq5.transform
         calls = []
-        apply = T.apply_spectral
-        monkeypatch.setattr(
-            T, "apply_spectral", lambda *args: calls.append(1) or apply(*args)
-        )
-        op = T.operator(1.0 / T.eigenvalues)
+        dst = T.dst
+        monkeypatch.setattr(T, "dst", lambda *args: calls.append(1) or dst(*args))
+        op = T.operator(T.eigenvalues ** -0.5, np.ones(T.shape))
         assert calls == []
         op.matvec(np.ones(dp_sq5.n))
-        assert len(calls) == 1
+        assert len(calls) == 2
+
+    def test_h1_norm_matches_stencil(self, dp_sq5):
+        u = np.random.default_rng(2).standard_normal(dp_sq5.n)
+        ref = math.sqrt(dp_sq5.weight * float(u @ (reference_stencil(dp_sq5) @ u)))
+        assert dp_sq5.norm_h1(u) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("domain, eigenvalue, grid", [("square", 5, 32), ("cube", 6, 12)])
+    def test_linear_solve_matches_dense(self, domain, eigenvalue, grid):
+        dom = getattr(bb.DomainSpec, domain)()
+        group = bb.find_group(dom, eigenvalue=eigenvalue)
+        dp = bb.build_laplacian(dom, grid, group)
+        eps = 0.05
+        lam = dp.lambda_h - eps
+        v = dp.eigvecs @ np.linspace(1.0, 2.0, group.k)
+        f = 3.0 * eps * v**2
+        rhs = np.random.default_rng(3).standard_normal(dp.n)
+        x, info = _linear_solve(dp, lam, f, rhs, 1e-12)
+        assert info == 0
+        J = reference_stencil(dp).toarray() - np.diag(lam + f)
+        ref = np.linalg.solve(J, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 class TestSolveBranch:
@@ -222,7 +286,7 @@ class TestMorseIndex:
         )
         cp = max(pred.pairs, key=lambda c: c.morse_index)
         rec = bb.solve_branch(dp, cp.a, 0.05)
-        A = dp.laplacian.toarray()
+        A = reference_stencil(dp).toarray()
         S = A - np.diag(rec.lam + 3.0 * rec.epsilon * rec.v**2)
         mu = scipy.linalg.eigh(S, A, eigvals_only=True)
         near_ref = np.sort(mu[np.argsort(np.abs(mu))[:group.k]])
