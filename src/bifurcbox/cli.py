@@ -219,15 +219,6 @@ def _target_group(domain: DomainSpec, cfg: dict):
         raise ConfigError(str(exc))
 
 
-def _continuum_gap(domain: DomainSpec, group) -> float:
-    groups = enumerate_groups(domain, 4)
-    while groups[-1].j <= group.j:
-        groups = enumerate_groups(domain, 2 * len(groups))
-    lam = group.eigenvalue(domain)
-    gaps = [abs(g.eigenvalue(domain) - lam) for g in groups if g.value != group.value]
-    return min(gaps)
-
-
 def _build_functional(group, domain, cfg: dict) -> ReducedFunctional:
     q = cfg["quadrature"]
     return ReducedFunctional.for_group(
@@ -414,7 +405,7 @@ def cmd_verify(args, cfg: dict) -> int:
 
     eps0 = cfg["verify"]["eps0"]
     if eps0 is None:
-        eps0 = min(0.1, 0.1 * _continuum_gap(domain, group))
+        eps0 = min(0.1, 0.1 * dp.neighbor_gap)
     schedule = geometric_schedule(
         float(eps0), int(cfg["verify"]["eps_steps"]), float(cfg["verify"]["eps_ratio"])
     )
@@ -560,7 +551,8 @@ def build_parser() -> _Parser:
     _add_common(vp)
     _add_target(vp)
     vp.add_argument("--grid", help="subintervals per axis, e.g. '64' or '33,33,33'")
-    vp.add_argument("--eps0", type=float, help="largest eps of the schedule")
+    vp.add_argument("--eps0", type=float, help="largest eps of the schedule "
+                    "(default: a tenth of the discrete neighbour gap, at most 0.1)")
     vp.add_argument("--eps-steps", dest="eps_steps", type=int)
     vp.add_argument("--eps-ratio", dest="eps_ratio", type=float)
     vp.add_argument("--no-morse", dest="no_morse", action="store_true",

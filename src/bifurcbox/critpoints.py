@@ -9,7 +9,8 @@ solution Morse index m + j - 1.  Three independent routes to the same set:
 * :func:`brute_force_oracle` - dense grid scan of |grad|^2 minima (k <= 3).
 * :func:`gamma_family_solutions` - closed forms for pattern tensors.
 
-Seed refinements are independent; results are merged and sorted under the
+The first two and the verifier's reference point share one batched Newton
+whose rows never interact; results are merged and sorted under the
 sign-pair dedup relation, so output does not depend on evaluation order.
 """
 
@@ -62,7 +63,8 @@ class SearchConfig:
     the functional's mode scale), 4 (3^k - 1) seeds at the default radii,
     and always run.  ``seed_budget`` is the minimum total seed count, not a
     cap: random directions top the structured seeds up to it (none for
-    k >= 4 at the default 200).  Defaults reproduce all published examples.
+    k >= 4 at the default 200).  All seeds run as the rows of one batched
+    damped Newton.  Defaults reproduce all published examples.
     """
 
     seed_budget: int = 200
@@ -85,34 +87,53 @@ def canonicalize(a: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     return a.copy()
 
 
-def _newton_refine(f: ReducedFunctional, a0, cfg: SearchConfig):
-    """Damped Newton on the gradient with backtracking on its norm."""
-    a = np.asarray(a0, dtype=float).copy()
-    g = f.gradient(a)
-    gn = float(np.linalg.norm(g))
+def _newton_refine(f: ReducedFunctional, A0, cfg: SearchConfig):
+    """Damped Newton on the gradient, run on every row of ``A0`` at once.
+
+    Each row backtracks on its own gradient norm (Armijo constant 1e-4,
+    halving down to 2^-30), takes a ridge when its Hessian solve is
+    singular, and ends as failed on a non-finite step or a stalled line
+    search.  Returns the final rows and the mask of rows whose gradient
+    norm reached ``cfg.newton_tol``."""
+    A = np.array(A0, dtype=float, ndmin=2)
+    block = max(1, 2**22 // f.k**2)  # rows whose stacked Hessians hold 2^22 numbers
+    if len(A) > block:  # cube lambda=54 has 2.1M seeds at k = 12
+        parts = [_newton_refine(f, A[s:s + block], cfg) for s in range(0, len(A), block)]
+        return np.concatenate([a for a, _ in parts]), np.concatenate([ok for _, ok in parts])
+    G = f.gradient_many(A)
+    gn = np.linalg.norm(G, axis=1)
+    live = np.ones(len(A), dtype=bool)  # neither converged nor failed
     for _ in range(cfg.max_iter):
-        if gn <= cfg.newton_tol:
-            return a, True, gn
-        H = f.hessian(a)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            ridge = 1e-8 * max(1.0, float(np.max(np.abs(H))))
-            step = np.linalg.solve(H + ridge * np.eye(f.k), -g)
-        if not np.all(np.isfinite(step)):
-            return a, False, gn
-        s = 1.0
-        while s >= 2.0**-30:
-            a_new = a + s * step
-            g_new = f.gradient(a_new)
-            gn_new = float(np.linalg.norm(g_new))
-            if gn_new <= (1.0 - 1e-4 * s) * gn or gn_new <= cfg.newton_tol:
-                break
-            s *= 0.5
-        else:
-            return a, False, gn
-        a, g, gn = a_new, g_new, gn_new
-    return a, gn <= cfg.newton_tol, gn
+        live &= gn > cfg.newton_tol
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        step = _newton_steps(f.hessian_many(A[rows]), G[rows])
+        finite = np.all(np.isfinite(step), axis=1)
+        live[rows[~finite]] = False
+        rows, step = rows[finite], step[finite]
+        s = np.ones(len(rows))
+        while rows.size:
+            A_new = A[rows] + s[:, None] * step
+            G_new = f.gradient_many(A_new)
+            gn_new = np.linalg.norm(G_new, axis=1)
+            ok = (gn_new <= (1.0 - 1e-4 * s) * gn[rows]) | (gn_new <= cfg.newton_tol)
+            A[rows[ok]], G[rows[ok]], gn[rows[ok]] = A_new[ok], G_new[ok], gn_new[ok]
+            live[rows[~ok & (s <= 2.0**-30)]] = False  # line search stalled
+            retry = ~ok & (s > 2.0**-30)
+            rows, step, s = rows[retry], step[retry], 0.5 * s[retry]
+    return A, gn <= cfg.newton_tol
+
+
+def _newton_steps(H: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Rows of -H^(-1) g; a singular H gets the ridge 1e-8 max(1, max|H|)."""
+    try:
+        return np.linalg.solve(H, -G[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(H) > 1:
+            return np.array([_newton_steps(h[None], g[None])[0] for h, g in zip(H, G)])
+    ridge = 1e-8 * max(1.0, float(np.max(np.abs(H))))
+    return np.linalg.solve(H + ridge * np.eye(H.shape[-1]), -G[..., None])[..., 0]
 
 
 def _classify(f: ReducedFunctional, a: np.ndarray, cfg: SearchConfig) -> CriticalPoint:
@@ -145,14 +166,15 @@ def _pair_representatives(candidates, radius: float):
 
     Returns (representative, position in ``candidates`` of the pair's
     first point) in deterministic sorted order."""
-    reps = np.empty((len(candidates), len(candidates[0]) if candidates else 0))
+    reps = np.empty((len(candidates), len(candidates[0]) if len(candidates) else 0))
     first: list[int] = []
     for i, a in enumerate(candidates):
         c = canonicalize(a, tol=radius)
         if np.all(np.max(np.abs(reps[:len(first)] - c), axis=1) > radius):
-            reps[len(first)] = c
+            reps[len(first)] = c + 0.0  # no -0.0
             first.append(i)
-    order = sorted(range(len(first)), key=lambda r: tuple(reps[r]))
+    # a fixed rounding (``radius`` may be 0): last-bit noise must not order pairs
+    order = sorted(range(len(first)), key=lambda r: tuple(np.round(reps[r], 10)))
     return [(reps[r], first[r]) for r in order]
 
 
@@ -164,18 +186,19 @@ def dedup_pairs(candidates, radius: float):
 
 def pair_set_distance(points_a, points_b) -> float:
     """Hausdorff distance between two sets of sign pairs: max over either
-    set of the distance to the nearest canonical representative of the
-    other (max norm).  Empty against empty is 0; empty against nonempty is
+    set of the distance to the nearest point of the other's pairs, either
+    sign (max norm).  Empty against empty is 0; empty against nonempty is
     infinite."""
-    A = [canonicalize(np.asarray(a, dtype=float)) for a in points_a]
-    B = [canonicalize(np.asarray(b, dtype=float)) for b in points_b]
+    A = [np.asarray(a, dtype=float) for a in points_a]
+    B = [np.asarray(b, dtype=float) for b in points_b]
     if not A and not B:
         return 0.0
     if not A or not B:
         return float("inf")
 
     def one_sided(xs, ys):
-        return max(min(float(np.max(np.abs(x - y))) for y in ys) for x in xs)
+        return max(min(float(min(np.max(np.abs(x - y)), np.max(np.abs(x + y))))
+                       for y in ys) for x in xs)
 
     return max(one_sided(A, B), one_sided(B, A))
 
@@ -218,35 +241,23 @@ def find_critical_points_with_diagnostics(
     k = f.k
     scale = cfg.scale if cfg.scale is not None else f.mode_scale()
 
-    patterns = [
-        np.array(s, dtype=float)
-        for s in itertools.product((-1.0, 0.0, 1.0), repeat=k)
-        if any(s)
-    ]
-    seeds = [r * scale * pat for r in cfg.radii for pat in patterns]
+    patterns = np.array([s for s in itertools.product((-1.0, 0.0, 1.0), repeat=k) if any(s)])
+    seeds = [r * scale * patterns for r in cfg.radii]
     rng = np.random.default_rng(cfg.rng_seed)
-    for _ in range(max(0, cfg.seed_budget - len(seeds))):
+    for _ in range(max(0, cfg.seed_budget - len(cfg.radii) * len(patterns))):
         d = rng.standard_normal(k)
         d /= np.linalg.norm(d)
-        seeds.append(rng.uniform(0.25, 2.0) * scale * d)
+        seeds.append(rng.uniform(0.25, 2.0) * scale * d[None])
 
-    converged, ordinals = [], []
-    failures = 0
-    for ordinal, s in enumerate(seeds):
-        a, ok, _ = _newton_refine(f, s, cfg)
-        if not ok:
-            failures += 1
-            continue
-        if float(np.max(np.abs(a))) <= cfg.dedup_radius:
-            continue  # trivial critical point
-        converged.append(a)
-        ordinals.append(ordinal)
-    reps = _pair_representatives(converged, cfg.dedup_radius)
-    last_new = max((ordinals[i] for _, i in reps), default=-1)
+    A, ok = _newton_refine(f, np.concatenate(seeds), cfg)
+    ordinals = np.flatnonzero(ok & (np.max(np.abs(A), axis=1) > cfg.dedup_radius))
+    reps = _pair_representatives(A[ordinals], cfg.dedup_radius)
+    last_new = max((int(ordinals[i]) for _, i in reps), default=-1)
+    failures = int(np.sum(~ok))
     if failures:
-        logger.debug("%d of %d seeds failed to converge", failures, len(seeds))
+        logger.debug("%d of %d seeds failed to converge", failures, len(A))
 
-    saturated = last_new < len(seeds) // 2
+    saturated = last_new < len(A) // 2
     if k <= 3:
         completeness = "oracle-checkable"
     elif saturated:
@@ -254,8 +265,8 @@ def find_critical_points_with_diagnostics(
     else:
         completeness = "unsaturated"
     diagnostics = SearchDiagnostics(
-        n_seeds=len(seeds),
-        n_converged=len(converged),
+        n_seeds=len(A),
+        n_converged=len(ordinals),
         n_failed=failures,
         last_new_pair_seed=last_new,
         saturated=saturated,
@@ -286,13 +297,8 @@ def brute_force_oracle(
     A = np.column_stack([m.ravel() for m in mesh])
     G = np.sum(f.gradient_many(A) ** 2, axis=1).reshape((npts,) * k)
     is_min = G <= _neighbourhood_min(G)
-    candidates = A[is_min.ravel()]
-
-    converged = []
-    for a0 in candidates:
-        a, ok, _ = _newton_refine(f, a0, cfg)
-        if ok and float(np.max(np.abs(a))) > cfg.dedup_radius:
-            converged.append(a)
+    A, ok = _newton_refine(f, A[is_min.ravel()], cfg)
+    converged = A[ok & (np.max(np.abs(A), axis=1) > cfg.dedup_radius)]
     return [_classify(f, a, cfg) for a in dedup_pairs(converged, cfg.dedup_radius)]
 
 

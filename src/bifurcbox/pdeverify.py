@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .critpoints import BranchPrediction, CriticalPoint, canonicalize
+from .critpoints import BranchPrediction, CriticalPoint, SearchConfig, _newton_refine
 from .errors import (
     ConvergedToWrongBranch,
     GridTooCoarse,
@@ -41,6 +41,7 @@ from .errors import (
     SpectrumTooClose,
     SupercriticalP,
 )
+from .reduced import ReducedFunctional
 from .spectrum import DomainSpec, EigenGroup, eigenfunction_eval, enumerate_modes
 
 
@@ -387,8 +388,8 @@ def solve_branch(
     )
 
     if all_pairs is not None and expected_index is not None and np.any(a != 0.0):
-        canon = canonicalize(a_lam)
-        dists = [float(np.max(np.abs(canon - canonicalize(b)))) for b in all_pairs]
+        dists = [min(float(np.max(np.abs(a_lam - b))), float(np.max(np.abs(a_lam + b))))
+                 for b in all_pairs]
         nearest = int(np.argmin(dists))
         if nearest != expected_index:
             raise ConvergedToWrongBranch(
@@ -419,7 +420,7 @@ def discrete_morse_index(
     coordinates K is D^(-1/2) Q c Q D^(-1/2), with Q the sine transform, D
     the stencil eigenvalues and c = lambda + eps F pointwise, so ARPACK
     needs neither a mass matrix nor a Jacobian, only two transforms per
-    matvec.
+    matvec.  K <= max(c) D^(-1) bounds the negative mu, which sizes the window.
     """
     j, k = dp.group.j, dp.group.k
     Q = dp.transform
@@ -428,18 +429,14 @@ def discrete_morse_index(
     rng = np.random.default_rng(rng_seed)
     v0 = rng.standard_normal(dp.n)
 
-    ell = j - 1 + k + n_extra
-    for _ in range(2):
-        kappa = spla.eigsh(
-            K, k=min(ell, dp.n - 1), which="LA", v0=v0, maxiter=20000,
-            return_eigenvectors=False,
-        )
-        vals = np.sort(1.0 - kappa)
-        if vals[-1] > 0.0:
-            break
-        ell *= 2  # more negatives than expected; widen the window
-    else:
-        raise SpectrumTooClose("could not bracket the negative spectrum")
+    ell = max(j - 1 + k + n_extra, int(np.sum(Q.eigenvalues <= c.max())) + 1)
+    kappa = spla.eigsh(
+        K, k=min(ell, dp.n - 1), which="LA", v0=v0, maxiter=20000,
+        return_eigenvectors=False,
+    )
+    vals = np.sort(1.0 - kappa)
+    if vals[-1] <= 0.0:
+        raise SpectrumTooClose("the certified Morse window holds no positive mu")
 
     morse = int(np.sum(vals < 0.0))
     near_zero = vals[np.argsort(np.abs(vals))[:k]]
@@ -458,18 +455,12 @@ def discrete_reference_point(dp: DiscreteProblem, a, p: float = 3.0,
 
     This is the exact eps -> 0 limit of the discrete branch projections;
     fitting convergence orders against it separates the eps asymptotics
-    from the O(h^2) discretization bias.
+    from the O(h^2) discretization bias.  The grid sum is a quadrature
+    functional with the grid points as nodes.
     """
-    E, w = dp.eigvecs, dp.weight
-    x = np.asarray(a, dtype=float).copy()
-    for _ in range(max_iter):
-        W = E @ x
-        g = x - w * (E.T @ (np.abs(W) ** (p - 1.0) * W))
-        if np.linalg.norm(g) <= tol:
-            break
-        H = np.eye(dp.group.k) - p * w * (E * np.abs(W)[:, None] ** (p - 1.0)).T @ E
-        x = x + np.linalg.solve(H, -g)
-    return x
+    f = ReducedFunctional(dp.group.k, p, "quadrature", quad_points=dp.eigvecs,
+                          quad_weights=np.full(dp.n, dp.weight))
+    return _newton_refine(f, a, SearchConfig(newton_tol=tol, max_iter=max_iter))[0][0]
 
 
 def fit_order(eps, vals, floor: float = 1e-13) -> float | None:

@@ -289,36 +289,44 @@ class ReducedFunctional:
         return 0.5 * float(a @ a) - self._nonlinear_integral(a) / (self.p + 1.0)
 
     def gradient(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        if self.backend == "exact-quartic":
-            cubic = np.einsum("ihlm,h,l,m->i", self.tensor.entries, a, a, a)
-            return a - cubic
-        W = self._E @ a
-        g = self._E.T @ (self._w * np.abs(W) ** (self.p - 1.0) * W)
-        return a - g
+        return self.gradient_many(np.asarray(a, dtype=float)[None])[0]
 
     def hessian(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        eye = np.eye(self.k)
-        if self.backend == "exact-quartic":
-            quad = np.einsum("ihlm,l,m->ih", self.tensor.entries, a, a)
-            return eye - 3.0 * quad
-        W = self._E @ a
-        d = self._w * self.p * np.abs(W) ** (self.p - 1.0)
-        return eye - (self._E * d[:, None]).T @ self._E
+        return self.hessian_many(np.asarray(a, dtype=float)[None])[0]
 
-    def gradient_many(self, A, chunk: int = 65536) -> np.ndarray:
-        """Gradient at each row of ``A``; vectorized for grid scans."""
+    def _row_blocks(self, n_rows: int):
+        """Row slices whose intermediates hold about 2^22 numbers: k^3 per
+        row for the tensor contractions, k per node and row for quadrature."""
+        cost = self.k**2 if self.backend == "exact-quartic" else len(self._E)
+        step = max(1, 2**22 // (self.k * cost))
+        return (slice(s, s + step) for s in range(0, n_rows, step))
+
+    def gradient_many(self, A) -> np.ndarray:
+        """Gradient at each row of ``A``, in bounded-memory row blocks."""
         A = np.asarray(A, dtype=float)
-        if self.backend == "exact-quartic":
-            cubic = np.einsum("ihlm,nh,nl,nm->ni", self.tensor.entries, A, A, A,
-                              optimize=True)
-            return A - cubic
         out = np.empty_like(A)
-        for s in range(0, A.shape[0], chunk):
-            B = A[s:s + chunk]
-            W = B @ self._E.T
-            out[s:s + chunk] = B - (self._w * np.abs(W) ** (self.p - 1.0) * W) @ self._E
+        for rows in self._row_blocks(len(A)):
+            B = A[rows]
+            if self.backend == "exact-quartic":
+                out[rows] = B - np.einsum("ihlm,nh,nl,nm->ni", self.tensor.entries,
+                                          B, B, B, optimize=True)
+            else:
+                W = B @ self._E.T
+                out[rows] = B - (self._w * np.abs(W) ** (self.p - 1.0) * W) @ self._E
+        return out
+
+    def hessian_many(self, A) -> np.ndarray:
+        """Hessians at the rows of ``A``, (n, k, k), in bounded-memory row blocks."""
+        A = np.asarray(A, dtype=float)
+        out = np.empty((len(A), self.k, self.k))
+        for rows in self._row_blocks(len(A)):
+            B = A[rows]
+            if self.backend == "exact-quartic":
+                out[rows] = np.eye(self.k) - 3.0 * np.einsum(
+                    "ihlm,nl,nm->nih", self.tensor.entries, B, B, optimize=True)
+            else:
+                d = self._w * self.p * np.abs(B @ self._E.T) ** (self.p - 1.0)
+                out[rows] = np.eye(self.k) - np.swapaxes(d[:, :, None] * self._E, 1, 2) @ self._E
         return out
 
     def mode_scale(self) -> float:

@@ -164,6 +164,15 @@ class TestVerify:
         cfgecho = json.loads((out / "verdicts.json").read_text())["config"]
         assert cfgecho["domain"]["side_sq"] == ["pi^2", "pi^2"]
 
+    def test_default_eps0_is_a_tenth_of_the_neighbor_gap(self, tmp_path):
+        # the 3pi x pi rectangle's ground group is 0.33 from its neighbour
+        code, out = run(tmp_path, "verify", "--side-sq", "9pi^2,pi^2", "--j", "1",
+                        "--grid", "48,18", "--eps-steps", "2", "--no-morse")
+        assert code == 0
+        payload = json.loads((out / "verdicts.json").read_text())
+        assert payload["neighbor_gap"] < 1.0
+        assert payload["config"]["verify"]["eps0"] == 0.1 * payload["neighbor_gap"]
+
     def test_four_branches_matched(self, tmp_path):
         code, out = run(tmp_path, "verify", "--domain", "square", "--j", "2",
                         "--grid", "32", "--eps-steps", "2")

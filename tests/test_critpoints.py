@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -9,6 +10,7 @@ import bifurcbox as bb
 from bifurcbox.critpoints import (
     SearchConfig,
     _neighbourhood_min,
+    _newton_refine,
     canonicalize,
     dedup_pairs,
     pair_set_distance,
@@ -91,6 +93,29 @@ class TestFindCriticalPoints:
         assert len(again) == len(sq5_points)
         for a, b in zip(again, sq5_points):
             assert np.array_equal(a.a, b.a)
+
+    def test_pair_order_ignores_rounding(self, cube):
+        # cube lambda=14 has pairs whose leading coordinates agree up to
+        # rounding, and zero coordinates that canonicalization negates
+        f = bb.ReducedFunctional.for_group(bb.find_group(cube, eigenvalue=14), cube)
+        reps = np.array([p.a for p in bb.find_critical_points(f)])
+        assert not np.any((reps == 0.0) & np.signbit(reps))
+        noise = 1e-15 * np.random.default_rng(0).choice([-1.0, 1.0], reps.shape)
+        for shifted in (reps + noise, reps - noise):
+            assert np.max(np.abs(np.array(dedup_pairs(shifted, 1e-6)) - reps)) <= 1e-14
+
+    def test_batched_newton_equals_row_by_row(self, square):
+        # square lambda=65's structured seeds include singular Hessian
+        # solves, so the ridge fallback runs inside a batch and alone
+        f = bb.ReducedFunctional.for_group(bb.find_group(square, eigenvalue=65), square)
+        cfg = SearchConfig()
+        patterns = np.array([s for s in itertools.product((-1.0, 0.0, 1.0), repeat=f.k)
+                             if any(s)])
+        seeds = np.concatenate([r * f.mode_scale() * patterns for r in cfg.radii])
+        A, ok = _newton_refine(f, seeds, cfg)
+        rows = [_newton_refine(f, s, cfg) for s in seeds]
+        assert np.array_equal(ok, [r_ok[0] for _, r_ok in rows])
+        assert np.max(np.abs(A - np.array([a[0] for a, _ in rows]))) <= 1e-12
 
 
 class TestOracle:
@@ -302,5 +327,8 @@ class TestHelpers:
         A = [np.array([1.0, 0.0])]
         B = [np.array([-1.0, 1e-8])]
         assert pair_set_distance(A, B) == pytest.approx(1e-8, rel=1e-6)
+        # a small coordinate on one side of the canonicalization tolerance
+        tiny = [np.array([4e-4, -1.0])]
+        assert pair_set_distance(tiny, [np.array([0.0, 1.0])]) == pytest.approx(4e-4)
         assert pair_set_distance([], []) == 0.0
         assert pair_set_distance(A, []) == float("inf")

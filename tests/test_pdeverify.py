@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -234,6 +235,15 @@ class TestSolveBranch:
             bb.solve_branch(dp_sq5, pairs[start], 0.05,
                             all_pairs=pairs, expected_index=other)
 
+    def test_wrong_branch_check_is_sign_safe(self, dp_sq5, pred_sq5):
+        # the pair's first coordinate is 4e-4, the solve's is zero: the
+        # canonical signs of the two are decided by different coordinates
+        pairs = [cp.a for cp in pred_sq5.pairs]
+        i = next(n for n, a in enumerate(pairs) if abs(a[0]) < 1e-9)  # (0, gamma_1)
+        pairs[i] = np.array([4e-4, -pairs[i][1]])
+        rec = bb.solve_branch(dp_sq5, pairs[i], 0.05, all_pairs=pairs, expected_index=i)
+        assert abs(rec.a_lambda[0]) < 1e-6 < -rec.a_lambda[1]
+
     def test_supercritical_exponent_refused(self, cube, cube_g6):
         dp = bb.build_laplacian(cube, 12, cube_g6)
         with pytest.raises(SupercriticalP):
@@ -275,6 +285,17 @@ class TestMorseIndex:
     def test_spectrum_too_close_guard(self, dp_sq1, rec_sq1):
         with pytest.raises(SpectrumTooClose):
             bb.discrete_morse_index(dp_sq1, rec_sq1, zero_tol=1.0)
+
+    def test_window_holds_every_negative_mu(self, square, sq_g1, pred_sq1):
+        # eight times the solution makes c = lambda + 3 eps v^2 exceed six
+        # stencil eigenvalues, far more negatives than the j - 1 + k expected
+        dp = bb.build_laplacian(square, 24, sq_g1)
+        rec = bb.solve_branch(dp, pred_sq1.pairs[0].a, 0.1)
+        rec = dataclasses.replace(rec, v=8.0 * rec.v)
+        A = reference_stencil(dp).toarray()
+        mu = np.linalg.eigvalsh(A - np.diag(rec.lam + 3.0 * rec.epsilon * rec.v**2))
+        morse, _ = bb.discrete_morse_index(dp, rec)
+        assert morse == int(np.sum(mu < 0.0)) == 6
 
     @pytest.mark.parametrize("domain, eigenvalue, grid", [("square", 5, 32), ("cube", 6, 12)])
     def test_whitened_solve_matches_dense_pencil(self, domain, eigenvalue, grid):

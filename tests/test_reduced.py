@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,13 +237,34 @@ class TestQuadratureBackend:
         assert np.max(np.abs(H - 0.5 * (fdH + fdH.T))) <= 1e-5
 
     def test_gradient_many_matches_single(self, f_sq5, square, sq_g5):
+        """Batched derivatives against one-point formulas that share no code
+        with them: the tensor contractions, and central differences of
+        ``value`` for the quadrature backend."""
         quadr = bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")
+        T = f_sq5.tensor.entries
         rng = np.random.default_rng(11)
         A = rng.uniform(-2, 2, (40, 2))
-        for f in (f_sq5, quadr):
-            G = f.gradient_many(A)
-            for i in range(A.shape[0]):
-                assert np.allclose(G[i], f.gradient(A[i]), atol=1e-12)
+        for a, g, H in zip(A, f_sq5.gradient_many(A), f_sq5.hessian_many(A)):
+            assert np.allclose(g, a - np.einsum("ihlm,h,l,m->i", T, a, a, a), atol=1e-12)
+            assert np.allclose(H, np.eye(2) - 3.0 * np.einsum("ihlm,l,m->ih", T, a, a),
+                               atol=1e-12)
+        for a, g, H in zip(A, quadr.gradient_many(A), quadr.hessian_many(A)):
+            assert np.linalg.norm(g - fd_gradient(quadr.value, a)) <= 1e-6 * (1 + np.linalg.norm(g))
+            fd = fd_jacobian(lambda x: fd_gradient(quadr.value, x, h=1e-4), a, h=1e-4)
+            assert np.max(np.abs(H - fd)) <= 1e-5 * max(1.0, float(np.max(np.abs(H))))
+
+    def test_batched_evaluation_memory_is_bounded(self, cube, cube_g6):
+        # 2000 rows x 13824 nodes would be a 221 MB array in one piece
+        f = bb.ReducedFunctional.for_group(cube_g6, cube, backend="quadrature")
+        A = np.random.default_rng(12).uniform(-1, 1, (2000, 3))
+        for method in (f.gradient_many, f.hessian_many):
+            tracemalloc.start()
+            try:
+                method(A)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 128 * 2**20
 
     def test_supercritical_warning_in_3d(self, cube, cube_g6):
         with pytest.warns(SupercriticalExponentWarning):
