@@ -308,12 +308,21 @@ def cmd_spectrum(args, cfg: dict) -> int:
     return 0
 
 
-def _run_prediction(cfg: dict):
-    """Search the target group; ``search`` is the block every report carries."""
+def _target(cfg: dict):
+    """The domain, group and reduced functional of the configured target;
+    a bad exponent or backend is a configuration error."""
     domain = _domain_from_config(cfg["domain"])
     cfg["domain"] = _domain_echo(domain)
     group = _target_group(domain, cfg)
-    functional = _build_functional(group, domain, cfg)
+    try:
+        functional = _build_functional(group, domain, cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return domain, group, functional
+
+
+def _run_prediction(cfg: dict, group, functional):
+    """Search the target group; ``search`` is the block every report carries."""
     scfg = _search_config(cfg)
     points, diagnostics = find_critical_points_with_diagnostics(functional, scfg)
     prediction = predict_branches(
@@ -326,11 +335,12 @@ def _run_prediction(cfg: dict):
         "saturated": diagnostics.saturated,
         "completeness": diagnostics.completeness,
     }
-    return domain, group, functional, prediction, search
+    return prediction, search
 
 
 def cmd_predict(args, cfg: dict) -> int:
-    domain, group, functional, prediction, search = _run_prediction(cfg)
+    domain, group, functional = _target(cfg)
+    prediction, search = _run_prediction(cfg, group, functional)
     payload = _report_header(cfg, "prediction")
     payload.update(prediction_to_dict(prediction, domain))
     payload["search"] = search
@@ -392,26 +402,33 @@ def _write_prediction_csv(path: Path, payload: dict) -> None:
 
 
 def cmd_verify(args, cfg: dict) -> int:
-    domain, group, functional, prediction, search = _run_prediction(cfg)
+    domain, group, functional = _target(cfg)
     vcfg = _verify_config(cfg)
+    # the grid and the schedule are checked before the search runs
     grid = cfg["verify"]["grid"]
     if grid is None:
         grid = 64 if domain.dimension == 2 else 33
-    if isinstance(grid, str):
-        grid = [int(x) for x in grid.split(",")]
-    if isinstance(grid, list) and len(grid) == 1:
-        grid = grid[0]
-    dp = build_laplacian(domain, grid, group)
-
+    try:
+        if isinstance(grid, str):
+            grid = [int(x) for x in grid.split(",")]
+        if isinstance(grid, list) and len(grid) == 1:
+            grid = grid[0]
+        dp = build_laplacian(domain, grid, group)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"verify.grid: {exc}")
     eps0 = cfg["verify"]["eps0"]
     if eps0 is None:
         eps0 = min(0.1, 0.1 * dp.neighbor_gap)
-    schedule = geometric_schedule(
-        float(eps0), int(cfg["verify"]["eps_steps"]), float(cfg["verify"]["eps_ratio"])
-    )
+    try:
+        schedule = geometric_schedule(
+            float(eps0), int(cfg["verify"]["eps_steps"]), float(cfg["verify"]["eps_ratio"])
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"verify: {exc}")
     cfg["verify"]["eps0"] = float(eps0)
     cfg["verify"]["grid"] = list(dp.grid)
 
+    prediction, search = _run_prediction(cfg, group, functional)
     verdicts = continuation_run(dp, prediction, schedule, vcfg)
     all_passed = bool(verdicts) and all(v.passed for v in verdicts)
 

@@ -42,7 +42,8 @@ class NewtonDiverged(BifurcBoxError):
 
 class ConvergedToWrongBranch(BifurcBoxError):
     """A PDE solve landed on a solution whose eigenspace projection is
-    closer to a different predicted pair than to the one it started from."""
+    closer to a different predicted pair, or to the trivial solution
+    (``nearest_index`` None), than to the one it started from."""
 
     def __init__(self, message, got=None, expected=None, nearest_index=None):
         super().__init__(message)

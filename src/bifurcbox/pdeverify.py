@@ -27,6 +27,7 @@ transform, pointwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,7 +43,11 @@ from .errors import (
     SupercriticalP,
 )
 from .reduced import ReducedFunctional
-from .spectrum import DomainSpec, EigenGroup, eigenfunction_eval, enumerate_modes
+from .spectrum import DomainSpec, EigenGroup
+
+# Not used here: bench/tracing.py wraps these two names on this module, so
+# they stay importable from it until the benchmark's tracer drops them.
+from .spectrum import eigenfunction_eval, enumerate_modes  # noqa: F401
 
 
 def _sine_eigenvalues_1d(n: int, L: float) -> np.ndarray:
@@ -130,7 +135,7 @@ class DiscreteProblem:
     shape: tuple[int, ...]         # interior points per axis
     h: tuple[float, ...]
     weight: float                  # volume element prod(h)
-    eigvecs: np.ndarray            # (n, k) discretely orthonormal group basis
+    eigvecs: np.ndarray            # (n, k) group DST-I columns / sqrt(weight)
     lambda_h: float                # discrete group eigenvalue
     splitting: float               # spread of the discrete multiplet
     neighbor_gap: float            # distance to nearest non-group eigenvalue
@@ -162,8 +167,9 @@ def _discrete_mode_value(freq_1d, indices) -> float:
 
 def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProblem:
     """Standard second-order stencil with Dirichlet elimination, held as
-    its sine transform, plus the discretely re-orthonormalized sine basis
-    of the group.
+    its sine transform.  The group basis is the transform's own DST-I
+    columns, the exact and orthonormal discrete eigenvectors of the group's
+    modes, and the neighbour gap is read off the whole discrete spectrum.
 
     Raises :class:`GridTooCoarse` when the discrete multiplet splitting
     exceeds half the gap to the nearest non-group discrete eigenvalue.
@@ -196,38 +202,23 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
     lambda_h = float(np.mean(group_vals))
     splitting = float(max(group_vals) - min(group_vals))
 
-    # nearest non-group discrete eigenvalue; the low spectrum is covered by
-    # enumerating continuum modes well past the group value, since discrete
-    # values never exceed continuum ones and never fall below 4/pi^2 of them
-    lam_cont = group.eigenvalue(domain)
-    count = 8
-    while True:
-        modes = enumerate_modes(domain, count)
-        if float(modes[-1].value) * domain.eigenvalue_unit > 2.6 * lam_cont + 10.0:
-            break
-        count *= 2
-    group_set = {m.indices for m in group.modes}
-    others = [
-        _discrete_mode_value(freq_1d, m.indices)
-        for m in modes
-        if m.indices not in group_set
-        if all(i <= g - 1 for i, g in zip(m.indices, grid))
-    ]
-    neighbor_gap = float(min(abs(v - lambda_h) for v in others))
+    # every discrete eigenvalue is in D; the group's own sit at indices - 1
+    positions = tuple(np.array([m.indices for m in group.modes]).T - 1)
+    dist = np.abs(transform.eigenvalues - lambda_h)
+    dist[positions] = np.inf
+    neighbor_gap = float(dist.min())
     if splitting > 0.5 * neighbor_gap:
         raise GridTooCoarse(
             f"discrete multiplet splits by {splitting:.3e} against a "
             f"neighbor gap of {neighbor_gap:.3e}; refine or symmetrize the grid"
         )
 
-    axes = [h * np.arange(1, g) for h, g in zip(hs, grid)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = [m.ravel() for m in mesh]
-    E = np.column_stack([eigenfunction_eval(m, domain, pts) for m in group.modes])
     weight = float(np.prod(hs))
-    gram = weight * (E.T @ E)
-    evals, evecs = np.linalg.eigh(gram)
-    E = E @ (evecs * evals**-0.5) @ evecs.T  # symmetric orthonormalization
+    E = np.column_stack([
+        functools.reduce(np.multiply.outer,
+                         [S[:, i - 1] for S, i in zip(transform.matrices, m.indices)]).ravel()
+        for m in group.modes
+    ]) / math.sqrt(weight)
 
     return DiscreteProblem(
         domain=domain, group=group, grid=grid, shape=shape, h=hs, weight=weight,
@@ -323,8 +314,9 @@ def solve_branch(
     started from the predicted eigenspace profile a . e (or ``v0``).
 
     Convergence is to discrete-L2 residual ``tol``.  When ``all_pairs`` is
-    given, the converged projection must be nearest the launched pair or
-    :class:`ConvergedToWrongBranch` is raised.
+    given, the converged projection must be nearest the launched pair, of
+    every pair and the trivial solution, or :class:`ConvergedToWrongBranch`
+    is raised.
     """
     _check_exponent(dp.domain, p)
     if epsilon <= 0:
@@ -390,11 +382,14 @@ def solve_branch(
     if all_pairs is not None and expected_index is not None and np.any(a != 0.0):
         dists = [min(float(np.max(np.abs(a_lam - b))), float(np.max(np.abs(a_lam + b))))
                  for b in all_pairs]
+        dists.append(float(np.max(np.abs(a_lam))))  # the trivial solution
         nearest = int(np.argmin(dists))
         if nearest != expected_index:
+            trivial = nearest == len(all_pairs)
             raise ConvergedToWrongBranch(
-                f"solve launched at pair {expected_index} landed at pair {nearest}",
-                got=a_lam, expected=a, nearest_index=nearest,
+                f"solve launched at pair {expected_index} landed at "
+                + ("the trivial solution" if trivial else f"pair {nearest}"),
+                got=a_lam, expected=a, nearest_index=None if trivial else nearest,
             )
     return record
 
@@ -421,6 +416,11 @@ def discrete_morse_index(
     the stencil eigenvalues and c = lambda + eps F pointwise, so ARPACK
     needs neither a mass matrix nor a Jacobian, only two transforms per
     matvec.  K <= max(c) D^(-1) bounds the negative mu, which sizes the window.
+
+    ARPACK runs to the relative tolerance ``zero_tol``: the near-zero mu
+    have kappa close to 1, so they come out accurate to about ``zero_tol``,
+    the scale below which the verdict is deferred anyway.  A tighter
+    tolerance buys no verdict and makes the restart count chaotic.
     """
     j, k = dp.group.j, dp.group.k
     Q = dp.transform
@@ -431,7 +431,7 @@ def discrete_morse_index(
 
     ell = max(j - 1 + k + n_extra, int(np.sum(Q.eigenvalues <= c.max())) + 1)
     kappa = spla.eigsh(
-        K, k=min(ell, dp.n - 1), which="LA", v0=v0, maxiter=20000,
+        K, k=min(ell, dp.n - 1), which="LA", v0=v0, maxiter=20000, tol=zero_tol,
         return_eigenvectors=False,
     )
     vals = np.sort(1.0 - kappa)
@@ -489,6 +489,13 @@ class VerifyConfig:
 
 
 def geometric_schedule(eps0: float, steps: int, ratio: float = 0.5) -> list[float]:
+    """eps0, eps0 ratio, ..., eps0 ratio^(steps-1): positive and decreasing."""
+    if not eps0 > 0:
+        raise ValueError(f"eps0 must be positive, got {eps0:g}")
+    if steps < 1:
+        raise ValueError(f"eps_steps must be at least 1, got {steps}")
+    if not 0 < ratio < 1:
+        raise ValueError(f"eps_ratio must lie strictly between 0 and 1, got {ratio:g}")
     return [eps0 * ratio**t for t in range(steps)]
 
 

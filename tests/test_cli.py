@@ -195,6 +195,28 @@ class TestVerify:
 
 
 class TestConfigAndReport:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--domain", "square", "--lam", "5", "--grid", "8"],
+        ["verify", "--domain", "square", "--lam", "5", "--grid", "64,x"],
+        ["verify", "--domain", "square", "--lam", "5", "--grid", "64,64,64"],
+        ["verify", "--domain", "square", "--lam", "5", "--eps-steps", "0"],
+        ["verify", "--domain", "square", "--lam", "5", "--eps0", "-1"],
+        ["verify", "--domain", "square", "--lam", "5", "--eps-ratio", "2"],
+        ["verify", "--domain", "square", "--lam", "5", "--p", "0.5"],
+        ["predict", "--domain", "square", "--lam", "5", "--p", "0.5"],
+        ["predict", "--domain", "square", "--lam", "5", "--backend", "exact-quartic",
+         "--p", "2"],
+    ])
+    def test_bad_input_is_config_error_before_the_search(self, argv, tmp_path,
+                                                         monkeypatch, capsys):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran before the input was checked")
+
+        monkeypatch.setattr(bifurcbox.cli, "find_critical_points_with_diagnostics", no_search)
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "config error" in err[0]
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({

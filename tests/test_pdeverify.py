@@ -136,6 +136,38 @@ class TestBuildLaplacian:
         gram = dp_sq5.weight * (E.T @ E)
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-13
 
+    @pytest.mark.parametrize("side_sq, eigenvalue, grid", [
+        (["pi^2", "pi^2"], 5, 24),
+        (["pi^2", "pi^2", "pi^2"], 6, 12),
+        (["pi^2", "4pi^2"], 10, 48),
+    ])
+    def test_spectrum_matches_dense_stencil(self, side_sq, eigenvalue, grid):
+        dom = bb.DomainSpec.from_strings(side_sq)
+        group = bb.find_group(dom, eigenvalue=eigenvalue)
+        dp = bb.build_laplacian(dom, grid, group)
+        A = reference_stencil(dp).toarray()
+        # closed-form stencil eigenvalue of each mode, one 1-D term per axis
+        vals = np.array([
+            sum((2.0 / h * math.sin(i * PI / (2 * g))) ** 2
+                for i, h, g in zip(m.indices, dp.h, dp.grid))
+            for m in group.modes
+        ])
+        E = dp.eigvecs
+        assert np.max(np.abs(A @ E - E * vals)) <= 1e-10 * np.max(np.abs(A @ E))
+        # the basis is the sampled continuum eigenfunctions, sign included
+        pts = np.meshgrid(*[h * np.arange(1, g) for h, g in zip(dp.h, dp.grid)],
+                          indexing="ij")
+        sampled = np.column_stack([
+            bb.eigenfunction_eval(m, dom, [x.ravel() for x in pts]) for m in group.modes
+        ])
+        assert np.max(np.abs(E - sampled)) <= 1e-12 * np.max(np.abs(sampled))
+        dense = np.linalg.eigvalsh(A)
+        by_distance = dense[np.argsort(np.abs(dense - dp.lambda_h))]
+        own, neighbour = by_distance[:group.k], by_distance[group.k]
+        assert np.max(np.abs(np.sort(own) - np.sort(vals))) <= 1e-10 * dp.lambda_h
+        assert dp.neighbor_gap == pytest.approx(abs(neighbour - dp.lambda_h), abs=1e-10)
+        assert dp.splitting == pytest.approx(np.ptp(own), abs=1e-10)
+
     def test_sine_transform_applies_operator(self, dp_sq5):
         rng = np.random.default_rng(0)
         v = rng.standard_normal(dp_sq5.n)
@@ -243,6 +275,16 @@ class TestSolveBranch:
         pairs[i] = np.array([4e-4, -pairs[i][1]])
         rec = bb.solve_branch(dp_sq5, pairs[i], 0.05, all_pairs=pairs, expected_index=i)
         assert abs(rec.a_lambda[0]) < 1e-6 < -rec.a_lambda[1]
+
+    def test_collapse_to_trivial_solution_refused(self, dp_sq5, pred_sq5):
+        # from v0 = 0 Newton stays at the trivial solution, whose projection
+        # is nearest the pair of smallest max-norm among the pairs alone
+        pairs = [cp.a for cp in pred_sq5.pairs]
+        i = int(np.argmin([np.max(np.abs(a)) for a in pairs]))
+        with pytest.raises(ConvergedToWrongBranch, match="the trivial solution") as err:
+            bb.solve_branch(dp_sq5, pairs[i], 0.05, v0=np.zeros(dp_sq5.n),
+                            all_pairs=pairs, expected_index=i)
+        assert err.value.nearest_index is None
 
     def test_supercritical_exponent_refused(self, cube, cube_g6):
         dp = bb.build_laplacian(cube, 12, cube_g6)
@@ -421,6 +463,9 @@ class TestReporting:
 
     def test_geometric_schedule(self):
         assert geometric_schedule(0.1, 4) == pytest.approx([0.1, 0.05, 0.025, 0.0125])
+        for args in [(0.0, 4), (0.1, 0), (0.1, 4, 1.0), (0.1, 4, 0.0)]:
+            with pytest.raises(ValueError):
+                geometric_schedule(*args)
 
     def test_fit_order_handles_floors(self):
         assert fit_order([0.1, 0.05], [1e-20, 1e-20]) is None
