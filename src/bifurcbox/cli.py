@@ -34,9 +34,10 @@ from .critpoints import (
     predict_branches,
     prediction_to_dict,
 )
-from .errors import BifurcBoxError, ConfigError, PatternMismatch
+from .errors import BifurcBoxError, ConfigError, PatternMismatch, SupercriticalP
 from .pdeverify import (
     VerifyConfig,
+    _check_exponent,
     build_laplacian,
     continuation_run,
     diagram_rows,
@@ -176,31 +177,32 @@ def _report_header(cfg: dict, kind: str) -> dict:
     }
 
 
+def _typed(cfg: dict, block: str, kinds: dict) -> dict:
+    """The keys of ``kinds`` in ``cfg[block]``, each converted by its type;
+    a value of the wrong type is a configuration error naming the key."""
+    out = {}
+    for key, kind in kinds.items():
+        value = cfg[block][key]
+        try:
+            out[key] = kind(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{block}.{key}: expected {kind.__name__}, got {value!r}")
+    return out
+
+
 def _search_config(cfg: dict) -> SearchConfig:
-    s = cfg["search"]
-    return SearchConfig(
-        seed_budget=int(s["seed_budget"]),
-        newton_tol=float(s["newton_tol"]),
-        max_iter=int(s["max_iter"]),
-        dedup_radius=float(s["dedup_radius"]),
-        degeneracy_rtol=float(s["degeneracy_rtol"]),
-        rng_seed=int(s["rng_seed"]),
-    )
+    return SearchConfig(**_typed(cfg, "search", {
+        "seed_budget": int, "newton_tol": float, "max_iter": int,
+        "dedup_radius": float, "degeneracy_rtol": float, "rng_seed": int,
+    }))
 
 
 def _verify_config(cfg: dict) -> VerifyConfig:
-    v = cfg["verify"]
-    return VerifyConfig(
-        newton_tol=float(v["newton_tol"]),
-        max_newton=int(v["max_newton"]),
-        linear_rtol=float(v["linear_rtol"]),
-        a_rtol=float(v["a_rtol"]),
-        min_phi_order=float(v["min_phi_order"]),
-        mu_rtol=float(v["mu_rtol"]),
-        morse=bool(v["morse"]),
-        dedup_radius=float(v["dedup_radius"]),
-        rng_seed=int(v["rng_seed"]),
-    )
+    return VerifyConfig(**_typed(cfg, "verify", {
+        "newton_tol": float, "max_newton": int, "linear_rtol": float,
+        "a_rtol": float, "min_phi_order": float, "mu_rtol": float, "morse": bool,
+        "dedup_radius": float, "rng_seed": int,
+    }))
 
 
 def _target_group(domain: DomainSpec, cfg: dict):
@@ -308,15 +310,18 @@ def cmd_spectrum(args, cfg: dict) -> int:
     return 0
 
 
-def _target(cfg: dict):
+def _target(cfg: dict, pde: bool = False):
     """The domain, group and reduced functional of the configured target;
-    a bad exponent or backend is a configuration error."""
+    a bad exponent or backend is a configuration error, and so is an
+    exponent the PDE verifier refuses when ``pde`` is set."""
     domain = _domain_from_config(cfg["domain"])
     cfg["domain"] = _domain_echo(domain)
     group = _target_group(domain, cfg)
     try:
+        if pde:
+            _check_exponent(domain, float(cfg["p"]))
         functional = _build_functional(group, domain, cfg)
-    except ValueError as exc:
+    except (ValueError, SupercriticalP) as exc:
         raise ConfigError(str(exc))
     return domain, group, functional
 
@@ -402,9 +407,9 @@ def _write_prediction_csv(path: Path, payload: dict) -> None:
 
 
 def cmd_verify(args, cfg: dict) -> int:
-    domain, group, functional = _target(cfg)
+    domain, group, functional = _target(cfg, pde=True)
     vcfg = _verify_config(cfg)
-    # the grid and the schedule are checked before the search runs
+    # the exponent, the grid and the schedule are checked before the search runs
     grid = cfg["verify"]["grid"]
     if grid is None:
         grid = 64 if domain.dimension == 2 else 33
@@ -535,7 +540,8 @@ def _add_common(parser):
     parser.add_argument("--side-sq", dest="side_sq",
                         help="comma-separated squared sides, e.g. 'pi^2,4pi^2'")
     parser.add_argument("--out", help="output directory (or set BIFURCBOX_OUT)")
-    parser.add_argument("--seed", type=int, help="seed for all stochastic pieces")
+    parser.add_argument("--seed", type=int,
+                        help="seed of the critical-point search's random starts")
     parser.add_argument("-v", "--verbose", action="store_true")
 
 

@@ -53,7 +53,8 @@ class ConvergedToWrongBranch(BifurcBoxError):
 
 
 class SpectrumTooClose(BifurcBoxError):
-    """A transported eigenvalue sits within rounding distance of zero, so a
+    """A transported eigenvalue sits within rounding distance of zero, or
+    the Schur-complement solve behind the Morse index stalled, so a
     Morse-index verdict would be meaningless at this continuation step."""
 
 

@@ -217,6 +217,37 @@ class TestConfigAndReport:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "config error" in err[0]
 
+    def test_supercritical_exponent_is_config_error_before_the_search(
+            self, tmp_path, monkeypatch, capsys):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran before the exponent was checked")
+
+        monkeypatch.setattr(bifurcbox.cli, "find_critical_points_with_diagnostics", no_search)
+        argv = ["verify", "--domain", "cube", "--lam", "14", "--p", "7", "--grid", "17"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "config error" in err[0]
+        assert "critical exponent 5" in err[0]
+
+    @pytest.mark.parametrize("command, block, key, value, kind", [
+        ("verify", "verify", "newton_tol", "x", "float"),
+        ("predict", "search", "seed_budget", "many", "int"),
+    ])
+    def test_config_file_value_of_wrong_type(self, command, block, key, value, kind,
+                                             tmp_path, monkeypatch, capsys):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran before the config was checked")
+
+        monkeypatch.setattr(bifurcbox.cli, "find_critical_points_with_diagnostics", no_search)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({block: {key: value}}))
+        argv = [command, "--domain", "square", "--lam", "5", "--config", str(cfg),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"bifurcbox: config error: {block}.{key}: expected {kind}, "
+                       f"got {value!r}"]
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({

@@ -7,6 +7,7 @@ import pytest
 import scipy.fft
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import bifurcbox as bb
 from bifurcbox.errors import (
@@ -339,8 +340,58 @@ class TestMorseIndex:
         morse, _ = bb.discrete_morse_index(dp, rec)
         assert morse == int(np.sum(mu < 0.0)) == 6
 
+    def test_window_holds_every_negative_mu_3d(self, cube, cube_g6, f_cube6):
+        # eight times the solution makes c = lambda + 3 eps v^2 exceed 60
+        # stencil eigenvalues, far more than the default window j - 1 + k + 2
+        dp = bb.build_laplacian(cube, 12, cube_g6)
+        pred = bb.predict_branches(cube_g6, bb.find_critical_points(f_cube6))
+        rec = bb.solve_branch(dp, pred.pairs[0].a, 0.05)
+        rec = dataclasses.replace(rec, v=8.0 * rec.v)
+        c = rec.lam + 3.0 * rec.epsilon * rec.v**2
+        window = cube_g6.j - 1 + cube_g6.k + 2
+        assert int(np.sum(dp.transform.eigenvalues <= c.max())) > window
+        mu = np.linalg.eigvalsh(reference_stencil(dp).toarray() - np.diag(c))
+        morse, _ = bb.discrete_morse_index(dp, rec)
+        assert morse == int(np.sum(mu < 0.0)) == 10
+
+    def test_morse_runs_without_an_eigensolver(self, dp_sq5, pred_sq5, monkeypatch):
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_eigsh)
+        verdicts = bb.continuation_run(dp_sq5, pred_sq5, [0.05, 0.025])
+        assert all(v.morse_ok for v in verdicts)
+
+    def test_stalled_schur_solve_defers_the_verdict(self, dp_sq5, rec_sq5, monkeypatch):
+        def stalled_cg(A, b, **kwargs):
+            return np.zeros_like(b), 1000
+
+        monkeypatch.setattr(scipy.sparse.linalg, "cg", stalled_cg)
+        with pytest.raises(SpectrumTooClose, match="stalled"):
+            bb.discrete_morse_index(dp_sq5, rec_sq5)
+
+    def test_morse_does_not_depend_on_the_seed(self, dp_sq5, rec_sq5):
+        morse0, near0 = bb.discrete_morse_index(dp_sq5, rec_sq5, rng_seed=0)
+        morse1, near1 = bb.discrete_morse_index(dp_sq5, rec_sq5, rng_seed=1)
+        assert morse0 == morse1
+        assert near0.tobytes() == near1.tobytes()
+
+    def test_morse_peak_memory(self, cube, cube_g6, f_cube6):
+        # one call at 33^3 with ARPACK (eigsh) peaked at 12.34 MB
+        dp = bb.build_laplacian(cube, 33, cube_g6)
+        pred = bb.predict_branches(cube_g6, bb.find_critical_points(f_cube6))
+        rec = bb.solve_branch(dp, pred.pairs[0].a, 0.05)
+        bb.discrete_morse_index(dp, rec)
+        tracemalloc.start()
+        try:
+            bb.discrete_morse_index(dp, rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12_336_576
+
     @pytest.mark.parametrize("domain, eigenvalue, grid", [("square", 5, 32), ("cube", 6, 12)])
-    def test_whitened_solve_matches_dense_pencil(self, domain, eigenvalue, grid):
+    def test_schur_solve_matches_dense_pencil(self, domain, eigenvalue, grid):
         dom = getattr(bb.DomainSpec, domain)()
         group = bb.find_group(dom, eigenvalue=eigenvalue)
         dp = bb.build_laplacian(dom, grid, group)
