@@ -116,6 +116,9 @@ def _load_config(path: str | None) -> dict:
         if not isinstance(user, dict):
             raise ConfigError(f"config file {path}: top level must be an object")
         cfg = _merge(cfg, user)
+    for key, default in _DEFAULTS.items():
+        if isinstance(default, dict) and not isinstance(cfg[key], dict):
+            raise ConfigError(f"{key}: expected object, got {cfg[key]!r}")
     return cfg
 
 
@@ -134,7 +137,8 @@ def _domain_from_config(spec) -> DomainSpec:
         if not isinstance(sides, list):
             raise ConfigError("domain.side_sq must be a list of strings")
         dom = DomainSpec.from_strings([str(s) for s in sides])
-        if "dimension" in spec and int(spec["dimension"]) != dom.dimension:
+        dimension = _as(int, spec.get("dimension", dom.dimension), "domain.dimension")
+        if dimension != dom.dimension:
             raise ConfigError("domain.dimension contradicts side_sq length")
         return dom
     raise ConfigError(f"cannot interpret domain spec {spec!r}")
@@ -177,17 +181,20 @@ def _report_header(cfg: dict, kind: str) -> dict:
     }
 
 
+def _as(kind: type, value, key: str):
+    """``value`` converted to ``kind``; a value of the wrong type is a
+    configuration error naming ``key``.  A bool takes only a JSON boolean."""
+    try:
+        if kind is bool and not isinstance(value, bool):
+            raise TypeError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+
+
 def _typed(cfg: dict, block: str, kinds: dict) -> dict:
-    """The keys of ``kinds`` in ``cfg[block]``, each converted by its type;
-    a value of the wrong type is a configuration error naming the key."""
-    out = {}
-    for key, kind in kinds.items():
-        value = cfg[block][key]
-        try:
-            out[key] = kind(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{block}.{key}: expected {kind.__name__}, got {value!r}")
-    return out
+    """The keys of ``kinds`` in ``cfg[block]``, each converted by :func:`_as`."""
+    return {key: _as(kind, cfg[block][key], f"{block}.{key}") for key, kind in kinds.items()}
 
 
 def _search_config(cfg: dict) -> SearchConfig:
@@ -215,21 +222,16 @@ def _target_group(domain: DomainSpec, cfg: dict):
         raise ConfigError("target: give j or lambda")
     try:
         if j is not None:
-            return find_group(domain, j=int(j))
-        return find_group(domain, eigenvalue=float(lam))
+            return find_group(domain, j=_as(int, j, "target.j"))
+        return find_group(domain, eigenvalue=_as(float, lam, "target.lambda"))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
 
-def _build_functional(group, domain, cfg: dict) -> ReducedFunctional:
-    q = cfg["quadrature"]
+def _build_functional(group, domain, cfg: dict, p: float) -> ReducedFunctional:
     return ReducedFunctional.for_group(
-        group,
-        domain,
-        p=float(cfg["p"]),
-        backend=cfg["backend"],
-        nodes_per_panel=int(q["nodes_per_panel"]),
-        panels_per_halfwave=int(q["panels_per_halfwave"]),
+        group, domain, p=p, backend=cfg["backend"],
+        **_typed(cfg, "quadrature", {"nodes_per_panel": int, "panels_per_halfwave": int}),
     )
 
 
@@ -293,7 +295,9 @@ def _normalization_note(group, domain, functional) -> dict | None:
 def cmd_spectrum(args, cfg: dict) -> int:
     domain = _domain_from_config(cfg["domain"])
     cfg["domain"] = _domain_echo(domain)
-    count = int(cfg["count"])
+    count = _as(int, cfg["count"], "count")
+    if count < 1:
+        raise ConfigError(f"count must be >= 1, got {count}")
     groups = enumerate_groups(domain, count)
     payload = _report_header(cfg, "spectrum")
     payload["groups"] = spectrum_rows(groups)
@@ -317,10 +321,11 @@ def _target(cfg: dict, pde: bool = False):
     domain = _domain_from_config(cfg["domain"])
     cfg["domain"] = _domain_echo(domain)
     group = _target_group(domain, cfg)
+    p = _as(float, cfg["p"], "p")
     try:
         if pde:
-            _check_exponent(domain, float(cfg["p"]))
-        functional = _build_functional(group, domain, cfg)
+            _check_exponent(domain, p)
+        functional = _build_functional(group, domain, cfg, p)
     except (ValueError, SupercriticalP) as exc:
         raise ConfigError(str(exc))
     return domain, group, functional
@@ -331,7 +336,7 @@ def _run_prediction(cfg: dict, group, functional):
     scfg = _search_config(cfg)
     points, diagnostics = find_critical_points_with_diagnostics(functional, scfg)
     prediction = predict_branches(
-        group, points, p=float(cfg["p"]), dedup_radius=scfg.dedup_radius
+        group, points, p=functional.p, dedup_radius=scfg.dedup_radius
     )
     search = {
         "n_seeds": diagnostics.n_seeds,
@@ -345,6 +350,7 @@ def _run_prediction(cfg: dict, group, functional):
 
 def cmd_predict(args, cfg: dict) -> int:
     domain, group, functional = _target(cfg)
+    run_oracle = _as(bool, cfg["oracle"], "oracle")
     prediction, search = _run_prediction(cfg, group, functional)
     payload = _report_header(cfg, "prediction")
     payload.update(prediction_to_dict(prediction, domain))
@@ -356,7 +362,7 @@ def cmd_predict(args, cfg: dict) -> int:
         "m is the Morse index of the reduced critical point; the predicted "
         "solution Morse index is m + j - 1 and both are reported"
     )
-    if cfg["oracle"] and group.k <= 3:
+    if run_oracle and group.k <= 3:
         oracle = brute_force_oracle(functional, cfg=_search_config(cfg))
         dist = pair_set_distance(
             [cp.a for cp in prediction.pairs], [cp.a for cp in oracle]
@@ -376,7 +382,7 @@ def cmd_predict(args, cfg: dict) -> int:
                  "not certified: the search is unsaturated" if unsaturated else "exact")
     lam = payload["lambda_j"]
     print(
-        f"lambda_j={lam:g} (j={group.j}, k={group.k}, p={cfg['p']:g}): "
+        f"lambda_j={lam:g} (j={group.j}, k={group.k}, p={functional.p:g}): "
         f"{prediction.pair_count_h} pairs of branches ({qualifier})"
     )
     print(f"{'pair':>4}  {'m':>2}  {'m+j-1':>5}  {'J':>12}  a")
@@ -421,16 +427,14 @@ def cmd_verify(args, cfg: dict) -> int:
         dp = build_laplacian(domain, grid, group)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"verify.grid: {exc}")
-    eps0 = cfg["verify"]["eps0"]
-    if eps0 is None:
-        eps0 = min(0.1, 0.1 * dp.neighbor_gap)
+    if cfg["verify"]["eps0"] is None:
+        cfg["verify"]["eps0"] = min(0.1, 0.1 * dp.neighbor_gap)
+    steps = _typed(cfg, "verify", {"eps0": float, "eps_steps": int, "eps_ratio": float})
     try:
-        schedule = geometric_schedule(
-            float(eps0), int(cfg["verify"]["eps_steps"]), float(cfg["verify"]["eps_ratio"])
-        )
-    except (TypeError, ValueError) as exc:
+        schedule = geometric_schedule(steps["eps0"], steps["eps_steps"], steps["eps_ratio"])
+    except ValueError as exc:
         raise ConfigError(f"verify: {exc}")
-    cfg["verify"]["eps0"] = float(eps0)
+    cfg["verify"]["eps0"] = steps["eps0"]
     cfg["verify"]["grid"] = list(dp.grid)
 
     prediction, search = _run_prediction(cfg, group, functional)

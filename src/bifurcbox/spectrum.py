@@ -7,6 +7,11 @@ group iff their eigenvalue rationals are equal, with no floating-point
 tolerance anywhere.  Everything downstream (reduced functional dimension,
 branch counts) depends on that exactness.
 
+Every query is answered from one scan of all modes at or below a bound.
+Each index is bounded by the bound itself, so the scan is complete by
+construction and every group below the bound is whole: the multiplicity k
+and the spectral index j need no tail certificate.
+
 All functions here are pure and all types immutable; they are safe to call
 concurrently.
 """
@@ -148,35 +153,27 @@ class EigenGroup:
         return float(self.value) * domain.eigenvalue_unit
 
 
+def _modes_below(domain: DomainSpec, bound: Fraction) -> list[EigenMode]:
+    """Every mode whose exact value is <= ``bound``, sorted by (value, indices).
+
+    The scan is complete by construction, with no tail check: with
+    ground = sum_e 1/s_e, a mode at or below the bound has
+    n_d^2 <= s_d (bound - ground) + 1 on every axis d, so the index box
+    holds all of them.
+    """
+    excess = max(bound - sum(1 / s for s in domain.side_sq), 0)
+    axes = [range(1, math.isqrt(math.floor(s * excess + 1)) + 1) for s in domain.side_sq]
+    modes = (EigenMode(idx, domain.mode_value(idx)) for idx in itertools.product(*axes))
+    return sorted((m for m in modes if m.value <= bound), key=lambda m: (m.value, m.indices))
+
+
 def enumerate_modes(domain: DomainSpec, count: int) -> list[EigenMode]:
     """First ``count`` modes sorted by exact eigenvalue, ties lexicographic.
 
-    The index search box is enlarged until the smallest value any excluded
-    index could contribute exceeds the count-th smallest value found, which
-    certifies the returned prefix is complete.
+    They are read off the first ``count`` groups: one scan of every mode
+    below a bound, complete by construction.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    dim = domain.dimension
-    nmax = max(2, math.ceil(count ** (1.0 / dim)) + 1)
-    min_axis_contrib = [Fraction(1) / s for s in domain.side_sq]
-    floor_other = sum(min_axis_contrib, start=Fraction(0))
-    while True:
-        modes = [
-            EigenMode(idx, domain.mode_value(idx))
-            for idx in itertools.product(range(1, nmax + 1), repeat=dim)
-        ]
-        modes.sort(key=lambda m: (m.value, m.indices))
-        if len(modes) >= count:
-            vmax = modes[count - 1].value
-            # cheapest possible mode using an index > nmax on some axis
-            tail = min(
-                Fraction((nmax + 1) ** 2) / s + (floor_other - Fraction(1) / s)
-                for s in domain.side_sq
-            )
-            if tail > vmax:
-                return modes[:count]
-        nmax *= 2
+    return [m for g in enumerate_groups(domain, count) for m in g.modes][:count]
 
 
 def group_spectrum(
@@ -186,9 +183,10 @@ def group_spectrum(
 
     ``modes`` must be sorted ascending with no gaps.  The trailing group may
     have been truncated by the enumeration cutoff, so it is dropped unless
-    ``next_value`` (the exact eigenvalue of the first mode beyond the
-    prefix) certifies it complete.  Raises :class:`IncompletePrefix` when
-    nothing certified remains.
+    ``next_value`` certifies it complete: the exact eigenvalue of the first
+    mode beyond the prefix or, when ``modes`` holds every mode at or below
+    a bound, any value above that bound.  Raises :class:`IncompletePrefix`
+    when nothing certified remains.
     """
     if not modes:
         raise IncompletePrefix("empty mode list")
@@ -214,16 +212,17 @@ def group_spectrum(
 
 
 def enumerate_groups(domain: DomainSpec, count: int) -> list[EigenGroup]:
-    """First ``count`` eigenvalue groups, each certified complete."""
+    """First ``count`` eigenvalue groups, each certified complete.
+
+    The scan bound doubles from the ground value until ``count`` groups,
+    all of them whole, lie below it.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    nmodes = max(4, 2 * count)
-    while True:
-        modes = enumerate_modes(domain, nmodes + 1)
-        groups = group_spectrum(modes[:-1], next_value=modes[-1].value)
-        if len(groups) >= count:
-            return groups[:count]
-        nmodes *= 2
+    bound = sum(1 / s for s in domain.side_sq)  # the ground value
+    while len(groups := group_spectrum(_modes_below(domain, bound), bound + 1)) < count:
+        bound *= 2
+    return groups[:count]
 
 
 def find_group(
@@ -233,30 +232,25 @@ def find_group(
 ) -> EigenGroup:
     """Locate a group by spectral index j or by eigenvalue.
 
-    Eigenvalue matching is exact when the requested value is rational in
-    the domain's unit, with a 1e-9 relative numeric fallback otherwise.
+    An eigenvalue matches a group to 1e-9 relative (1e-12 absolute); the
+    lowest such group is returned, from one scan of the spectrum up to just
+    above the requested value.
     """
     if (j is None) == (eigenvalue is None):
         raise ValueError("specify exactly one of j, eigenvalue")
-    if j is not None and j < 1:
-        raise ValueError("j must be >= 1")
-    ngroups = 8
-    while True:
-        groups = enumerate_groups(domain, ngroups)
-        if j is not None:
-            for g in groups:
-                # j addressing any member of a multiplet returns the multiplet
-                if g.j <= j <= g.j + g.k - 1:
-                    return g
-        else:
-            target = float(eigenvalue)
-            for g in groups:
-                lam = g.eigenvalue(domain)
-                if math.isclose(lam, target, rel_tol=1e-9, abs_tol=1e-12):
-                    return g
-            if groups[-1].eigenvalue(domain) > target:
-                raise ValueError(f"no eigenvalue {eigenvalue} in the spectrum")
-        ngroups *= 2
+    if j is not None:
+        if j < 1:
+            raise ValueError("j must be >= 1")
+        # j addressing any member of a multiplet returns the multiplet
+        return next(g for g in enumerate_groups(domain, j) if g.j <= j < g.j + g.k)
+    target = float(eigenvalue)
+    if math.isfinite(target):
+        bound = Fraction((abs(target) * (1 + 1e-8) + 1e-12) / domain.eigenvalue_unit)
+        modes = _modes_below(domain, bound)
+        for g in group_spectrum(modes, next_value=bound + 1) if modes else []:
+            if math.isclose(g.eigenvalue(domain), target, rel_tol=1e-9, abs_tol=1e-12):
+                return g
+    raise ValueError(f"no eigenvalue {eigenvalue} in the spectrum")
 
 
 def eigenfunction_eval(mode: EigenMode, domain: DomainSpec, point) -> np.ndarray | float:

@@ -206,6 +206,8 @@ class TestConfigAndReport:
         ["predict", "--domain", "square", "--lam", "5", "--p", "0.5"],
         ["predict", "--domain", "square", "--lam", "5", "--backend", "exact-quartic",
          "--p", "2"],
+        ["spectrum", "--domain", "square", "--count", "0"],
+        ["spectrum", "--domain", "square", "--count", "-3"],
     ])
     def test_bad_input_is_config_error_before_the_search(self, argv, tmp_path,
                                                          monkeypatch, capsys):
@@ -232,6 +234,17 @@ class TestConfigAndReport:
     @pytest.mark.parametrize("command, block, key, value, kind", [
         ("verify", "verify", "newton_tol", "x", "float"),
         ("predict", "search", "seed_budget", "many", "int"),
+        ("verify", "verify", "morse", "false", "bool"),
+        ("verify", "verify", "morse", 0, "bool"),
+        ("verify", "verify", "eps_steps", "two", "int"),
+        ("predict", None, "oracle", "no", "bool"),
+        ("predict", None, "p", "cubic", "float"),
+        ("spectrum", None, "count", "many", "int"),
+        ("predict", "domain", "dimension", "x", "int"),
+        ("predict", "target", "j", "x", "int"),
+        ("predict", "target", "lambda", [5], "float"),
+        ("predict", "quadrature", "nodes_per_panel", "x", "int"),
+        ("predict", None, "quadrature", 3, "object"),
     ])
     def test_config_file_value_of_wrong_type(self, command, block, key, value, kind,
                                              tmp_path, monkeypatch, capsys):
@@ -239,14 +252,21 @@ class TestConfigAndReport:
             raise AssertionError("the search ran before the config was checked")
 
         monkeypatch.setattr(bifurcbox.cli, "find_critical_points_with_diagnostics", no_search)
+        # a domain or target object in the file must not be replaced by a flag
+        entry = {key: value}
+        if block == "domain":
+            entry["side_sq"] = ["pi^2", "pi^2"]
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({block: {key: value}}))
-        argv = [command, "--domain", "square", "--lam", "5", "--config", str(cfg),
-                "--out", str(tmp_path / "o")]
+        cfg.write_text(json.dumps(entry if block is None else {block: entry}))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if block != "domain":
+            argv += ["--domain", "square"]
+        if block != "target" and command != "spectrum":
+            argv += ["--lam", "5"]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"bifurcbox: config error: {block}.{key}: expected {kind}, "
-                       f"got {value!r}"]
+        name = key if block is None else f"{block}.{key}"
+        assert err == [f"bifurcbox: config error: {name}: expected {kind}, got {value!r}"]
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"

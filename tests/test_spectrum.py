@@ -39,11 +39,55 @@ def test_square_eigenvalue_five_modes(square):
     assert {m.indices for m in modes} == {(1, 2), (2, 1)}
 
 
+def oracle_domains(square, cube):
+    """(domain, nmax) pairs whose oracle holds the first 40 modes: the first
+    60 agree with those of an oracle to index 60 (2-D) or 24 (3-D)."""
+    return [
+        (square, 12),
+        (cube, 12),
+        (bb.DomainSpec.from_strings(["1/7", "13/3"]), 24),
+        (bb.DomainSpec.from_strings(["pi^2", "2pi^2", "9/4 pi^2"]), 12),
+        (bb.DomainSpec.from_strings(["1", "1", "1"]), 12),  # plain unit: lambda in pi^2
+    ]
+
+
 def test_enumeration_matches_oracle_prefix(square, cube):
-    for domain in (square, cube):
+    for domain, nmax in oracle_domains(square, cube):
         modes = bb.enumerate_modes(domain, 40)
-        oracle = brute_force_values(domain, 12)[:40]
+        oracle = brute_force_values(domain, nmax)[:40]
         assert [(m.value, m.indices) for m in modes] == oracle
+
+
+def test_find_group_matches_oracle(square, cube):
+    for domain, nmax in oracle_domains(square, cube):
+        oracle = brute_force_values(domain, nmax)[:60]  # holds every group of j <= 40
+        for j in range(1, 41):
+            value = oracle[j - 1][0]
+            members = [idx for v, idx in oracle if v == value]
+            first = [v for v, _ in oracle].index(value) + 1
+            group = bb.find_group(domain, j=j)
+            assert (group.value, group.j, group.k) == (value, first, len(members))
+            assert [m.indices for m in group.modes] == sorted(members)
+            lam = float(value) * domain.eigenvalue_unit
+            assert bb.find_group(domain, eigenvalue=lam) == group
+            assert bb.find_group(domain, eigenvalue=lam * (1 + 5e-10)) == group
+        # midway between two groups, and below the ground value, nothing matches
+        for value in (oracle[0][0] / 2, (oracle[0][0] + oracle[1][0]) / 2):
+            with pytest.raises(ValueError):
+                bb.find_group(domain, eigenvalue=float(value) * domain.eigenvalue_unit)
+
+
+@pytest.mark.parametrize("lam", [325, 54])
+def test_find_group_by_eigenvalue_scans_few_modes(square, cube, lam, monkeypatch):
+    # one scan below lambda: work proportional to the modes up to the group
+    domain = square if lam == 325 else cube
+    calls = []
+    mode_value = bb.DomainSpec.mode_value
+    monkeypatch.setattr(bb.DomainSpec, "mode_value",
+                        lambda self, idx: calls.append(idx) or mode_value(self, idx))
+    group = bb.find_group(domain, eigenvalue=lam)
+    assert group.value == lam
+    assert len(calls) <= 4 * (group.j + group.k - 1)
 
 
 def test_square_group_prefix(square):
@@ -180,6 +224,9 @@ def test_find_group_by_inner_index(square):
         bb.find_group(square, j=2, eigenvalue=5)
     with pytest.raises(ValueError):
         bb.find_group(square, eigenvalue=5.5)
+    for bad in (float("nan"), float("inf"), -5.0):
+        with pytest.raises(ValueError, match="no eigenvalue"):
+            bb.find_group(square, eigenvalue=bad)
 
 
 def test_parse_side_sq():
