@@ -298,7 +298,10 @@ def cmd_spectrum(args, cfg: dict) -> int:
     count = _as(int, cfg["count"], "count")
     if count < 1:
         raise ConfigError(f"count must be >= 1, got {count}")
-    groups = enumerate_groups(domain, count)
+    try:
+        groups = enumerate_groups(domain, count)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     payload = _report_header(cfg, "spectrum")
     payload["groups"] = spectrum_rows(groups)
     out = _out_dir(args, cfg)

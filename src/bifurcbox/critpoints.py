@@ -10,8 +10,12 @@ solution Morse index m + j - 1.  Three independent routes to the same set:
 * :func:`gamma_family_solutions` - closed forms for pattern tensors.
 
 The first two and the verifier's reference point share one batched Newton
-whose rows never interact; results are merged and sorted under the
-sign-pair dedup relation, so output does not depend on evaluation order.
+whose rows never interact: each iteration evaluates the gradients and
+Hessians of all live rows as one matrix product per row block (see
+:mod:`bifurcbox.reduced`) and solves the stacked Hessians at once, halving
+a batch whose solve is singular until the singular rows stand alone.
+Results are merged and sorted under the sign-pair dedup relation, so
+output does not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -79,12 +83,12 @@ class SearchConfig:
 
 def canonicalize(a: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Representative of the sign pair {a, -a}: first coordinate larger
-    than ``tol`` in magnitude is made positive."""
+    than ``tol`` in magnitude is made positive.  Each row of a 2-D ``a``
+    is one vector."""
     a = np.asarray(a, dtype=float)
-    for x in a:
-        if abs(x) > tol:
-            return -a if x < 0 else a.copy()
-    return a.copy()
+    big = np.abs(a) > tol
+    lead = np.take_along_axis(a, np.argmax(big, axis=-1)[..., None], axis=-1)[..., 0]
+    return np.where((np.any(big, axis=-1) & (lead < 0))[..., None], -a, a)
 
 
 def _newton_refine(f: ReducedFunctional, A0, cfg: SearchConfig):
@@ -126,12 +130,18 @@ def _newton_refine(f: ReducedFunctional, A0, cfg: SearchConfig):
 
 
 def _newton_steps(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Rows of -H^(-1) g; a singular H gets the ridge 1e-8 max(1, max|H|)."""
+    """Rows of -H^(-1) g; a singular H gets the ridge 1e-8 max(1, max|H|).
+
+    A stacked solve that fails is split in halves, recursively, so only the
+    rows on the failing paths end alone; each matrix is its own LAPACK
+    solve, so every row's step is the same in any batch."""
     try:
         return np.linalg.solve(H, -G[..., None])[..., 0]
     except np.linalg.LinAlgError:
         if len(H) > 1:
-            return np.array([_newton_steps(h[None], g[None])[0] for h, g in zip(H, G)])
+            half = len(H) // 2
+            return np.concatenate([_newton_steps(H[:half], G[:half]),
+                                   _newton_steps(H[half:], G[half:])])
     ridge = 1e-8 * max(1.0, float(np.max(np.abs(H))))
     return np.linalg.solve(H + ridge * np.eye(H.shape[-1]), -G[..., None])[..., 0]
 
@@ -164,17 +174,34 @@ def _pair_representatives(candidates, radius: float):
     ``radius`` in the max norm; the search, the oracle and
     :func:`predict_branches` all decide pairs here.
 
+    Greedy in input order: a point opens a pair unless it lies within
+    ``radius`` of an earlier representative.  Blocks of rows are first
+    compared with the representatives found before the block at once; only
+    the rows that match none of them are checked one by one.
+
     Returns (representative, position in ``candidates`` of the pair's
     first point) in deterministic sorted order."""
-    reps = np.empty((len(candidates), len(candidates[0]) if len(candidates) else 0))
+    if not len(candidates):
+        return []
+    C = canonicalize(np.array(candidates, dtype=float, ndmin=2), tol=radius) + 0.0  # no -0.0
+    reps = np.empty_like(C)
     first: list[int] = []
-    for i, a in enumerate(candidates):
-        c = canonicalize(a, tol=radius)
-        if np.all(np.max(np.abs(reps[:len(first)] - c), axis=1) > radius):
-            reps[len(first)] = c + 0.0  # no -0.0
-            first.append(i)
+    start = 0
+    while start < len(C):
+        known = len(first)  # blocks of at most 64 rows and 2^20 distances
+        block = C[start:start + min(64, max(1, 2**20 // max(1, known)))]
+        dist = np.zeros((len(block), known))  # max norm by coordinate: a max over a
+        # trailing axis of length k is the slow path of numpy's reductions
+        for d in range(C.shape[1]):
+            np.maximum(dist, np.abs(block[:, d, None] - reps[:known, d]), out=dist)
+        for i in start + np.flatnonzero(np.all(dist > radius, axis=1)):
+            if np.all(np.max(np.abs(reps[known:len(first)] - C[i]), axis=1) > radius):
+                reps[len(first)] = C[i]
+                first.append(int(i))
+        start += len(block)
     # a fixed rounding (``radius`` may be 0): last-bit noise must not order pairs
-    order = sorted(range(len(first)), key=lambda r: tuple(np.round(reps[r], 10)))
+    rounded = np.round(reps[:len(first)], 10).tolist()
+    order = sorted(range(len(first)), key=lambda r: rounded[r])
     return [(reps[r], first[r]) for r in order]
 
 
@@ -293,9 +320,12 @@ def brute_force_oracle(
     )
     npts = int(np.ceil(2.0 / grid_step_frac)) + 1
     axis = np.linspace(-R, R, npts)
-    mesh = np.meshgrid(*([axis] * k), indexing="ij")
-    A = np.column_stack([m.ravel() for m in mesh])
-    G = np.sum(f.gradient_many(A) ** 2, axis=1).reshape((npts,) * k)
+    A = np.empty((npts,) * k + (k,))  # filled in place: no per-axis mesh copy outlives this
+    for d in range(k):
+        A[..., d] = axis.reshape([npts if e == d else 1 for e in range(k)])
+    A = A.reshape(-1, k)
+    G = f.gradient_many(A)
+    G = np.sum(np.square(G, out=G), axis=1).reshape((npts,) * k)
     is_min = G <= _neighbourhood_min(G)
     A, ok = _newton_refine(f, A[is_min.ravel()], cfg)
     converged = A[ok & (np.max(np.abs(A), axis=1) > cfg.dedup_radius)]
@@ -306,8 +336,10 @@ def _neighbourhood_min(G: np.ndarray) -> np.ndarray:
     """Minimum over each point's 3 x ... x 3 neighbourhood, the grid edges
     repeated outward; the box minimum is separable, so one axis at a time."""
     for ax in range(G.ndim):
-        padded = np.pad(G, [(int(d == ax),) * 2 for d in range(G.ndim)], mode="edge")
-        G = np.lib.stride_tricks.sliding_window_view(padded, 3, axis=ax).min(axis=-1)
+        padded = np.moveaxis(np.pad(G, [(int(d == ax),) * 2 for d in range(G.ndim)],
+                                    mode="edge"), ax, 0)
+        G = np.minimum(padded[:-2], padded[1:-1])
+        G = np.moveaxis(np.minimum(G, padded[2:], out=G), 0, ax)
     return G
 
 

@@ -9,8 +9,13 @@ Its nontrivial critical points are what the branch predictor counts and
 classifies.  Two interchangeable evaluation backends are provided:
 
 * ``exact-quartic`` (p = 3 only): the integral term is a fully symmetric
-  4-index tensor of eigenfunction products, each entry a closed-form
-  sine-product integral.  Authoritative for p = 3.
+  4-index tensor T of eigenfunction products, each entry a closed-form
+  sine-product integral.  Authoritative for p = 3.  The batched gradient
+  and Hessian are one matrix product: the pair products a_l a_m of a block
+  of rows times T read as a k^2 x k^2 matrix give Y[n, i, h] =
+  sum_lm T_ihlm a_l a_m, so the Hessian is I - 3Y and the gradient
+  a - Y a.  Index roles follow the tensor contraction exactly, so the
+  evaluators do not rely on the symmetry of T.
 * ``quadrature`` (any p > 1): composite Gauss-Legendre panels per axis,
   aligned to the nodal lines of the highest mode.  General-p fallback and
   the cross-check oracle for the tensor.
@@ -219,6 +224,8 @@ class ReducedFunctional:
             raise ValueError("exact-quartic backend needs a quartic tensor")
         if backend == "quadrature" and (quad_points is None or quad_weights is None):
             raise ValueError("quadrature backend needs nodes and weights")
+        # T[i, h, l, m] as the (ih, lm) matrix of the batched derivatives
+        self._M = tensor.entries.reshape(k * k, k * k) if backend == "exact-quartic" else None
 
     @classmethod
     def for_group(cls, group: EigenGroup, domain: DomainSpec, p: float = 3.0,
@@ -295,11 +302,19 @@ class ReducedFunctional:
         return self.hessian_many(np.asarray(a, dtype=float)[None])[0]
 
     def _row_blocks(self, n_rows: int):
-        """Row slices whose intermediates hold about 2^22 numbers: k^3 per
-        row for the tensor contractions, k per node and row for quadrature."""
-        cost = self.k**2 if self.backend == "exact-quartic" else len(self._E)
-        step = max(1, 2**22 // (self.k * cost))
+        """Row slices whose intermediates stay bounded: the pair products and
+        their product with the tensor, 2 k^2 numbers per row, take about 2^21
+        numbers a block; quadrature, k per node and row, about 2^22."""
+        if self.backend == "exact-quartic":
+            step = max(1, 2**20 // self.k**2)
+        else:
+            step = max(1, 2**22 // (self.k * len(self._E)))
         return (slice(s, s + step) for s in range(0, n_rows, step))
+
+    def _pair_contraction(self, B: np.ndarray) -> np.ndarray:
+        """Y[n, i, h] = sum_lm T_ihlm B_nl B_nm, one BLAS product."""
+        n, k = B.shape
+        return ((B[:, :, None] * B[:, None, :]).reshape(n, k * k) @ self._M.T).reshape(n, k, k)
 
     def gradient_many(self, A) -> np.ndarray:
         """Gradient at each row of ``A``, in bounded-memory row blocks."""
@@ -308,8 +323,7 @@ class ReducedFunctional:
         for rows in self._row_blocks(len(A)):
             B = A[rows]
             if self.backend == "exact-quartic":
-                out[rows] = B - np.einsum("ihlm,nh,nl,nm->ni", self.tensor.entries,
-                                          B, B, B, optimize=True)
+                out[rows] = B - (self._pair_contraction(B) @ B[:, :, None])[:, :, 0]
             else:
                 W = B @ self._E.T
                 out[rows] = B - (self._w * np.abs(W) ** (self.p - 1.0) * W) @ self._E
@@ -322,8 +336,7 @@ class ReducedFunctional:
         for rows in self._row_blocks(len(A)):
             B = A[rows]
             if self.backend == "exact-quartic":
-                out[rows] = np.eye(self.k) - 3.0 * np.einsum(
-                    "ihlm,nl,nm->nih", self.tensor.entries, B, B, optimize=True)
+                out[rows] = np.eye(self.k) - 3.0 * self._pair_contraction(B)
             else:
                 d = self._w * self.p * np.abs(B @ self._E.T) ** (self.p - 1.0)
                 out[rows] = np.eye(self.k) - np.swapaxes(d[:, :, None] * self._E, 1, 2) @ self._E

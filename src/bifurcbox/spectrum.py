@@ -29,6 +29,10 @@ import numpy as np
 
 from .errors import ConfigError, IncompletePrefix, OutOfDomain
 
+# index boxes above this many modes are refused: far beyond any multiplet
+# the search or the verifier can handle (the benchmark's largest box is 343)
+_MAX_SCAN_MODES = 10**6
+
 _SIDE_RE = re.compile(r"^\s*([0-9./]+)?\s*\*?\s*(pi\^2|pi2|pi\*\*2)?\s*$")
 
 
@@ -159,10 +163,15 @@ def _modes_below(domain: DomainSpec, bound: Fraction) -> list[EigenMode]:
     The scan is complete by construction, with no tail check: with
     ground = sum_e 1/s_e, a mode at or below the bound has
     n_d^2 <= s_d (bound - ground) + 1 on every axis d, so the index box
-    holds all of them.
+    holds all of them.  Raises ``ValueError`` before the scan when the box
+    holds more than ``_MAX_SCAN_MODES`` modes.
     """
     excess = max(bound - sum(1 / s for s in domain.side_sq), 0)
     axes = [range(1, math.isqrt(math.floor(s * excess + 1)) + 1) for s in domain.side_sq]
+    size = math.prod(len(a) for a in axes)
+    if size > _MAX_SCAN_MODES:
+        raise ValueError(f"eigenvalue scan too large: an index box of {size} modes "
+                         f"exceeds {_MAX_SCAN_MODES}")
     modes = (EigenMode(idx, domain.mode_value(idx)) for idx in itertools.product(*axes))
     return sorted((m for m in modes if m.value <= bound), key=lambda m: (m.value, m.indices))
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -208,6 +209,7 @@ class TestConfigAndReport:
          "--p", "2"],
         ["spectrum", "--domain", "square", "--count", "0"],
         ["spectrum", "--domain", "square", "--count", "-3"],
+        ["predict", "--domain", "square", "--lam", "1e12"],
     ])
     def test_bad_input_is_config_error_before_the_search(self, argv, tmp_path,
                                                          monkeypatch, capsys):
@@ -218,6 +220,19 @@ class TestConfigAndReport:
         assert main([*argv, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "config error" in err[0]
+
+    def test_scan_ceiling_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # an index box of 10^6 x 10^6 modes is refused before the scan
+        start = time.perf_counter()
+        assert main(["predict", "--domain", "square", "--lam", "1e12",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - start < 0.5
+        assert "too large" in capsys.readouterr().err
+        # a spectrum count whose doubling scan outgrows the ceiling
+        monkeypatch.setattr(bifurcbox.spectrum, "_MAX_SCAN_MODES", 100)
+        assert main(["spectrum", "--domain", "square", "--count", "500",
+                     "--out", str(tmp_path / "s")]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_supercritical_exponent_is_config_error_before_the_search(
             self, tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -11,6 +12,8 @@ from bifurcbox.critpoints import (
     SearchConfig,
     _neighbourhood_min,
     _newton_refine,
+    _newton_steps,
+    _pair_representatives,
     canonicalize,
     dedup_pairs,
     pair_set_distance,
@@ -117,6 +120,24 @@ class TestFindCriticalPoints:
         assert np.array_equal(ok, [r_ok[0] for _, r_ok in rows])
         assert np.max(np.abs(A - np.array([a[0] for a, _ in rows]))) <= 1e-12
 
+    def test_singular_solves_are_bisected(self, monkeypatch):
+        # a failed stacked solve is halved until the singular rows stand
+        # alone; every other row keeps its own LAPACK solve, bit for bit
+        rng = np.random.default_rng(4)
+        n, singular = 200, [3, 101, 102]
+        H = rng.standard_normal((n, 3, 3)) + 4.0 * np.eye(3)
+        H[singular] = np.diag([1.0, 0.0, 2.0])
+        G = rng.standard_normal((n, 3))
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
+        steps = _newton_steps(H, G)
+        assert len(calls) <= 1 + len(singular) * (2 * math.ceil(math.log2(n)) + 1)
+        monkeypatch.undo()
+        rows = np.array([_newton_steps(h[None], g[None])[0] for h, g in zip(H, G)])
+        assert np.array_equal(steps, rows)
+        assert np.all(np.isfinite(steps))
+
 
 class TestOracle:
     def test_simple_case(self, f_sq1):
@@ -143,6 +164,19 @@ class TestOracle:
             box = tuple(slice(max(i - 1, 0), i + 2) for i in idx)
             expected[idx] = G[box].min()
         assert np.array_equal(_neighbourhood_min(G), expected)
+
+    def test_oracle_peak_memory(self, square, sq_g50):
+        # the scan over a mesh per axis, with einsum row blocks of 2^22
+        # numbers, peaked at 82,837,981 bytes on this k = 3 group
+        f = bb.ReducedFunctional.for_group(sq_g50, square)
+        bb.brute_force_oracle(f)
+        tracemalloc.start()
+        try:
+            bb.brute_force_oracle(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 82_837_981
 
     def test_rejects_large_k(self):
         f = bb.ReducedFunctional.from_tensor(QuarticTensor.from_pattern(4, 9.0, 4.0))
@@ -311,6 +345,8 @@ class TestHelpers:
         assert np.array_equal(canonicalize(np.array([0.0, -2.0])), [0.0, 2.0])
         tiny = np.array([1e-9, -2.0])
         assert np.array_equal(canonicalize(tiny, tol=1e-6), [-1e-9, 2.0])
+        rows = np.array([[-1.0, 2.0], [0.0, -2.0], tiny])
+        assert np.array_equal(canonicalize(rows), [[1.0, -2.0], [0.0, 2.0], [-1e-9, 2.0]])
 
     def test_dedup_pairs_orderless(self):
         rng = np.random.default_rng(12)
@@ -322,6 +358,36 @@ class TestHelpers:
             assert len(reps) == 2
             assert np.allclose(reps[0], [0.0, 1.0])
             assert np.allclose(reps[1], [1.0, 0.0], atol=1e-8)
+
+    @pytest.mark.parametrize("radius", [0.0, 1e-6, 1e-3])
+    def test_pair_representatives_match_sequential_loop(self, radius):
+        def sequential(candidates, radius):
+            # the one-candidate-at-a-time loop, with the scalar canonical form
+            reps = np.empty((len(candidates), len(candidates[0]) if len(candidates) else 0))
+            first = []
+            for i, a in enumerate(candidates):
+                c = -a if next((x for x in a if abs(x) > radius), 0.0) < 0 else a.copy()
+                if np.all(np.max(np.abs(reps[:len(first)] - c), axis=1) > radius):
+                    reps[len(first)] = c + 0.0  # no -0.0
+                    first.append(i)
+            order = sorted(range(len(first)), key=lambda r: tuple(np.round(reps[r], 10)))
+            return [(reps[r], first[r]) for r in order]
+
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            k = int(rng.integers(1, 6))
+            base = rng.choice([-1.0, 0.0, 0.5, 1.0], (int(rng.integers(1, 40)), k))
+            pts = base[rng.integers(0, len(base), int(rng.integers(1, 300)))]
+            pts = pts * rng.choice([-1.0, 1.0], (len(pts), 1))  # sign flips
+            pts = pts + (rng.choice([0.0, 1e-9, 1e-7, 5e-4, 2e-3], pts.shape)
+                         * rng.choice([-1.0, 1.0], pts.shape))  # near duplicates
+            pts[rng.random(pts.shape) < 0.1] = 0.0
+            pts[rng.random(pts.shape) < 0.05] = -0.0
+            expected = sequential(list(pts), radius)
+            got = _pair_representatives(pts, radius)
+            assert [i for _, i in got] == [i for _, i in expected]
+            for (rep, _), (ref, _) in zip(got, expected):
+                assert np.array_equal(rep, ref) and not np.any(np.signbit(rep) & (rep == 0.0))
 
     def test_pair_set_distance(self):
         A = [np.array([1.0, 0.0])]

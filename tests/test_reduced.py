@@ -253,6 +253,31 @@ class TestQuadratureBackend:
             fd = fd_jacobian(lambda x: fd_gradient(quadr.value, x, h=1e-4), a, h=1e-4)
             assert np.max(np.abs(H - fd)) <= 1e-5 * max(1.0, float(np.max(np.abs(H))))
 
+    @pytest.mark.parametrize("source", ["cube14", "nonsymmetric"])
+    def test_derivatives_match_tensor_contractions(self, cube, source):
+        """The batched exact-quartic derivatives against the einsum formulas;
+        a non-symmetric tensor pins which index is contracted where."""
+        rng = np.random.default_rng(21)
+        if source == "cube14":
+            f = bb.ReducedFunctional.for_group(bb.find_group(cube, eigenvalue=14), cube)
+        else:
+            f = bb.ReducedFunctional.from_tensor(QuarticTensor(5, rng.standard_normal((5,) * 4)))
+        T = f.tensor.entries
+        A = rng.uniform(-1.5, 1.5, (300, f.k))
+        grad = A - np.einsum("ihlm,nh,nl,nm->ni", T, A, A, A)
+        hess = np.eye(f.k) - 3.0 * np.einsum("ihlm,nl,nm->nih", T, A, A)
+        for got, ref in ((f.gradient_many(A), grad), (f.hessian_many(A), hess)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+    def test_exact_quartic_derivatives_plan_no_einsum(self, f_cube6, monkeypatch):
+        def no_einsum(*args, **kwargs):
+            raise AssertionError("einsum called")
+
+        A = np.random.default_rng(22).uniform(-1, 1, (50, 3))
+        monkeypatch.setattr(np, "einsum", no_einsum)
+        assert f_cube6.gradient_many(A).shape == (50, 3)
+        assert f_cube6.hessian_many(A).shape == (50, 3, 3)
+
     def test_batched_evaluation_memory_is_bounded(self, cube, cube_g6):
         # 2000 rows x 13824 nodes would be a 221 MB array in one piece
         f = bb.ReducedFunctional.for_group(cube_g6, cube, backend="quadrature")

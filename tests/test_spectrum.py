@@ -227,6 +227,8 @@ def test_find_group_by_inner_index(square):
     for bad in (float("nan"), float("inf"), -5.0):
         with pytest.raises(ValueError, match="no eigenvalue"):
             bb.find_group(square, eigenvalue=bad)
+    with pytest.raises(ValueError, match="too large"):
+        bb.find_group(square, eigenvalue=1e12)
 
 
 def test_parse_side_sq():
