@@ -1,8 +1,12 @@
 """Command-line front end: spectrum | predict | verify | report.
 
-Configuration comes from a JSON file (--config) with flag overrides; every
-report echoes the effective configuration and its hash, so identical
-configs and seeds give byte-identical output.  Exit codes: 0 success,
+Configuration comes from a JSON file (--config) with flag overrides.  Each
+key is declared once, in ``_DEFAULTS``, whose search and verify blocks are
+the fields of SearchConfig and VerifyConfig, and each flag's ``dest`` is
+the dotted path of the key it sets.  One pass then types every value like
+its default and refuses undeclared keys, so every report echoes the
+effective, typed configuration and its hash, and identical configs and
+seeds give byte-identical output.  Exit codes: 0 success,
 1 usage or configuration error, 2 verification mismatch (or a prediction
 containing degenerate points, or from an unsaturated search).
 
@@ -20,6 +24,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +52,8 @@ from .pdeverify import (
 from .reduced import ReducedFunctional, extract_rect_coefficients
 from .spectrum import DomainSpec, enumerate_groups, find_group, spectrum_rows
 
+# Every config key, declared once: its default fixes its type.  The search
+# and verify blocks are the fields of SearchConfig and VerifyConfig.
 _DEFAULTS = {
     "domain": "square",
     "target": {"j": 1},
@@ -55,31 +62,14 @@ _DEFAULTS = {
     "backend": None,
     "oracle": False,
     "quadrature": {"nodes_per_panel": 12, "panels_per_halfwave": 1},
-    "search": {
-        "seed_budget": 200,
-        "newton_tol": 1e-12,
-        "max_iter": 100,
-        "dedup_radius": 1e-6,
-        "degeneracy_rtol": 1e-8,
-        "rng_seed": 0,
-    },
-    "verify": {
-        "grid": None,
-        "eps0": None,
-        "eps_steps": 4,
-        "eps_ratio": 0.5,
-        "newton_tol": 1e-10,
-        "max_newton": 60,
-        "linear_rtol": 1e-12,
-        "a_rtol": 0.1,
-        "min_phi_order": 0.9,
-        "mu_rtol": 0.05,
-        "morse": True,
-        "dedup_radius": 1e-6,
-        "rng_seed": 0,
-    },
+    "search": {f.name: f.default for f in fields(SearchConfig)
+               if f.name not in ("radii", "scale")},
+    "verify": {"grid": None, "eps0": None, "eps_steps": 4, "eps_ratio": 0.5,
+               **{f.name: f.default for f in fields(VerifyConfig)}},
     "output_dir": "bifurcbox-out",
 }
+# the types of the keys that default to None; verify.grid is parsed by cmd_verify
+_NULLABLE = {"backend": str, "verify.eps0": float}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,35 +171,38 @@ def _report_header(cfg: dict, kind: str) -> dict:
     }
 
 
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str}
+
+
 def _as(kind: type, value, key: str):
-    """``value`` converted to ``kind``; a value of the wrong type is a
-    configuration error naming ``key``.  A bool takes only a JSON boolean."""
-    try:
-        if kind is bool and not isinstance(value, bool):
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+    """``value`` as a ``kind``: an int takes a JSON integer, a float any
+    JSON number, a bool a boolean and a str a string.  Anything else, a
+    bool for a number included, is a configuration error naming ``key``."""
+    if isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind is bool):
+        try:
+            return kind(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
-def _typed(cfg: dict, block: str, kinds: dict) -> dict:
-    """The keys of ``kinds`` in ``cfg[block]``, each converted by :func:`_as`."""
-    return {key: _as(kind, cfg[block][key], f"{block}.{key}") for key, kind in kinds.items()}
-
-
-def _search_config(cfg: dict) -> SearchConfig:
-    return SearchConfig(**_typed(cfg, "search", {
-        "seed_budget": int, "newton_tol": float, "max_iter": int,
-        "dedup_radius": float, "degeneracy_rtol": float, "rng_seed": int,
-    }))
-
-
-def _verify_config(cfg: dict) -> VerifyConfig:
-    return VerifyConfig(**_typed(cfg, "verify", {
-        "newton_tol": float, "max_newton": int, "linear_rtol": float,
-        "a_rtol": float, "min_phi_order": float, "mu_rtol": float, "morse": bool,
-        "dedup_radius": float, "rng_seed": int,
-    }))
+def _checked(cfg: dict, defaults: dict = _DEFAULTS, prefix: str = "") -> dict:
+    """``cfg`` with every leaf typed like its default, in place, so that the
+    echo is the effective config.  A key that ``defaults`` does not declare
+    is a configuration error; ``domain`` and ``target`` have checks of their
+    own."""
+    for key, value in cfg.items():
+        path = prefix + key
+        if key not in defaults:
+            raise ConfigError(f"{path}: unknown key")
+        default = defaults[key]
+        if key in _ATOMIC_KEYS or value is None:
+            continue
+        if isinstance(default, dict):
+            _checked(value, default, path + ".")
+        elif (kind := _NULLABLE.get(path) if default is None else type(default)):
+            cfg[key] = _as(kind, value, path)
+    return cfg
 
 
 def _target_group(domain: DomainSpec, cfg: dict):
@@ -226,13 +219,6 @@ def _target_group(domain: DomainSpec, cfg: dict):
         return find_group(domain, eigenvalue=_as(float, lam, "target.lambda"))
     except ValueError as exc:
         raise ConfigError(str(exc))
-
-
-def _build_functional(group, domain, cfg: dict, p: float) -> ReducedFunctional:
-    return ReducedFunctional.for_group(
-        group, domain, p=p, backend=cfg["backend"],
-        **_typed(cfg, "quadrature", {"nodes_per_panel": int, "panels_per_halfwave": int}),
-    )
 
 
 def _normalization_note(group, domain, functional) -> dict | None:
@@ -295,11 +281,8 @@ def _normalization_note(group, domain, functional) -> dict | None:
 def cmd_spectrum(args, cfg: dict) -> int:
     domain = _domain_from_config(cfg["domain"])
     cfg["domain"] = _domain_echo(domain)
-    count = _as(int, cfg["count"], "count")
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
     try:
-        groups = enumerate_groups(domain, count)
+        groups = enumerate_groups(domain, cfg["count"])
     except ValueError as exc:
         raise ConfigError(str(exc))
     payload = _report_header(cfg, "spectrum")
@@ -324,11 +307,12 @@ def _target(cfg: dict, pde: bool = False):
     domain = _domain_from_config(cfg["domain"])
     cfg["domain"] = _domain_echo(domain)
     group = _target_group(domain, cfg)
-    p = _as(float, cfg["p"], "p")
     try:
         if pde:
-            _check_exponent(domain, p)
-        functional = _build_functional(group, domain, cfg, p)
+            _check_exponent(domain, cfg["p"])
+        functional = ReducedFunctional.for_group(
+            group, domain, p=cfg["p"], backend=cfg["backend"], **cfg["quadrature"]
+        )
     except (ValueError, SupercriticalP) as exc:
         raise ConfigError(str(exc))
     return domain, group, functional
@@ -336,7 +320,7 @@ def _target(cfg: dict, pde: bool = False):
 
 def _run_prediction(cfg: dict, group, functional):
     """Search the target group; ``search`` is the block every report carries."""
-    scfg = _search_config(cfg)
+    scfg = SearchConfig(**cfg["search"])
     points, diagnostics = find_critical_points_with_diagnostics(functional, scfg)
     prediction = predict_branches(
         group, points, p=functional.p, dedup_radius=scfg.dedup_radius
@@ -353,7 +337,8 @@ def _run_prediction(cfg: dict, group, functional):
 
 def cmd_predict(args, cfg: dict) -> int:
     domain, group, functional = _target(cfg)
-    run_oracle = _as(bool, cfg["oracle"], "oracle")
+    if cfg["oracle"] and group.k > 3:
+        raise ConfigError(f"oracle: the grid oracle covers k <= 3, this group has k={group.k}")
     prediction, search = _run_prediction(cfg, group, functional)
     payload = _report_header(cfg, "prediction")
     payload.update(prediction_to_dict(prediction, domain))
@@ -365,8 +350,8 @@ def cmd_predict(args, cfg: dict) -> int:
         "m is the Morse index of the reduced critical point; the predicted "
         "solution Morse index is m + j - 1 and both are reported"
     )
-    if run_oracle and group.k <= 3:
-        oracle = brute_force_oracle(functional, cfg=_search_config(cfg))
+    if cfg["oracle"]:
+        oracle = brute_force_oracle(functional, cfg=SearchConfig(**cfg["search"]))
         dist = pair_set_distance(
             [cp.a for cp in prediction.pairs], [cp.a for cp in oracle]
         )
@@ -417,9 +402,9 @@ def _write_prediction_csv(path: Path, payload: dict) -> None:
 
 def cmd_verify(args, cfg: dict) -> int:
     domain, group, functional = _target(cfg, pde=True)
-    vcfg = _verify_config(cfg)
+    vcfg = cfg["verify"]
     # the exponent, the grid and the schedule are checked before the search runs
-    grid = cfg["verify"]["grid"]
+    grid = vcfg["grid"]
     if grid is None:
         grid = 64 if domain.dimension == 2 else 33
     try:
@@ -430,18 +415,18 @@ def cmd_verify(args, cfg: dict) -> int:
         dp = build_laplacian(domain, grid, group)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"verify.grid: {exc}")
-    if cfg["verify"]["eps0"] is None:
-        cfg["verify"]["eps0"] = min(0.1, 0.1 * dp.neighbor_gap)
-    steps = _typed(cfg, "verify", {"eps0": float, "eps_steps": int, "eps_ratio": float})
+    if vcfg["eps0"] is None:
+        vcfg["eps0"] = min(0.1, 0.1 * dp.neighbor_gap)
     try:
-        schedule = geometric_schedule(steps["eps0"], steps["eps_steps"], steps["eps_ratio"])
+        schedule = geometric_schedule(vcfg["eps0"], vcfg["eps_steps"], vcfg["eps_ratio"])
     except ValueError as exc:
         raise ConfigError(f"verify: {exc}")
-    cfg["verify"]["eps0"] = steps["eps0"]
-    cfg["verify"]["grid"] = list(dp.grid)
+    vcfg["grid"] = list(dp.grid)
 
     prediction, search = _run_prediction(cfg, group, functional)
-    verdicts = continuation_run(dp, prediction, schedule, vcfg)
+    verdicts = continuation_run(dp, prediction, schedule, VerifyConfig(
+        **{f.name: vcfg[f.name] for f in fields(VerifyConfig)}
+    ))
     all_passed = bool(verdicts) and all(v.passed for v in verdicts)
 
     payload = _report_header(cfg, "verify")
@@ -557,10 +542,10 @@ def _add_target(parser):
     parser.add_argument("--lam", type=float, help="eigenvalue to target")
     parser.add_argument("--p", type=float, help="nonlinearity exponent (default 3)")
     parser.add_argument("--backend", choices=["exact-quartic", "quadrature"])
-    parser.add_argument("--seed-budget", dest="seed_budget", type=int,
+    parser.add_argument("--seed-budget", dest="search.seed_budget", type=int,
                         help="minimum total seed count, not a cap: random seeds "
                              "top the 4(3^k-1) structured seeds up to it")
-    parser.add_argument("--oracle", action="store_true",
+    parser.add_argument("--oracle", action="store_const", const=True, default=None,
                         help="cross-check against the grid oracle (k <= 3)")
 
 
@@ -580,16 +565,17 @@ def build_parser() -> _Parser:
     vp = sub.add_parser("verify", help="predict, then verify against the PDE")
     _add_common(vp)
     _add_target(vp)
-    vp.add_argument("--grid", help="subintervals per axis, e.g. '64' or '33,33,33'")
-    vp.add_argument("--eps0", type=float, help="largest eps of the schedule "
-                    "(default: a tenth of the discrete neighbour gap, at most 0.1)")
-    vp.add_argument("--eps-steps", dest="eps_steps", type=int)
-    vp.add_argument("--eps-ratio", dest="eps_ratio", type=float)
-    vp.add_argument("--no-morse", dest="no_morse", action="store_true",
+    vp.add_argument("--grid", dest="verify.grid",
+                    help="subintervals per axis, e.g. '64' or '33,33,33'")
+    vp.add_argument("--eps0", dest="verify.eps0", type=float, help="largest eps of the "
+                    "schedule (default: a tenth of the discrete neighbour gap, at most 0.1)")
+    vp.add_argument("--eps-steps", dest="verify.eps_steps", type=int)
+    vp.add_argument("--eps-ratio", dest="verify.eps_ratio", type=float)
+    vp.add_argument("--no-morse", dest="verify.morse", action="store_false", default=None,
                     help="skip Morse-index and eigenvalue-transfer checks")
-    vp.add_argument("--a-rtol", dest="a_rtol", type=float)
-    vp.add_argument("--min-phi-order", dest="min_phi_order", type=float)
-    vp.add_argument("--mu-rtol", dest="mu_rtol", type=float)
+    vp.add_argument("--a-rtol", dest="verify.a_rtol", type=float)
+    vp.add_argument("--min-phi-order", dest="verify.min_phi_order", type=float)
+    vp.add_argument("--mu-rtol", dest="verify.mu_rtol", type=float)
 
     rp = sub.add_parser("report", help="render a JSON report to CSV/tables")
     _add_common(rp)
@@ -597,37 +583,28 @@ def build_parser() -> _Parser:
     return parser
 
 
+# flags that name no config key: --side-sq, --j, --lam and --seed set keys below
+_NOT_KEYS = {"command", "config", "out", "verbose", "input", "side_sq", "j", "lam", "seed"}
+
+
 def _apply_flags(args, cfg: dict) -> dict:
-    if getattr(args, "domain", None):
-        cfg["domain"] = args.domain
-    if getattr(args, "side_sq", None):
-        cfg["domain"] = [s.strip() for s in args.side_sq.split(",")]
-    if getattr(args, "count", None) is not None:
-        cfg["count"] = args.count
-    if getattr(args, "j", None) is not None and getattr(args, "lam", None) is not None:
+    """Each flag given sets the config key its ``dest`` names."""
+    flags = vars(args)
+    for path, val in flags.items():
+        if path not in _NOT_KEYS and val is not None:
+            block, _, key = path.rpartition(".")
+            (cfg[block] if block else cfg)[key] = val
+    if flags.get("side_sq"):
+        cfg["domain"] = [s.strip() for s in flags["side_sq"].split(",")]
+    j, lam = flags.get("j"), flags.get("lam")
+    if j is not None and lam is not None:
         raise ConfigError("give either --j or --lam, not both")
-    if getattr(args, "j", None) is not None:
-        cfg["target"] = {"j": args.j}
-    if getattr(args, "lam", None) is not None:
-        cfg["target"] = {"lambda": args.lam}
-    if getattr(args, "p", None) is not None:
-        cfg["p"] = args.p
-    if getattr(args, "backend", None):
-        cfg["backend"] = args.backend
-    if getattr(args, "seed_budget", None) is not None:
-        cfg["search"]["seed_budget"] = args.seed_budget
-    if getattr(args, "oracle", False):
-        cfg["oracle"] = True
-    if getattr(args, "seed", None) is not None:
-        cfg["search"]["rng_seed"] = args.seed
-        cfg["verify"]["rng_seed"] = args.seed
-    for name in ("grid", "eps0", "eps_steps", "eps_ratio", "a_rtol",
-                 "min_phi_order", "mu_rtol"):
-        val = getattr(args, name, None)
-        if val is not None:
-            cfg["verify"][name] = val
-    if getattr(args, "no_morse", False):
-        cfg["verify"]["morse"] = False
+    if j is not None:
+        cfg["target"] = {"j": j}
+    if lam is not None:
+        cfg["target"] = {"lambda": lam}
+    if flags.get("seed") is not None:
+        cfg["search"]["rng_seed"] = cfg["verify"]["rng_seed"] = flags["seed"]
     return cfg
 
 
@@ -647,8 +624,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = _load_config(getattr(args, "config", None))
-        cfg = _apply_flags(args, cfg)
+        cfg = _checked(_apply_flags(args, _load_config(args.config)))
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"bifurcbox: config error: {exc}", file=sys.stderr)

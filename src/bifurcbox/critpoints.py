@@ -324,8 +324,11 @@ def brute_force_oracle(
     for d in range(k):
         A[..., d] = axis.reshape([npts if e == d else 1 for e in range(k)])
     A = A.reshape(-1, k)
-    G = f.gradient_many(A)
-    G = np.sum(np.square(G, out=G), axis=1).reshape((npts,) * k)
+    G = np.empty(len(A))  # |grad|^2, in the functional's row blocks: no whole gradient array
+    for rows in f._row_blocks(len(A)):
+        g = f.gradient_many(A[rows])
+        G[rows] = np.sum(np.square(g, out=g), axis=1)
+    G = G.reshape((npts,) * k)
     is_min = G <= _neighbourhood_min(G)
     A, ok = _newton_refine(f, A[is_min.ravel()], cfg)
     converged = A[ok & (np.max(np.abs(A), axis=1) > cfg.dedup_radius)]

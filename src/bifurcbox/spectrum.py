@@ -224,10 +224,15 @@ def enumerate_groups(domain: DomainSpec, count: int) -> list[EigenGroup]:
     """First ``count`` eigenvalue groups, each certified complete.
 
     The scan bound doubles from the ground value until ``count`` groups,
-    all of them whole, lie below it.
+    all of them whole, lie below it.  More than ``_MAX_SCAN_MODES`` groups
+    are refused at once: each group holds at least one mode of the scanned
+    box, whose size is capped.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > _MAX_SCAN_MODES:
+        raise ValueError(f"eigenvalue scan too large: {count} groups need more than "
+                         f"{_MAX_SCAN_MODES} modes")
     bound = sum(1 / s for s in domain.side_sq)  # the ground value
     while len(groups := group_spectrum(_modes_below(domain, bound), bound + 1)) < count:
         bound *= 2

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -210,6 +211,7 @@ class TestConfigAndReport:
         ["spectrum", "--domain", "square", "--count", "0"],
         ["spectrum", "--domain", "square", "--count", "-3"],
         ["predict", "--domain", "square", "--lam", "1e12"],
+        ["predict", "--domain", "square", "--lam", "65", "--oracle"],  # k = 4
     ])
     def test_bad_input_is_config_error_before_the_search(self, argv, tmp_path,
                                                          monkeypatch, capsys):
@@ -228,6 +230,12 @@ class TestConfigAndReport:
                      "--out", str(tmp_path / "o")]) == 1
         assert time.perf_counter() - start < 0.5
         assert "too large" in capsys.readouterr().err
+        # more groups than the ceiling has modes, refused before any scan
+        for argv in (["spectrum", "--count", "2000000"], ["predict", "--j", "2000000"]):
+            start = time.perf_counter()
+            assert main([*argv, "--domain", "square", "--out", str(tmp_path / "c")]) == 1
+            assert time.perf_counter() - start < 0.5
+            assert "too large" in capsys.readouterr().err
         # a spectrum count whose doubling scan outgrows the ceiling
         monkeypatch.setattr(bifurcbox.spectrum, "_MAX_SCAN_MODES", 100)
         assert main(["spectrum", "--domain", "square", "--count", "500",
@@ -260,6 +268,11 @@ class TestConfigAndReport:
         ("predict", "target", "lambda", [5], "float"),
         ("predict", "quadrature", "nodes_per_panel", "x", "int"),
         ("predict", None, "quadrature", 3, "object"),
+        ("predict", "search", "max_iter", 2.7, "int"),
+        ("spectrum", None, "count", True, "int"),
+        ("predict", "search", "newton_tol", "1e-12", "float"),
+        ("predict", None, "p", "3", "float"),
+        ("predict", None, "backend", 3, "str"),
     ])
     def test_config_file_value_of_wrong_type(self, command, block, key, value, kind,
                                              tmp_path, monkeypatch, capsys):
@@ -282,6 +295,63 @@ class TestConfigAndReport:
         err = capsys.readouterr().err.splitlines()
         name = key if block is None else f"{block}.{key}"
         assert err == [f"bifurcbox: config error: {name}: expected {kind}, got {value!r}"]
+
+    @pytest.mark.parametrize("path", ["seach", "search.typo", "verify.mortse"])
+    def test_unknown_config_key_is_refused(self, path, tmp_path, capsys):
+        block, _, key = path.rpartition(".")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({block: {key: 1}} if block else {key: {}}))
+        assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"bifurcbox: config error: {path}: unknown key"]
+
+    @pytest.mark.parametrize("command, report, config_hash, eps0, grid", [
+        ("predict", "prediction.json", "9ec370d6ec180183", None, None),
+        ("verify", "verdicts.json", "3334d63ce3efcebc", 0.1, [64, 64]),
+    ])
+    def test_default_config_echo(self, command, report, config_hash, eps0, grid, tmp_path):
+        # the echo and hash of a default run with --seed 7
+        _, out = run(tmp_path, command, "--seed", "7")
+        payload = json.loads((out / report).read_text())
+        assert payload["config"] == {
+            "backend": None, "count": 10, "oracle": False, "output_dir": "bifurcbox-out",
+            "domain": {"dimension": 2, "side_sq": ["pi^2", "pi^2"]},
+            "p": 3.0, "quadrature": {"nodes_per_panel": 12, "panels_per_halfwave": 1},
+            "search": {"dedup_radius": 1e-06, "degeneracy_rtol": 1e-08, "max_iter": 100,
+                       "newton_tol": 1e-12, "rng_seed": 7, "seed_budget": 200},
+            "target": {"j": 1},
+            "verify": {"a_rtol": 0.1, "dedup_radius": 1e-06, "eps0": eps0, "eps_ratio": 0.5,
+                       "eps_steps": 4, "grid": grid, "linear_rtol": 1e-12, "max_newton": 60,
+                       "min_phi_order": 0.9, "morse": True, "mu_rtol": 0.05,
+                       "newton_tol": 1e-10, "rng_seed": 7},
+        }
+        assert payload["config_hash"] == config_hash
+
+    def test_echo_is_the_typed_config_and_absent_flags_keep_the_file(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"p": 3, "oracle": True, "verify": {"morse": False}}))
+        argv = ["--config", str(cfg), "--domain", "square", "--j", "1"]
+        _, out = run(tmp_path, "predict", *argv, name="p")
+        payload = json.loads((out / "prediction.json").read_text())
+        assert repr(payload["config"]["p"]) == "3.0"
+        assert payload["config"]["oracle"] is True and payload["oracle"]["agrees"] is True
+        _, out = run(tmp_path, "verify", *argv, "--grid", "32", "--eps-steps", "1", name="v")
+        payload = json.loads((out / "verdicts.json").read_text())
+        assert payload["config"]["verify"]["morse"] is False
+        assert payload["verdicts"][0]["morse_ok"] is None
+
+    def test_every_flag_names_a_config_key(self):
+        parser = bifurcbox.cli.build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices.values()
+        # the dests that land in the parsed namespace (not --help, --version)
+        dests = {a.dest for p in (parser, *commands) for a in p._actions
+                 if a.default is not argparse.SUPPRESS}
+        defaults = bifurcbox.cli._DEFAULTS
+        declared = {*defaults, *(f"{block}.{key}" for block, default in defaults.items()
+                                 if isinstance(default, dict) for key in default)}
+        others = {"command", "config", "out", "verbose", "input", "side_sq", "j", "lam", "seed"}
+        assert dests - others <= declared
+        assert "verify.eps0" in dests and "search.seed_budget" in dests
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"

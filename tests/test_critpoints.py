@@ -166,8 +166,9 @@ class TestOracle:
         assert np.array_equal(_neighbourhood_min(G), expected)
 
     def test_oracle_peak_memory(self, square, sq_g50):
-        # the scan over a mesh per axis, with einsum row blocks of 2^22
-        # numbers, peaked at 82,837,981 bytes on this k = 3 group
+        # the scan, with |grad|^2 summed in the functional's row blocks so no
+        # whole (npts^k, k) gradient array is held, peaks at 60,468,440
+        # bytes on this k = 3 group
         f = bb.ReducedFunctional.for_group(sq_g50, square)
         bb.brute_force_oracle(f)
         tracemalloc.start()
@@ -176,7 +177,7 @@ class TestOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 82_837_981
+        assert peak <= 60_468_440
 
     def test_rejects_large_k(self):
         f = bb.ReducedFunctional.from_tensor(QuarticTensor.from_pattern(4, 9.0, 4.0))
