@@ -401,6 +401,8 @@ def _write_prediction_csv(path: Path, payload: dict) -> None:
 
 
 def cmd_verify(args, cfg: dict) -> int:
+    if cfg["oracle"]:
+        raise ConfigError("oracle: the grid oracle runs with predict only, not verify")
     domain, group, functional = _target(cfg, pde=True)
     vcfg = cfg["verify"]
     # the exponent, the grid and the schedule are checked before the search runs
@@ -546,7 +548,7 @@ def _add_target(parser):
                         help="minimum total seed count, not a cap: random seeds "
                              "top the 4(3^k-1) structured seeds up to it")
     parser.add_argument("--oracle", action="store_const", const=True, default=None,
-                        help="cross-check against the grid oracle (k <= 3)")
+                        help="cross-check against the grid oracle (predict, k <= 3)")
 
 
 def build_parser() -> _Parser:

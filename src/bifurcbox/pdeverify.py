@@ -26,13 +26,22 @@ pointwise, transform, pointwise.  The Morse index is an exact inertia
 count, the negative eigenvalues of a small Schur complement whose
 eliminated block is positive definite by construction; no eigensolver
 runs.
+
+The grid's symmetries (axis reversals, and swaps of axes with equal N and
+side) map discrete solutions onto discrete solutions and act on the group
+coefficients as signed permutations.  Only one pair per orbit is solved;
+the others get its records mapped exactly, each checked for its residual
+and its landing, and a pair whose mapping cannot be trusted is solved
+directly.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -53,6 +62,8 @@ from .spectrum import DomainSpec, EigenGroup
 # they stay importable from it until the benchmark's tracer drops them.
 from .spectrum import eigenfunction_eval, enumerate_modes  # noqa: F401
 
+logger = logging.getLogger(__name__)
+
 
 def _sine_eigenvalues_1d(n: int, L: float) -> np.ndarray:
     """Eigenvalues of the 1-D second-difference operator on n-1 interior
@@ -60,6 +71,15 @@ def _sine_eigenvalues_1d(n: int, L: float) -> np.ndarray:
     h = L / n
     m = np.arange(1, n)
     return (4.0 / h**2) * np.sin(m * np.pi / (2 * n)) ** 2
+
+
+def _sine_table(n: int) -> np.ndarray:
+    """sin(pi k / n) for k = 0 .. 2n-1, each from its reduced angle in
+    [0, pi/2], so the table's symmetries hold exactly: reversing a grid
+    axis maps DST-I column m to exactly (-1)^(m+1) times itself."""
+    k = np.arange(2 * n)
+    r = k % n
+    return np.where(k < n, 1.0, -1.0) * np.sin(np.pi * np.minimum(r, n - r) / n)
 
 
 class _SineTransform:
@@ -93,12 +113,9 @@ class _SineTransform:
             bshape[d] = -1
             W = W + w.reshape(bshape)
         self.eigenvalues = W
-        self.matrices = []
-        for n in self.shape:
-            i = np.arange(1, n + 1)
-            self.matrices.append(
-                math.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(i, i) / (n + 1))
-            )
+        self.matrices = [math.sqrt(2.0 / (n + 1)) * _sine_table(n + 1)[
+            np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * n + 2)]
+            for n in self.shape]
 
     def dst(self, vec: np.ndarray) -> np.ndarray:
         """Orthonormal DST-I along every axis, returned in grid shape."""
@@ -267,6 +284,7 @@ class BranchVerdict:
     distinct_ok: bool | None = None
     inconclusive: bool = False
     notes: list[str] = field(default_factory=list)
+    transported_from: int | None = None  # the solved pair whose records were mapped
 
     @property
     def passed(self) -> bool:
@@ -328,11 +346,7 @@ def solve_branch(
     a = np.asarray(a, dtype=float)
     lam = dp.lambda_h - epsilon
     v = dp.eigvecs @ a if v0 is None else v0.copy()
-    Q = dp.transform
-
-    def residual(vec):
-        return (Q.apply_spectral(vec, Q.eigenvalues) - lam * vec
-                - epsilon * np.abs(vec) ** (p - 1.0) * vec)
+    residual = functools.partial(_residual, dp, lam, epsilon, p)
 
     r = residual(v)
     rn = dp.norm_l2(r)
@@ -384,18 +398,33 @@ def solve_branch(
     )
 
     if all_pairs is not None and expected_index is not None and np.any(a != 0.0):
-        dists = [min(float(np.max(np.abs(a_lam - b))), float(np.max(np.abs(a_lam + b))))
-                 for b in all_pairs]
-        dists.append(float(np.max(np.abs(a_lam))))  # the trivial solution
-        nearest = int(np.argmin(dists))
-        if nearest != expected_index:
-            trivial = nearest == len(all_pairs)
-            raise ConvergedToWrongBranch(
-                f"solve launched at pair {expected_index} landed at "
-                + ("the trivial solution" if trivial else f"pair {nearest}"),
-                got=a_lam, expected=a, nearest_index=None if trivial else nearest,
-            )
+        _check_landing(a_lam, a, all_pairs, expected_index)
     return record
+
+
+def _residual(dp: DiscreteProblem, lam: float, epsilon: float, p: float,
+              v: np.ndarray) -> np.ndarray:
+    """A v - lam v - eps |v|^(p-1) v, the rescaled equation's residual."""
+    Q = dp.transform
+    return (Q.apply_spectral(v, Q.eigenvalues) - lam * v
+            - epsilon * np.abs(v) ** (p - 1.0) * v)
+
+
+def _check_landing(a_lam: np.ndarray, a: np.ndarray, all_pairs, expected_index: int) -> None:
+    """Raise :class:`ConvergedToWrongBranch` unless the projection ``a_lam``
+    is nearest the pair ``expected_index`` (launched at ``a``), of every
+    pair, either sign, and the trivial solution."""
+    dists = [min(float(np.max(np.abs(a_lam - b))), float(np.max(np.abs(a_lam + b))))
+             for b in all_pairs]
+    dists.append(float(np.max(np.abs(a_lam))))  # the trivial solution
+    nearest = int(np.argmin(dists))
+    if nearest != expected_index:
+        trivial = nearest == len(all_pairs)
+        raise ConvergedToWrongBranch(
+            f"solve launched at pair {expected_index} landed at "
+            + ("the trivial solution" if trivial else f"pair {nearest}"),
+            got=a_lam, expected=a, nearest_index=None if trivial else nearest,
+        )
 
 
 def discrete_morse_index(
@@ -540,6 +569,87 @@ def geometric_schedule(eps0: float, steps: int, ratio: float = 0.5) -> list[floa
     return [eps0 * ratio**t for t in range(steps)]
 
 
+class _GridSymmetry:
+    """One element g of the grid's symmetry group: reverse the axes in
+    ``flips``, then permute the axes by ``perm``.
+
+    Reversing axis d (i -> N_d - i) maps DST-I column m to (-1)^(m+1)
+    times itself, and a permutation of axes with equal N and equal side
+    permutes the columns, so g E = E P with ``P`` a signed permutation.
+    The stencil, the nonlinearity, the projection and both norms commute
+    with g, so g v solves the discrete problem of the pair P a whenever v
+    solves that of a, with the same norms and the same linearization
+    spectrum.
+    """
+
+    def __init__(self, dp: DiscreteProblem, perm: tuple[int, ...], flips: tuple[int, ...]):
+        self.dp, self.perm, self.flips = dp, perm, flips
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """g applied to a grid function, or to each column of an (n, m) array."""
+        X = np.flip(x.reshape(*self.dp.shape, -1), self.flips)
+        return np.transpose(X, (*self.perm, len(self.perm))).reshape(x.shape)
+
+    @functools.cached_property
+    def P(self) -> np.ndarray:
+        """g on the group coefficients: g (E a) = E (P a)."""
+        return np.rint(self.dp.project(self(self.dp.eigvecs)))
+
+
+def _grid_symmetries(dp: DiscreteProblem) -> list[_GridSymmetry]:
+    """The symmetry group of the grid, identity first: each set of reversed
+    axes, composed with each permutation of axes that share N and side.
+    An anisotropic grid gives a smaller group, never a wrong one."""
+    dim = len(dp.grid)
+    kind = list(zip(dp.grid, dp.domain.side_sq))
+    perms = [q for q in itertools.permutations(range(dim))
+             if all(kind[q[d]] == kind[d] for d in range(dim))]
+    flips = [tuple(d for d in range(dim) if bits[d])
+             for bits in itertools.product((False, True), repeat=dim)]
+    return [_GridSymmetry(dp, q, f) for q in perms for f in flips]
+
+
+def _pair_orbits(group: list[_GridSymmetry], pairs) -> list[tuple | None]:
+    """For each pair, None when it is the lowest index of its orbit, else
+    (representative, g, sign) with sign P_g a_rep = a to 1e-8 max(1, |a|)."""
+    if len(pairs) < 2:  # nothing to map onto: skip a projection per element
+        return [None] * len(pairs)
+    P = np.stack([g.P for g in group])
+    images, sources = {}, []
+    for j, a in enumerate(pairs):
+        tol = 1e-8 * max(1.0, float(np.linalg.norm(a)))
+        source = next(((i, group[n], s) for i, img in images.items() for s in (1.0, -1.0)
+                       for n in np.flatnonzero(np.linalg.norm(s * img - a, axis=1) <= tol)),
+                      None)
+        if source is None:
+            images[j] = P @ a
+        sources.append(source)
+    return sources
+
+
+def _transport(dp: DiscreteProblem, records, g: _GridSymmetry, sign: float, p: float,
+               all_pairs, index: int, tol: float) -> list[ContinuationRecord] | None:
+    """The records of pair ``index`` as sign * g of a solved pair's: norms,
+    Morse index and mu copied, the residual recomputed.  None when a
+    record's residual exceeds ``tol`` or its projection lands nearer
+    another pair."""
+    out = []
+    for rec in records:
+        v = sign * g(rec.v)
+        a_lam = sign * (g.P @ rec.a_lambda)
+        rn = dp.norm_l2(_residual(dp, rec.lam, rec.epsilon, p, v))
+        if rn > tol:
+            return None
+        try:
+            _check_landing(a_lam, all_pairs[index], all_pairs, index)
+        except ConvergedToWrongBranch:
+            return None
+        # no Newton step ran: the history is the one residual
+        out.append(replace(rec, v=v, a_lambda=a_lam, newton_residual=rn,
+                           residual_history=[rn]))
+    return out
+
+
 def continuation_run(
     dp: DiscreteProblem,
     prediction: BranchPrediction,
@@ -556,6 +666,15 @@ def continuation_run(
     spectrum.  Solver failures mark the verdict inconclusive instead of
     aborting the run.  Finally, distinct pairs must yield pairwise-distinct
     discrete solutions at the smallest eps.
+
+    Only one pair per orbit of the grid's symmetry group (axis reversals,
+    and swaps of axes with equal N and side) is solved.  The others get its
+    records mapped exactly, v' = +-g v and a' = +-P a, with norms, Morse
+    index and mu copied and the residual recomputed; each mapped record
+    must still meet ``newton_tol`` and land nearest its own pair.  A pair
+    whose representative has a note or a missing eps step, or whose mapped
+    records fail a check, is solved directly.  ``transported_from`` of a
+    verdict names the pair it was mapped from.
     """
     cfg = cfg or VerifyConfig()
     p = prediction.p
@@ -564,17 +683,27 @@ def continuation_run(
     if not schedule:
         raise ValueError("empty eps schedule")
     all_pairs = [cp.a for cp in prediction.pairs]
-    verdicts = []
+    group = _grid_symmetries(dp)
+    verdicts, fallbacks = [], 0
 
-    for i, cp in enumerate(prediction.pairs):
+    for i, (cp, source) in enumerate(zip(prediction.pairs, _pair_orbits(group, all_pairs))):
         target = cp.morse_index + dp.group.j - 1
         verdict = BranchVerdict(
             pair_index=i, predicted=cp, target_morse=target, records=[],
         )
-        a_ref = discrete_reference_point(dp, cp.a, p)
-        v0 = None
-        morse_by_eps = []
-        for eps in schedule:
+        if source is not None:
+            rep, g, sign = source
+            solved = verdicts[rep]
+            records = None
+            if not solved.notes and len(solved.records) == len(schedule):
+                records = _transport(dp, solved.records, g, sign, p, all_pairs, i,
+                                     cfg.newton_tol)
+            if records is None:
+                fallbacks += 1
+            else:
+                verdict.records, verdict.transported_from = records, rep
+        v0 = None  # a pair not transported is solved directly
+        for eps in schedule if verdict.transported_from is None else []:
             try:
                 rec = solve_branch(
                     dp, cp.a, eps, p, v0=v0, tol=cfg.newton_tol,
@@ -588,19 +717,17 @@ def continuation_run(
             v0 = rec.v
             if cfg.morse:
                 try:
-                    morse, nz = discrete_morse_index(dp, rec, p)
-                    rec.discrete_morse_index = morse
-                    rec.near_zero_mu = nz
-                    morse_by_eps.append((eps, morse))
+                    rec.discrete_morse_index, rec.near_zero_mu = discrete_morse_index(dp, rec, p)
                 except SpectrumTooClose as exc:
                     verdict.notes.append(f"eps={eps:g}: {exc}")
             verdict.records.append(rec)
+        verdicts.append(verdict)
 
         if not verdict.records:
             verdict.inconclusive = True
-            verdicts.append(verdict)
             continue
 
+        a_ref = discrete_reference_point(dp, cp.a, p)
         eps_done = [r.epsilon for r in verdict.records]
         err_a = [float(np.linalg.norm(r.a_lambda - a_ref)) for r in verdict.records]
         verdict.order_a = fit_order(eps_done, err_a)
@@ -614,6 +741,8 @@ def continuation_run(
         if verdict.order_phi is not None:
             verdict.phi_ok = verdict.order_phi >= cfg.min_phi_order
 
+        morse_by_eps = [(r.epsilon, r.discrete_morse_index) for r in verdict.records
+                        if r.discrete_morse_index is not None]
         if cfg.morse and morse_by_eps:
             threshold = None
             for eps, morse in morse_by_eps:  # descending in eps
@@ -633,8 +762,12 @@ def continuation_run(
             verdict.eig_scaled = scaled.tolist()
             verdict.eig_rel_err = rel
             verdict.eig_ok = rel <= cfg.mu_rtol
-        verdicts.append(verdict)
 
+    transported = sum(v.transported_from is not None for v in verdicts)
+    logger.info(
+        "grid symmetry group of order %d: %d pairs solved directly, %d transported, "
+        "%d fallbacks", len(group), len(verdicts) - transported, transported, fallbacks,
+    )
     _check_distinctness(dp, verdicts, cfg.dedup_radius)
     return verdicts
 
@@ -684,6 +817,7 @@ def verdict_to_dict(v: BranchVerdict) -> dict:
         "inconclusive": v.inconclusive,
         "passed": v.passed,
         "notes": v.notes,
+        "transported_from": v.transported_from,
         "records": [
             {
                 "lambda": r.lam,

@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -187,6 +188,19 @@ class TestVerify:
                       for v in payload["verdicts"]]
         assert sorted(last_morse) == [2, 2, 3, 3]
 
+    def test_verbose_run_reports_the_transport(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG)
+        code, out = run(tmp_path, "verify", "--domain", "square", "--j", "2",
+                        "--grid", "32", "--eps-steps", "1", "-v")
+        assert code == 0
+        verdicts = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        sources = [v["transported_from"] for v in verdicts]
+        solved = [i for i, s in enumerate(sources) if s is None]
+        assert len(solved) == 2 and sorted(s for s in sources if s is not None) == solved
+        assert [r.getMessage() for r in caplog.records if r.name == "bifurcbox.pdeverify"] == [
+            "grid symmetry group of order 8: 2 pairs solved directly, 2 transported, "
+            "0 fallbacks"]
+
     def test_byte_identical_verify_reports(self, tmp_path):
         args = ["verify", "--domain", "square", "--j", "1", "--grid", "32",
                 "--eps-steps", "2"]
@@ -212,6 +226,7 @@ class TestConfigAndReport:
         ["spectrum", "--domain", "square", "--count", "-3"],
         ["predict", "--domain", "square", "--lam", "1e12"],
         ["predict", "--domain", "square", "--lam", "65", "--oracle"],  # k = 4
+        ["verify", "--domain", "square", "--lam", "5", "--oracle"],
     ])
     def test_bad_input_is_config_error_before_the_search(self, argv, tmp_path,
                                                          monkeypatch, capsys):
@@ -335,6 +350,9 @@ class TestConfigAndReport:
         payload = json.loads((out / "prediction.json").read_text())
         assert repr(payload["config"]["p"]) == "3.0"
         assert payload["config"]["oracle"] is True and payload["oracle"]["agrees"] is True
+        # verify refuses the oracle key, so its file drops it
+        assert run(tmp_path, "verify", *argv, name="refused")[0] == 1
+        cfg.write_text(json.dumps({"p": 3, "verify": {"morse": False}}))
         _, out = run(tmp_path, "verify", *argv, "--grid", "32", "--eps-steps", "1", name="v")
         payload = json.loads((out / "verdicts.json").read_text())
         assert payload["config"]["verify"]["morse"] is False

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import logging
 import math
 import tracemalloc
 
@@ -19,7 +21,10 @@ from bifurcbox.errors import (
 )
 from bifurcbox.pdeverify import (
     VerifyConfig,
+    _grid_symmetries,
+    _GridSymmetry,
     _linear_solve,
+    _residual,
     _sine_eigenvalues_1d,
     _SineTransform,
     diagram_rows,
@@ -498,6 +503,7 @@ class TestReporting:
         verdicts = bb.continuation_run(dp_sq1, pred_sq1, [0.1, 0.05])
         d = verdict_to_dict(verdicts[0])
         assert d["passed"] is True
+        assert d["transported_from"] is None
         assert len(d["records"]) == 2
         rec = d["records"][0]
         assert set(rec) >= {"lambda", "epsilon", "a_lambda", "phi_norm",
@@ -521,3 +527,111 @@ class TestReporting:
     def test_fit_order_handles_floors(self):
         assert fit_order([0.1, 0.05], [1e-20, 1e-20]) is None
         assert fit_order([0.1, 0.05, 0.025], [0.1, 0.05, 0.025]) == pytest.approx(1.0)
+
+
+def _direct_records(dp, cp, index, all_pairs, schedule):
+    """One pair solved and Morse-counted at every eps, warm-started, as a
+    run without symmetry would."""
+    records, v0 = [], None
+    for eps in schedule:
+        rec = bb.solve_branch(dp, cp.a, eps, v0=v0, all_pairs=all_pairs, expected_index=index)
+        rec.discrete_morse_index, rec.near_zero_mu = bb.discrete_morse_index(dp, rec)
+        records.append(rec)
+        v0 = rec.v
+    return records
+
+
+class TestGridSymmetry:
+    @pytest.mark.parametrize("side_sq, eigenvalue, grid, order", [
+        (["pi^2", "pi^2"], 5, 64, 8),
+        (["pi^2", "pi^2"], 5, (64, 48), 4),  # no swap of unequal axes
+        (["pi^2", "4pi^2"], 10, (64, 128), 4),  # equal h, unequal sides
+        (["pi^2", "pi^2", "pi^2"], 6, 17, 48),
+        (["pi^2", "pi^2", "pi^2"], 6, (17, 17, 13), 16),
+    ])
+    def test_group_order(self, side_sq, eigenvalue, grid, order):
+        dom = bb.DomainSpec.from_strings(side_sq)
+        dp = bb.build_laplacian(dom, grid, bb.find_group(dom, eigenvalue=eigenvalue))
+        assert len(_grid_symmetries(dp)) == order
+
+    @pytest.mark.parametrize("n", [16, 63, 127])
+    def test_sine_matrix_reflects_exactly(self, n):
+        # reversing the grid axis maps column m to (-1)^(m+1) times itself,
+        # bit for bit, so mapped solutions keep their residual
+        (S,) = _SineTransform((n,), [_sine_eigenvalues_1d(n + 1, 1.0)]).matrices
+        signs = (-1.0) ** (np.arange(1, n + 1) + 1)
+        assert np.array_equal(S[::-1], S * signs)
+        assert np.array_equal(S, S.T)
+
+    @pytest.mark.parametrize("side_sq, eigenvalue, grid", [
+        (["pi^2", "pi^2"], 5, 32),
+        (["pi^2", "4pi^2"], 10, (64, 128)),
+        (["pi^2", "pi^2", "pi^2"], 6, (17, 17, 13)),
+    ])
+    def test_each_element_is_a_symmetry(self, side_sq, eigenvalue, grid):
+        dom = bb.DomainSpec.from_strings(side_sq)
+        dp = bb.build_laplacian(dom, grid, bb.find_group(dom, eigenvalue=eigenvalue))
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal(dp.group.k)
+        v = rng.standard_normal(dp.n)
+        residual = functools.partial(_residual, dp, dp.lambda_h - 0.05, 0.05, 3.0)
+        r = residual(v)
+        for g in _grid_symmetries(dp):
+            P = g.P
+            assert np.array_equal(np.abs(P).sum(axis=0), np.ones(dp.group.k))
+            assert np.array_equal(np.abs(P).sum(axis=1), np.ones(dp.group.k))
+            assert set(np.unique(P)) <= {-1.0, 0.0, 1.0}
+            assert np.max(np.abs(dp.project(g(dp.eigvecs @ a)) - P @ a)) <= 1e-13
+            assert np.max(np.abs(residual(g(v)) - g(r))) <= 1e-13 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("domain, eigenvalue, grid, schedule, n_transported", [
+        ("square", 5, 32, [0.05, 0.025], 2),
+        ("cube", 6, 17, [0.05], 10),
+    ])
+    def test_transported_verdicts_match_direct_solves(self, domain, eigenvalue, grid,
+                                                      schedule, n_transported):
+        dom = getattr(bb.DomainSpec, domain)()
+        group = bb.find_group(dom, eigenvalue=eigenvalue)
+        dp = bb.build_laplacian(dom, grid, group)
+        pred = bb.predict_branches(
+            group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom))
+        )
+        all_pairs = [cp.a for cp in pred.pairs]
+        verdicts = bb.continuation_run(dp, pred, schedule)
+        moved = [v for v in verdicts if v.transported_from is not None]
+        assert len(moved) == n_transported
+        for v in moved:
+            assert verdicts[v.transported_from].transported_from is None
+            assert v.passed and not v.notes
+            direct = _direct_records(dp, v.predicted, v.pair_index, all_pairs, schedule)
+            for got, ref in zip(v.records, direct, strict=True):
+                assert got.discrete_morse_index == ref.discrete_morse_index
+                assert np.max(np.abs(got.a_lambda - ref.a_lambda)) <= 1e-10
+                np.testing.assert_allclose(got.near_zero_mu, ref.near_zero_mu,
+                                           rtol=1e-8, atol=0.0)
+                assert got.newton_residual <= VerifyConfig().newton_tol
+
+    def test_failed_representative_falls_back_to_direct_solves(self, dp_sq5, pred_sq5,
+                                                               caplog):
+        caplog.set_level(logging.INFO, logger="bifurcbox.pdeverify")
+        cfg = VerifyConfig(max_newton=1)
+        verdicts = bb.continuation_run(dp_sq5, pred_sq5, [0.05], cfg)
+        for v in verdicts:
+            assert v.transported_from is None and v.inconclusive
+            with pytest.raises(NewtonDiverged) as err:
+                bb.solve_branch(dp_sq5, v.predicted.a, 0.05, max_iter=1)
+            assert v.notes == [f"eps=0.05: {err.value}"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "grid symmetry group of order 8: 4 pairs solved directly, 0 transported, "
+            "2 fallbacks"]
+
+    def test_failed_transport_check_falls_back(self, dp_sq5, pred_sq5, monkeypatch, caplog):
+        # mapped solutions off by 1e-6 fail the residual check; P is untouched
+        call = _GridSymmetry.__call__
+        monkeypatch.setattr(_GridSymmetry, "__call__",
+                            lambda g, x: call(g, x) + (1e-6 if x.ndim == 1 else 0.0))
+        caplog.set_level(logging.INFO, logger="bifurcbox.pdeverify")
+        verdicts = bb.continuation_run(dp_sq5, pred_sq5, [0.05])
+        assert all(v.transported_from is None and v.passed for v in verdicts)
+        assert caplog.records[0].getMessage().endswith(
+            "4 pairs solved directly, 0 transported, 2 fallbacks")
