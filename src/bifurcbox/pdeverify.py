@@ -29,10 +29,10 @@ runs.
 
 The grid's symmetries (axis reversals, and swaps of axes with equal N and
 side) map discrete solutions onto discrete solutions and act on the group
-coefficients as signed permutations.  Only one pair per orbit is solved;
-the others get its records mapped exactly, each checked for its residual
-and its landing, and a pair whose mapping cannot be trusted is solved
-directly.
+coefficients as signed permutations.  A pair whose orbit representative
+was solved at an eps starts its own solve there from the representative's
+mapped solution; when that start already meets the tolerance, the Morse
+index and mu are copied instead of recounted.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -284,7 +284,7 @@ class BranchVerdict:
     distinct_ok: bool | None = None
     inconclusive: bool = False
     notes: list[str] = field(default_factory=list)
-    transported_from: int | None = None  # the solved pair whose records were mapped
+    transported_from: int | None = None  # the pair whose mapped solutions started ours
 
     @property
     def passed(self) -> bool:
@@ -398,7 +398,17 @@ def solve_branch(
     )
 
     if all_pairs is not None and expected_index is not None and np.any(a != 0.0):
-        _check_landing(a_lam, a, all_pairs, expected_index)
+        dists = [min(float(np.max(np.abs(a_lam - b))), float(np.max(np.abs(a_lam + b))))
+                 for b in all_pairs]
+        dists.append(float(np.max(np.abs(a_lam))))  # the trivial solution
+        nearest = int(np.argmin(dists))
+        if nearest != expected_index:
+            trivial = nearest == len(all_pairs)
+            raise ConvergedToWrongBranch(
+                f"solve launched at pair {expected_index} landed at "
+                + ("the trivial solution" if trivial else f"pair {nearest}"),
+                got=a_lam, expected=a, nearest_index=None if trivial else nearest,
+            )
     return record
 
 
@@ -408,23 +418,6 @@ def _residual(dp: DiscreteProblem, lam: float, epsilon: float, p: float,
     Q = dp.transform
     return (Q.apply_spectral(v, Q.eigenvalues) - lam * v
             - epsilon * np.abs(v) ** (p - 1.0) * v)
-
-
-def _check_landing(a_lam: np.ndarray, a: np.ndarray, all_pairs, expected_index: int) -> None:
-    """Raise :class:`ConvergedToWrongBranch` unless the projection ``a_lam``
-    is nearest the pair ``expected_index`` (launched at ``a``), of every
-    pair, either sign, and the trivial solution."""
-    dists = [min(float(np.max(np.abs(a_lam - b))), float(np.max(np.abs(a_lam + b))))
-             for b in all_pairs]
-    dists.append(float(np.max(np.abs(a_lam))))  # the trivial solution
-    nearest = int(np.argmin(dists))
-    if nearest != expected_index:
-        trivial = nearest == len(all_pairs)
-        raise ConvergedToWrongBranch(
-            f"solve launched at pair {expected_index} landed at "
-            + ("the trivial solution" if trivial else f"pair {nearest}"),
-            got=a_lam, expected=a, nearest_index=None if trivial else nearest,
-        )
 
 
 def discrete_morse_index(
@@ -575,11 +568,11 @@ class _GridSymmetry:
 
     Reversing axis d (i -> N_d - i) maps DST-I column m to (-1)^(m+1)
     times itself, and a permutation of axes with equal N and equal side
-    permutes the columns, so g E = E P with ``P`` a signed permutation.
-    The stencil, the nonlinearity, the projection and both norms commute
-    with g, so g v solves the discrete problem of the pair P a whenever v
-    solves that of a, with the same norms and the same linearization
-    spectrum.
+    permutes the columns, so g E = E P with ``P`` a signed permutation,
+    read off the mode indices.  The stencil, the nonlinearity, the
+    projection and both norms commute with g, so g v solves the discrete
+    problem of the pair P a whenever v solves that of a, with the same
+    norms and the same linearization spectrum.
     """
 
     def __init__(self, dp: DiscreteProblem, perm: tuple[int, ...], flips: tuple[int, ...]):
@@ -590,10 +583,17 @@ class _GridSymmetry:
         X = np.flip(x.reshape(*self.dp.shape, -1), self.flips)
         return np.transpose(X, (*self.perm, len(self.perm))).reshape(x.shape)
 
-    @functools.cached_property
+    @property
     def P(self) -> np.ndarray:
-        """g on the group coefficients: g (E a) = E (P a)."""
-        return np.rint(self.dp.project(self(self.dp.eigvecs)))
+        """g on the group coefficients, g (E a) = E (P a): mode m goes to
+        (m[perm[0]], m[perm[1]], ...), signed by (-1)^(m_d+1) per reversed d."""
+        modes = [m.indices for m in self.dp.group.modes]
+        column = {m: c for c, m in enumerate(modes)}
+        P = np.zeros((len(modes), len(modes)))
+        for c, m in enumerate(modes):
+            P[column[tuple(m[d] for d in self.perm)], c] = (-1.0) ** sum(
+                m[d] + 1 for d in self.flips)
+        return P
 
 
 def _grid_symmetries(dp: DiscreteProblem) -> list[_GridSymmetry]:
@@ -612,8 +612,6 @@ def _grid_symmetries(dp: DiscreteProblem) -> list[_GridSymmetry]:
 def _pair_orbits(group: list[_GridSymmetry], pairs) -> list[tuple | None]:
     """For each pair, None when it is the lowest index of its orbit, else
     (representative, g, sign) with sign P_g a_rep = a to 1e-8 max(1, |a|)."""
-    if len(pairs) < 2:  # nothing to map onto: skip a projection per element
-        return [None] * len(pairs)
     P = np.stack([g.P for g in group])
     images, sources = {}, []
     for j, a in enumerate(pairs):
@@ -625,29 +623,6 @@ def _pair_orbits(group: list[_GridSymmetry], pairs) -> list[tuple | None]:
             images[j] = P @ a
         sources.append(source)
     return sources
-
-
-def _transport(dp: DiscreteProblem, records, g: _GridSymmetry, sign: float, p: float,
-               all_pairs, index: int, tol: float) -> list[ContinuationRecord] | None:
-    """The records of pair ``index`` as sign * g of a solved pair's: norms,
-    Morse index and mu copied, the residual recomputed.  None when a
-    record's residual exceeds ``tol`` or its projection lands nearer
-    another pair."""
-    out = []
-    for rec in records:
-        v = sign * g(rec.v)
-        a_lam = sign * (g.P @ rec.a_lambda)
-        rn = dp.norm_l2(_residual(dp, rec.lam, rec.epsilon, p, v))
-        if rn > tol:
-            return None
-        try:
-            _check_landing(a_lam, all_pairs[index], all_pairs, index)
-        except ConvergedToWrongBranch:
-            return None
-        # no Newton step ran: the history is the one residual
-        out.append(replace(rec, v=v, a_lambda=a_lam, newton_residual=rn,
-                           residual_history=[rn]))
-    return out
 
 
 def continuation_run(
@@ -667,14 +642,16 @@ def continuation_run(
     aborting the run.  Finally, distinct pairs must yield pairwise-distinct
     discrete solutions at the smallest eps.
 
-    Only one pair per orbit of the grid's symmetry group (axis reversals,
-    and swaps of axes with equal N and side) is solved.  The others get its
-    records mapped exactly, v' = +-g v and a' = +-P a, with norms, Morse
-    index and mu copied and the residual recomputed; each mapped record
-    must still meet ``newton_tol`` and land nearest its own pair.  A pair
-    whose representative has a note or a missing eps step, or whose mapped
-    records fail a check, is solved directly.  ``transported_from`` of a
-    verdict names the pair it was mapped from.
+    The grid's symmetry group (axis reversals, and swaps of axes with equal
+    N and side) maps the pairs of an orbit onto each other, v' = +-g v and
+    a' = +-P a.  Wherever the orbit's lowest pair has a record at an eps,
+    each other pair starts its solve there from that record's mapped
+    solution; at any other eps it starts from its own previous solution, or
+    from a . e.  A mapped start that meets ``newton_tol`` takes no Newton
+    step and copies the representative's Morse index and mu, when it has
+    them; any other solve is finished by Newton and Morse-counted.
+    ``transported_from`` of a verdict names the representative whose
+    solutions started its solves.
     """
     cfg = cfg or VerifyConfig()
     p = prediction.p
@@ -684,38 +661,38 @@ def continuation_run(
         raise ValueError("empty eps schedule")
     all_pairs = [cp.a for cp in prediction.pairs]
     group = _grid_symmetries(dp)
-    verdicts, fallbacks = [], 0
+    verdicts = []
 
     for i, (cp, source) in enumerate(zip(prediction.pairs, _pair_orbits(group, all_pairs))):
         target = cp.morse_index + dp.group.j - 1
         verdict = BranchVerdict(
             pair_index=i, predicted=cp, target_morse=target, records=[],
         )
-        if source is not None:
-            rep, g, sign = source
-            solved = verdicts[rep]
-            records = None
-            if not solved.notes and len(solved.records) == len(schedule):
-                records = _transport(dp, solved.records, g, sign, p, all_pairs, i,
-                                     cfg.newton_tol)
-            if records is None:
-                fallbacks += 1
-            else:
-                verdict.records, verdict.transported_from = records, rep
-        v0 = None  # a pair not transported is solved directly
-        for eps in schedule if verdict.transported_from is None else []:
+        rep, g, sign = source or (None, None, None)
+        rep_records = {} if rep is None else {r.epsilon: r for r in verdicts[rep].records}
+        v0 = None
+        for eps in schedule:
+            mapped = rep_records.get(eps)
+            if mapped is not None:
+                verdict.transported_from = rep
             try:
                 rec = solve_branch(
-                    dp, cp.a, eps, p, v0=v0, tol=cfg.newton_tol,
-                    max_iter=cfg.max_newton, linear_rtol=cfg.linear_rtol,
-                    all_pairs=all_pairs, expected_index=i,
+                    dp, cp.a, eps, p, v0=v0 if mapped is None else sign * g(mapped.v),
+                    tol=cfg.newton_tol, max_iter=cfg.max_newton,
+                    linear_rtol=cfg.linear_rtol, all_pairs=all_pairs, expected_index=i,
                 )
             except (NewtonDiverged, ConvergedToWrongBranch) as exc:
                 verdict.notes.append(f"eps={eps:g}: {exc}")
                 verdict.inconclusive = True
                 continue
             v0 = rec.v
-            if cfg.morse:
+            if (cfg.morse and mapped is not None and mapped.discrete_morse_index is not None
+                    and len(rec.residual_history) == 1):
+                # no Newton step: rec.v is +-g mapped.v, and g carries the
+                # linearization there onto the one here, spectrum and all
+                rec.discrete_morse_index, rec.near_zero_mu = (
+                    mapped.discrete_morse_index, mapped.near_zero_mu)
+            elif cfg.morse:
                 try:
                     rec.discrete_morse_index, rec.near_zero_mu = discrete_morse_index(dp, rec, p)
                 except SpectrumTooClose as exc:
@@ -763,11 +740,8 @@ def continuation_run(
             verdict.eig_rel_err = rel
             verdict.eig_ok = rel <= cfg.mu_rtol
 
-    transported = sum(v.transported_from is not None for v in verdicts)
-    logger.info(
-        "grid symmetry group of order %d: %d pairs solved directly, %d transported, "
-        "%d fallbacks", len(group), len(verdicts) - transported, transported, fallbacks,
-    )
+    logger.info("grid symmetry group of order %d: %d pairs started from a mapped solution",
+                len(group), sum(v.transported_from is not None for v in verdicts))
     _check_distinctness(dp, verdicts, cfg.dedup_radius)
     return verdicts
 

@@ -204,7 +204,7 @@ class ReducedFunctional:
     """
 
     def __init__(self, k, p, backend, tensor=None, group=None, domain=None,
-                 quad_points=None, quad_weights=None, quad_spec=None):
+                 quad_points=None, quad_weights=None):
         self.k = k
         self.p = float(p)
         self.backend = backend
@@ -213,7 +213,6 @@ class ReducedFunctional:
         self.domain = domain
         self._E = quad_points      # (n_quad, k) eigenfunction values
         self._w = quad_weights     # (n_quad,)
-        self.quad_spec = quad_spec or {}
         if self.p <= 1:
             raise ValueError("exponent p must exceed 1")
         if backend not in ("exact-quartic", "quadrature"):
@@ -252,16 +251,12 @@ class ReducedFunctional:
             backend = "exact-quartic" if p == 3.0 else "quadrature"
         tensor = build_quartic_tensor(group, domain) if p == 3.0 else None
         E = w = None
-        spec = {}
         if backend == "quadrature":
             sides = domain.sides
             axes = []
-            panel_counts = []
             for d, L in enumerate(sides):
                 n_half = max(m.indices[d] for m in group.modes)
-                n_panels = panels_per_halfwave * n_half
-                panel_counts.append(n_panels)
-                axes.append(_gauss_panels(L, n_panels, nodes_per_panel))
+                axes.append(_gauss_panels(L, panels_per_halfwave * n_half, nodes_per_panel))
             grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
             pts = [g.ravel() for g in grids]
             wgrid = np.meshgrid(*[a[1] for a in axes], indexing="ij")
@@ -272,9 +267,8 @@ class ReducedFunctional:
             E = np.column_stack(
                 [eigenfunction_eval(m, domain, pts) for m in group.modes]
             )
-            spec = {"panel_counts": panel_counts, "nodes_per_panel": nodes_per_panel}
         return cls(group.k, p, backend, tensor=tensor, group=group, domain=domain,
-                   quad_points=E, quad_weights=w, quad_spec=spec)
+                   quad_points=E, quad_weights=w)
 
     @classmethod
     def from_tensor(cls, tensor: QuarticTensor, p: float = 3.0) -> "ReducedFunctional":

@@ -223,17 +223,26 @@ def group_spectrum(
 def enumerate_groups(domain: DomainSpec, count: int) -> list[EigenGroup]:
     """First ``count`` eigenvalue groups, each certified complete.
 
-    The scan bound doubles from the ground value until ``count`` groups,
-    all of them whole, lie below it.  More than ``_MAX_SCAN_MODES`` groups
-    are refused at once: each group holds at least one mode of the scanned
-    box, whose size is capped.
+    The scan bound doubles until ``count`` groups, all of them whole, lie
+    below it.  It starts at the ground value or, if larger, at the B with
+    V(B) = count: the modes at or below B number at most V(B), the volume
+    of the ellipsoid's positive orthant, since the unit cells below them
+    are disjoint and lie inside it.  So no smaller bound can hold ``count``
+    groups, and a count whose box at that B exceeds the cap is refused by
+    the first scan.  More than ``_MAX_SCAN_MODES`` groups are refused at
+    once: each group holds at least one mode of the scanned box.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if count > _MAX_SCAN_MODES:
         raise ValueError(f"eigenvalue scan too large: {count} groups need more than "
                          f"{_MAX_SCAN_MODES} modes")
-    bound = sum(1 / s for s in domain.side_sq)  # the ground value
+    dim = domain.dimension
+    # V(B) = (pi/4) sqrt(s1 s2) B in 2-D, (pi/6) sqrt(s1 s2 s3) B^(3/2) in 3-D
+    orthant = (math.pi / 4 if dim == 2 else math.pi / 6) * math.sqrt(
+        math.prod(float(s) for s in domain.side_sq))
+    bound = max(sum(1 / s for s in domain.side_sq),  # the ground value
+                Fraction((count / orthant) ** (2 / dim)))
     while len(groups := group_spectrum(_modes_below(domain, bound), bound + 1)) < count:
         bound *= 2
     return groups[:count]

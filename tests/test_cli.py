@@ -198,8 +198,7 @@ class TestVerify:
         solved = [i for i, s in enumerate(sources) if s is None]
         assert len(solved) == 2 and sorted(s for s in sources if s is not None) == solved
         assert [r.getMessage() for r in caplog.records if r.name == "bifurcbox.pdeverify"] == [
-            "grid symmetry group of order 8: 2 pairs solved directly, 2 transported, "
-            "0 fallbacks"]
+            "grid symmetry group of order 8: 2 pairs started from a mapped solution"]
 
     def test_byte_identical_verify_reports(self, tmp_path):
         args = ["verify", "--domain", "square", "--j", "1", "--grid", "32",

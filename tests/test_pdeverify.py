@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import bifurcbox as bb
+from bifurcbox import pdeverify
 from bifurcbox.errors import (
     ConvergedToWrongBranch,
     GridTooCoarse,
@@ -567,6 +568,8 @@ class TestGridSymmetry:
         (["pi^2", "pi^2"], 5, 32),
         (["pi^2", "4pi^2"], 10, (64, 128)),
         (["pi^2", "pi^2", "pi^2"], 6, (17, 17, 13)),
+        # every permutation of three axes, so a reversed direction would show
+        (["pi^2", "pi^2", "pi^2"], 14, 17),
     ])
     def test_each_element_is_a_symmetry(self, side_sq, eigenvalue, grid):
         dom = bb.DomainSpec.from_strings(side_sq)
@@ -622,16 +625,49 @@ class TestGridSymmetry:
                 bb.solve_branch(dp_sq5, v.predicted.a, 0.05, max_iter=1)
             assert v.notes == [f"eps=0.05: {err.value}"]
         assert [r.getMessage() for r in caplog.records] == [
-            "grid symmetry group of order 8: 4 pairs solved directly, 0 transported, "
-            "2 fallbacks"]
+            "grid symmetry group of order 8: 0 pairs started from a mapped solution"]
 
-    def test_failed_transport_check_falls_back(self, dp_sq5, pred_sq5, monkeypatch, caplog):
-        # mapped solutions off by 1e-6 fail the residual check; P is untouched
+    def test_mapped_start_off_tolerance_is_finished_by_newton(self, dp_sq5, pred_sq5,
+                                                              monkeypatch):
+        # mapped solutions off by 1e-6 miss newton_tol: Newton finishes them,
+        # and their Morse index is counted rather than copied
         call = _GridSymmetry.__call__
         monkeypatch.setattr(_GridSymmetry, "__call__",
                             lambda g, x: call(g, x) + (1e-6 if x.ndim == 1 else 0.0))
-        caplog.set_level(logging.INFO, logger="bifurcbox.pdeverify")
+        morse = pdeverify.discrete_morse_index
+        calls = []
+        monkeypatch.setattr(pdeverify, "discrete_morse_index",
+                            lambda *args: calls.append(args[1]) or morse(*args))
         verdicts = bb.continuation_run(dp_sq5, pred_sq5, [0.05])
-        assert all(v.transported_from is None and v.passed for v in verdicts)
-        assert caplog.records[0].getMessage().endswith(
-            "4 pairs solved directly, 0 transported, 2 fallbacks")
+        moved = [v for v in verdicts if v.transported_from is not None]
+        assert len(moved) == 2 and all(v.passed for v in verdicts)
+        for v in moved:
+            (rec,) = v.records
+            assert len(rec.residual_history) >= 2
+            assert rec.newton_residual <= VerifyConfig().newton_tol
+        assert len(calls) == 4
+
+    def test_deferred_representative_morse_is_recounted_at_that_eps(
+            self, dp_sq5, pred_sq5, monkeypatch):
+        # every Morse solve at the first eps defers; at the second the
+        # mapped pairs copy their representative's index
+        morse = pdeverify.discrete_morse_index
+        calls = []
+
+        def deferring(dp, rec, p):
+            calls.append(rec.epsilon)
+            if rec.epsilon == 0.05:
+                raise SpectrumTooClose("deferred")
+            return morse(dp, rec, p)
+
+        monkeypatch.setattr(pdeverify, "discrete_morse_index", deferring)
+        verdicts = bb.continuation_run(dp_sq5, pred_sq5, [0.05, 0.025])
+        moved = [v for v in verdicts if v.transported_from is not None]
+        assert len(moved) == 2
+        for v in moved:
+            rep = verdicts[v.transported_from]
+            assert v.notes == rep.notes == ["eps=0.05: deferred"]
+            assert [r.discrete_morse_index for r in v.records] == [
+                None, rep.records[1].discrete_morse_index]
+            assert v.records[1].near_zero_mu is rep.records[1].near_zero_mu
+        assert sorted(calls) == [0.025, 0.025] + [0.05] * 4

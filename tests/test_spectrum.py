@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import bifurcbox as bb
+import bifurcbox.spectrum
 from bifurcbox.errors import ConfigError, IncompletePrefix, OutOfDomain
 from bifurcbox.spectrum import parse_side_sq, spectrum_rows
 
@@ -253,3 +254,16 @@ def test_rectangle_sides():
 def test_enumerate_modes_count_validation(square):
     with pytest.raises(ValueError):
         bb.enumerate_modes(square, 0)
+
+
+@pytest.mark.parametrize("domain", ["square", "cube"])
+def test_count_beyond_the_scan_ceiling_is_refused_by_the_first_scan(domain, monkeypatch):
+    # no bound below the Weyl volume's B holds 900000 modes, and the box
+    # that bound needs exceeds the ceiling: one scan, not a doubling series
+    calls = []
+    modes_below = bifurcbox.spectrum._modes_below
+    monkeypatch.setattr(bifurcbox.spectrum, "_modes_below",
+                        lambda *args: calls.append(args) or modes_below(*args))
+    with pytest.raises(ValueError, match="too large"):
+        bb.enumerate_groups(getattr(bb.DomainSpec, domain)(), 900000)
+    assert len(calls) <= 1
