@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -363,7 +364,7 @@ def cmd_predict(args, cfg: dict) -> int:
 
     out = _out_dir(args, cfg)
     _write_json(out / "prediction.json", payload)
-    _write_prediction_csv(out / "prediction.csv", payload)
+    (out / "prediction.csv").write_text(_prediction_csv(payload), newline="")
 
     unsaturated = search["completeness"] == "unsaturated"
     qualifier = ("at least, degenerate present" if not prediction.exact else
@@ -384,20 +385,20 @@ def cmd_predict(args, cfg: dict) -> int:
     return 0 if prediction.exact and not unsaturated else 2
 
 
-def _write_prediction_csv(path: Path, payload: dict) -> None:
-    pairs = payload["pairs"]
-    k = payload["k"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["pair", *[f"a_{i + 1}" for i in range(k)], "J", "m",
-             "solution_morse_index", "nondegenerate", "margin"]
-        )
-        for i, row in enumerate(pairs):
-            writer.writerow(
-                [i, *row["a"], row["J"], row["m"], row["solution_morse_index"],
-                 row["nondegenerate"], row["margin"]]
-            )
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _prediction_csv(payload: dict) -> str:
+    header = ["pair", *[f"a_{i + 1}" for i in range(payload["k"])], "J", "m",
+              "solution_morse_index", "nondegenerate", "margin"]
+    return _csv_text([header] + [
+        [i, *row["a"], row["J"], row["m"], row["solution_morse_index"],
+         row["nondegenerate"], row["margin"]]
+        for i, row in enumerate(payload["pairs"])
+    ])
 
 
 def cmd_verify(args, cfg: dict) -> int:
@@ -483,7 +484,38 @@ def _write_diagram_files(out: Path, verdicts) -> None:
         (out / f"branch_{v.pair_index:02d}.dat").write_text("".join(lines))
 
 
+def _prediction_report(payload: dict) -> tuple[list[str], dict[str, str]]:
+    files = {"prediction.csv": _prediction_csv(payload)}
+    lines = [f"pairs: {payload['pair_count_h']} (exact={payload['exact']})"]
+    lines += [f"  pair {i}: m={row['m']} m+j-1={row['solution_morse_index']} a={row['a']}"
+              for i, row in enumerate(payload["pairs"])]
+    return lines, files
+
+
+def _verify_report(payload: dict) -> tuple[list[str], dict[str, str]]:
+    verdicts = payload["verdicts"]
+    lines = [f"verify report: {len(verdicts)} branches, all_passed={payload['all_passed']}"]
+    summary = _csv_text(
+        [["pair", "target_morse", "order_a", "order_phi", "eig_rel_err", "passed"]]
+        + [[v["pair_index"], v["target_morse"], v["order_a"], v["order_phi"],
+            v["eig_rel_err"], v["passed"]] for v in verdicts]
+    )
+    return lines, {"verify_summary.csv": summary}
+
+
+def _spectrum_report(payload: dict) -> tuple[list[str], dict[str, str]]:
+    return [f"  {row['indices']} lambda={row['eigenvalue_num']}/"
+            f"{row['eigenvalue_den']} j={row['j']} k={row['k']}"
+            for row in payload["groups"]], {}
+
+
+_REPORTS = {"prediction": _prediction_report, "verify": _verify_report,
+            "spectrum": _spectrum_report}
+
+
 def cmd_report(args, cfg: dict) -> int:
+    """Render a report: every line and file is built before anything is
+    written, so a malformed report exits 1 and leaves no output file."""
     path = Path(args.input)
     try:
         payload = json.loads(path.read_text())
@@ -493,35 +525,27 @@ def cmd_report(args, cfg: dict) -> int:
     except json.JSONDecodeError as exc:
         print(f"report: {path} is not valid JSON: {exc}", file=sys.stderr)
         return 1
+    if not isinstance(payload, dict):
+        print(f"report: {path} is not a bifurcbox report: expected a JSON object, "
+              f"got {type(payload).__name__}", file=sys.stderr)
+        return 1
     kind = payload.get("kind")
+    if not isinstance(kind, str) or kind not in _REPORTS:
+        print(f"report: unknown report kind {kind!r}", file=sys.stderr)
+        return 1
+    try:
+        lines, files = _REPORTS[kind](payload)
+    except (LookupError, TypeError) as exc:  # a missing key, or a value of another type
+        reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+        print(f"report: {path} is not a bifurcbox {kind} report: {reason}", file=sys.stderr)
+        return 1
     out = _out_dir(args, cfg)
-    if kind == "prediction":
-        _write_prediction_csv(out / "prediction.csv", payload)
-        print(f"pairs: {payload['pair_count_h']} (exact={payload['exact']})")
-        for i, row in enumerate(payload["pairs"]):
-            print(f"  pair {i}: m={row['m']} m+j-1={row['solution_morse_index']} "
-                  f"a={row['a']}")
-        print(f"wrote {out / 'prediction.csv'}")
-        return 0
-    if kind == "verify":
-        npairs = len(payload["verdicts"])
-        print(f"verify report: {npairs} branches, all_passed={payload['all_passed']}")
-        with open(out / "verify_summary.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pair", "target_morse", "order_a", "order_phi",
-                             "eig_rel_err", "passed"])
-            for v in payload["verdicts"]:
-                writer.writerow([v["pair_index"], v["target_morse"], v["order_a"],
-                                 v["order_phi"], v["eig_rel_err"], v["passed"]])
-        print(f"wrote {out / 'verify_summary.csv'}")
-        return 0
-    if kind == "spectrum":
-        for row in payload["groups"]:
-            print(f"  {row['indices']} lambda={row['eigenvalue_num']}/"
-                  f"{row['eigenvalue_den']} j={row['j']} k={row['k']}")
-        return 0
-    print(f"report: unknown report kind {kind!r}", file=sys.stderr)
-    return 1
+    for name, text in files.items():
+        (out / name).write_text(text, newline="")
+        lines.append(f"wrote {out / name}")
+    for line in lines:
+        print(line)
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,10 @@ Morse index run on operators of one shape there: pointwise, transform,
 pointwise, transform, pointwise.  The Morse index is an exact inertia
 count, the negative eigenvalues of a small Schur complement whose
 eliminated block is positive definite by construction; no eigensolver
-runs.
+runs.  MINRES, CG and the Cholesky-reduced pencil solves of Rayleigh-Ritz
+are written here in numpy, on grid-shaped arrays, so numpy is the only
+run-time dependency; MINRES and CG keep SciPy's recurrences and stopping
+tests.
 
 The grid's symmetries (axis reversals, and swaps of axes with equal N and
 side) map discrete solutions onto discrete solutions and act on the group
@@ -44,8 +47,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg as spla
 
 from .critpoints import BranchPrediction, CriticalPoint, SearchConfig, _newton_refine
 from .errors import (
@@ -130,19 +131,18 @@ class _SineTransform:
         return self.dst(self.dst(vec) * weights).ravel()
 
     def operator(self, outer: np.ndarray, inner: np.ndarray,
-                 diag: np.ndarray | None = None) -> spla.LinearOperator:
-        """y -> diag y + outer Q(inner Q(outer y)), every factor pointwise
-        in grid shape: an operator on sine coordinates."""
+                 diag: np.ndarray | None = None):
+        """The map y -> diag y + outer Q(inner Q(outer y)) on grid-shaped
+        arrays, every factor pointwise: an operator on sine coordinates,
+        as the callable that ``_minres`` and ``_cg`` take."""
 
-        def matvec(y):
-            y = y.reshape(self.shape)
+        def apply(y):
             out = outer * self.dst(inner * self.dst(outer * y))
             if diag is not None:
                 out += diag * y
-            return out.ravel()
+            return out
 
-        n = math.prod(self.shape)
-        return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+        return apply
 
 
 @dataclass(frozen=True)
@@ -303,6 +303,107 @@ def _check_exponent(domain: DomainSpec, p: float) -> None:
         raise ValueError("p must exceed 1")
 
 
+def _minres(A, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, int]:
+    """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for A x = b,
+    A a symmetric callable on arrays shaped like b, started from x = 0.
+
+    The recurrences and stopping tests are those of SciPy's ``minres``
+    without shift or preconditioner: stop when ||r|| <= rtol ||A|| ||x||
+    (test1), ||A r|| <= rtol ||A|| ||r|| (test2), cond(A) >= 0.1/eps or
+    ||A|| ||x|| eps >= ||b||, with the norms its Lanczos estimates.
+    ``info`` is ``maxiter`` when the iteration limit stops it, else 0."""
+    eps = np.finfo(float).eps
+    x = np.zeros_like(b)
+    beta1 = float(np.vdot(b, b))
+    if beta1 == 0.0:
+        return x, 0
+    beta1 = math.sqrt(beta1)
+    beta, oldb, dbar, epsln, phibar, tnorm2 = beta1, 0.0, 0.0, 0.0, beta1, 0.0
+    gmax, gmin, cs, sn = 0.0, np.finfo(float).max, -1.0, 0.0
+    w = w2 = np.zeros_like(b)
+    r1 = r2 = y = b
+    for itn in range(1, maxiter + 1):
+        # Lanczos step: v = y / beta, then y = A v - alfa r2 - (beta/oldb) r1
+        v = (1.0 / beta) * y
+        y = A(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.vdot(v, y))
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        oldb, beta = beta, math.sqrt(np.vdot(y, y))
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        # beta2 = 0: b spans an invariant subspace, and this step solves it
+        invariant = itn == 1 and beta / beta1 <= 10 * eps
+
+        # apply the previous rotation, then make the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = float(np.linalg.norm([gbar, dbar]))
+        gamma = max(float(np.linalg.norm([gbar, beta])), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+
+        Anorm = math.sqrt(tnorm2)
+        ynorm = float(np.linalg.norm(x))
+        test1 = math.inf if ynorm == 0 or Anorm == 0 else phibar / (Anorm * ynorm)
+        test2 = math.inf if Anorm == 0 else root / Anorm
+        if (invariant or test1 <= rtol or test2 <= rtol or Anorm * ynorm * eps >= beta1
+                or gmax / gmin >= 0.1 / eps):
+            return x, 0
+        if itn == maxiter:
+            return x, maxiter
+        if 1.0 + test1 <= 1.0 or 1.0 + test2 <= 1.0:  # converged below eps
+            return x, 0
+    return x, 0
+
+
+def _cg(A, b: np.ndarray, M: np.ndarray, rtol: float,
+        maxiter: int) -> tuple[np.ndarray, int]:
+    """Preconditioned CG for A x = b, A a symmetric positive definite
+    callable on arrays shaped like b and M the pointwise preconditioner,
+    started from x = 0: SciPy's ``cg`` loop, which stops at
+    ||r|| < rtol ||b|| and returns ``info = maxiter`` if it never does."""
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return b, 0
+    atol = rtol * bnorm
+    x, r = np.zeros_like(b), b.copy()
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = M * r
+        rho = np.vdot(r, z)
+        if it > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A(p)
+        alpha = rho / np.vdot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter
+
+
+def _pencil_eigh(S: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and G-orthonormal eigenvectors of the
+    symmetric-definite pencil S w = theta G w: with G = L L^T Cholesky,
+    the eigenpairs of L^(-1) S L^(-T), mapped back by L^(-T)."""
+    Linv = np.linalg.inv(np.linalg.cholesky(G))
+    theta, V = np.linalg.eigh(Linv @ S @ Linv.T)
+    return theta, Linv.T @ V
+
+
 def _linear_solve(dp: DiscreteProblem, lam: float, extra: np.ndarray,
                   rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     """Newton-step solve of (A - lam - diag(extra)) x = rhs in any dimension.
@@ -316,8 +417,8 @@ def _linear_solve(dp: DiscreteProblem, lam: float, extra: np.ndarray,
     shift = Q.eigenvalues - lam
     w = np.maximum(np.abs(shift), 1e-10) ** -0.5
     T = Q.operator(w, -extra.reshape(Q.shape), diag=w * shift * w)
-    y, info = spla.minres(T, (w * Q.dst(rhs)).ravel(), rtol=rtol, maxiter=2000)
-    return Q.dst(w * y.reshape(Q.shape)).ravel(), info
+    y, info = _minres(T, w * Q.dst(rhs), rtol=rtol, maxiter=2000)
+    return Q.dst(w * y).ravel(), info
 
 
 def solve_branch(
@@ -463,44 +564,45 @@ def discrete_morse_index(
     rest = np.ones(Q.shape, dtype=bool)
     rest[P] = False
     L_rr = Q.operator(rest, -c, diag=rest * D)
-    precond = np.divide(rest, D - record.lam, out=np.zeros(Q.shape), where=rest).ravel()
-    M = spla.LinearOperator(L_rr.shape, matvec=lambda r: precond * r, dtype=float)
-    d = D.ravel()  # flat, like the rows of X and Z
+    precond = np.divide(rest, D - record.lam, out=np.zeros(Q.shape), where=rest)
+    d = D.ravel()  # flat, like the rows of the flat views Xf, Zf and Rf
 
     def solve(rhs):
-        x, info = spla.cg(L_rr, rhs, rtol=1e-12, maxiter=1000, M=M)
+        x, info = _cg(L_rr, rhs, precond, rtol=1e-12, maxiter=1000)
         if info != 0:
             raise SpectrumTooClose(f"the Schur complement solve stalled (info={info})")
         return x
 
-    X = np.empty((ell, dp.n))  # row a: L_rr^(-1) L_rP e_a, zero on P
+    X = np.empty((ell, *Q.shape))  # X[a]: L_rr^(-1) L_rP e_a, zero on P
+    Xf = X.reshape(ell, dp.n)
     S = np.empty((ell, ell))
     for a, idx in enumerate(zip(*P)):
         e = functools.reduce(np.multiply.outer,
                              [T[:, i] for T, i in zip(Q.matrices, idx)])
         col = Q.dst(c * e)  # Q c Q e_a
-        L_rP = -(rest * col).ravel()
+        L_rP = -(rest * col)
         X[a] = solve(L_rP)
         # S is symmetric: row a needs only the columns of X solved so far
-        S[a, :a + 1] = -col[P][:a + 1] - X[:a + 1] @ L_rP
+        S[a, :a + 1] = -col[P][:a + 1] - Xf[:a + 1] @ L_rP.ravel()
         S[a, a] += D[idx]
         S[:a, a] = S[a, :a]
     morse = int(np.sum(np.linalg.eigvalsh(S) < 0.0))
 
-    G = np.diag(D[P]) + X @ (d * X).T  # D on the span of [I; -X]
-    theta, W = scipy.linalg.eigh(S, G)
+    G = np.diag(D[P]) + Xf @ (d * Xf).T  # D on the span of [I; -X]
+    theta, W = _pencil_eigh(S, G)
     near = np.sort(np.argsort(np.abs(theta))[:k])
-    Z, R = np.empty((2 * k, dp.n)), np.empty((2 * k, dp.n))  # L_rr Z = R
-    R[:k] = d * (W[:, near].T @ X)
+    Z, R = np.empty((2, 2 * k, *Q.shape))  # L_rr Z = R
+    Zf, Rf = Z.reshape(2 * k, dp.n), R.reshape(2 * k, dp.n)
+    Rf[:k] = d * (W[:, near].T @ Xf)
     for i in range(k):
         Z[i] = solve(R[i])
-        Z[k + i] = precond * d * Z[i]
-        R[k + i] = L_rr @ Z[k + i]
-    DZ = d * Z
-    cross = -X @ DZ.T
+        Z[k + i] = precond * D * Z[i]
+        R[k + i] = L_rr(Z[k + i])
+    DZ = d * Zf
+    cross = -Xf @ DZ.T
     zero = np.zeros((ell, 2 * k))
-    mu = scipy.linalg.eigh(np.block([[S, zero], [zero.T, Z @ R.T]]),
-                           np.block([[G, cross], [cross.T, Z @ DZ.T]]), eigvals_only=True)
+    mu, _ = _pencil_eigh(np.block([[S, zero], [zero.T, Zf @ Rf.T]]),
+                         np.block([[G, cross], [cross.T, Zf @ DZ.T]]))
     # a larger subspace lowers each Ritz value toward its eigenvalue, so
     # the refined values keep the positions of the first ones
     near_zero = mu[near]

@@ -434,6 +434,29 @@ class TestConfigAndReport:
         assert main(["report", "--input", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("payload, kind, reason", [
+        ([1, 2], "", "expected a JSON object, got list"),
+        ({"kind": "prediction"}, "prediction ", "missing key 'k'"),
+        ({"kind": "verify", "verdicts": [{}]}, "verify ", "missing key 'all_passed'"),
+    ])
+    def test_report_of_a_non_report_is_refused(self, tmp_path, capsys, payload, kind, reason):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(payload))
+        code = main(["report", "--input", str(path), "--out", str(tmp_path / "rep")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"report: {path} is not a bifurcbox {kind}report: {reason}\n"
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("kind", ["banana", ["verify"], None])
+    def test_report_of_an_unknown_kind_is_refused(self, tmp_path, capsys, kind):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"kind": kind}))
+        code = main(["report", "--input", str(path), "--out", str(tmp_path / "rep")])
+        assert code == 1
+        assert capsys.readouterr().err == f"report: unknown report kind {kind!r}\n"
+        assert not (tmp_path / "rep").exists()
+
 
 def _loaded_by_cli_import(module: str) -> bool:
     """Whether a fresh interpreter has ``module`` loaded after importing
@@ -451,3 +474,21 @@ def test_cli_import_skips_scipy_ndimage():
 
 def test_cli_import_skips_scipy_fft():
     assert not _loaded_by_cli_import("scipy.fft")
+
+
+def test_verify_runs_without_scipy(tmp_path):
+    """A fresh interpreter imports the package and the CLI and runs a
+    verify with the Morse check without loading any part of scipy: each
+    part left out is import time every CLI call saves."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bifurcbox.__file__).parents[1]))
+    code = (
+        "import sys, bifurcbox, bifurcbox.cli\n"
+        "rc = bifurcbox.cli.main(['verify', '--domain', 'square', '--lam', '5', '--grid', '32',"
+        " '--eps-steps', '2', '--out', sys.argv[1]])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
+                          capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    verdicts = json.loads((tmp_path / "verdicts.json").read_text())["verdicts"]
+    assert all(v["morse_ok"] for v in verdicts)

@@ -101,7 +101,8 @@ class TestBuildLaplacian:
         shift = Q.eigenvalues - rec_sq5.lam
         w = np.abs(shift) ** -0.5
         f = 3.0 * rec_sq5.epsilon * rec_sq5.v.reshape(Q.shape) ** 2
-        T = Q.operator(w, -f, diag=w * shift * w) @ np.eye(dp_sq5.n)
+        op = Q.operator(w, -f, diag=w * shift * w)
+        T = np.column_stack([op(e.reshape(Q.shape)).ravel() for e in np.eye(dp_sq5.n)])
         assert np.max(np.abs(T - T.T)) <= 1e-13 * np.max(np.abs(T))
 
     def test_build_peak_memory(self, cube, cube_g6):
@@ -202,7 +203,7 @@ class TestBuildLaplacian:
         monkeypatch.setattr(T, "dst", lambda *args: calls.append(1) or dst(*args))
         op = T.operator(T.eigenvalues ** -0.5, np.ones(T.shape))
         assert calls == []
-        op.matvec(np.ones(dp_sq5.n))
+        op(np.ones(T.shape))
         assert len(calls) == 2
 
     def test_h1_norm_matches_stencil(self, dp_sq5):
@@ -225,6 +226,71 @@ class TestBuildLaplacian:
         J = reference_stencil(dp).toarray() - np.diag(lam + f)
         ref = np.linalg.solve(J, rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+class TestKrylovKernels:
+    """The numpy MINRES, CG and pencil solver against SciPy's, on small
+    dense matrices."""
+
+    @staticmethod
+    def symmetric(n, shift, seed):
+        B = np.random.default_rng(seed).standard_normal((n, n))
+        return B + B.T + shift * np.eye(n)
+
+    def test_minres_matches_scipy(self):
+        A = self.symmetric(40, 0.5, 4)
+        assert np.min(np.linalg.eigvalsh(A)) < 0 < np.max(np.linalg.eigvalsh(A))
+        b = np.random.default_rng(5).standard_normal(40)
+        x, info = pdeverify._minres(lambda y: A @ y, b, rtol=1e-12, maxiter=2000)
+        ref, ref_info = scipy.sparse.linalg.minres(A, b, rtol=1e-12, maxiter=2000)
+        assert info == ref_info == 0
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.linalg.norm(A @ x - b) <= 1e-8 * np.linalg.norm(b)
+        x, info = pdeverify._minres(lambda y: A @ y, b, rtol=1e-12, maxiter=3)
+        ref, ref_info = scipy.sparse.linalg.minres(A, b, rtol=1e-12, maxiter=3)
+        assert info == ref_info == 3
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_minres_least_squares_stop_matches_scipy(self):
+        # singular A and b off its range: ||r|| stalls, so only the
+        # ||A r|| test (test2) can stop the iteration at rtol 1e-6
+        rng = np.random.default_rng(10)
+        U, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        d = np.linspace(-3.0, 5.0, 30)
+        d[7] = 0.0
+        A = (U * d) @ U.T
+        b = rng.standard_normal(30)
+        x, info = pdeverify._minres(lambda y: A @ y, b, rtol=1e-6, maxiter=500)
+        ref, ref_info = scipy.sparse.linalg.minres(A, b, rtol=1e-6, maxiter=500)
+        assert info == ref_info == 0
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.linalg.norm(A @ (A @ x - b)) <= 1e-5 * np.linalg.norm(A @ b)
+
+    def test_minres_zero_rhs(self):
+        x, info = pdeverify._minres(lambda y: y, np.zeros((3, 4)), rtol=1e-12, maxiter=5)
+        assert info == 0 and x.shape == (3, 4) and not x.any()
+
+    def test_cg_matches_scipy(self):
+        A = self.symmetric(40, 30.0, 6)
+        assert np.min(np.linalg.eigvalsh(A)) > 0
+        M = 1.0 / np.diag(A)
+        b = np.random.default_rng(7).standard_normal(40)
+        for maxiter, expected in ((1000, 0), (2, 2)):
+            x, info = pdeverify._cg(lambda y: A @ y, b, M, rtol=1e-12, maxiter=maxiter)
+            ref, ref_info = scipy.sparse.linalg.cg(A, b, rtol=1e-12, maxiter=maxiter,
+                                                   M=np.diag(M))
+            assert info == ref_info == expected
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_pencil_matches_scipy(self):
+        S = self.symmetric(12, 0.0, 8)
+        B = np.random.default_rng(9).standard_normal((12, 12))
+        G = B @ B.T + np.eye(12)
+        theta, W = pdeverify._pencil_eigh(S, G)
+        ref = scipy.linalg.eigh(S, G, eigvals_only=True)
+        np.testing.assert_allclose(theta, ref, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(W.T @ G @ W - np.eye(12))) <= 1e-12
+        assert np.max(np.abs(S @ W - G @ W * theta)) <= 1e-12 * np.max(np.abs(S))
 
 
 class TestSolveBranch:
@@ -369,10 +435,10 @@ class TestMorseIndex:
         assert all(v.morse_ok for v in verdicts)
 
     def test_stalled_schur_solve_defers_the_verdict(self, dp_sq5, rec_sq5, monkeypatch):
-        def stalled_cg(A, b, **kwargs):
-            return np.zeros_like(b), 1000
+        def stalled_cg(A, b, M, rtol, maxiter):
+            return np.zeros_like(b), maxiter
 
-        monkeypatch.setattr(scipy.sparse.linalg, "cg", stalled_cg)
+        monkeypatch.setattr(pdeverify, "_cg", stalled_cg)
         with pytest.raises(SpectrumTooClose, match="stalled"):
             bb.discrete_morse_index(dp_sq5, rec_sq5)
 
@@ -472,14 +538,8 @@ class TestContinuation:
         pred = bb.predict_branches(
             group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom))
         )
-
-        def no_direct_solve(*args, **kwargs):
-            raise AssertionError("Newton steps must not factorize")
-
-        monkeypatch.setattr(
-            "bifurcbox.pdeverify.spla.minres", lambda A, b, **kw: (np.zeros_like(b), 1)
-        )
-        monkeypatch.setattr("bifurcbox.pdeverify.spla.splu", no_direct_solve)
+        monkeypatch.setattr(pdeverify, "_minres",
+                            lambda A, b, rtol, maxiter: (np.zeros_like(b), 1))
         with pytest.raises(NewtonDiverged, match="MINRES stalled") as err:
             bb.solve_branch(dp, pred.pairs[0].a, 0.05)
         assert err.value.history
