@@ -10,6 +10,12 @@ seeds give byte-identical output.  Exit codes: 0 success,
 1 usage or configuration error, 2 verification mismatch (or a prediction
 containing degenerate points, or from an unsaturated search).
 
+Every key and column of every report file is defined in this module, and
+the numerical modules return data classes only.  Each command renders all
+of its files to text first and hands them to ``_write_files``, which makes
+the output directory only then, so a failure while rendering leaves no
+partial report set behind.
+
 The output directory resolves as: --out flag, then the BIFURCBOX_OUT
 environment variable, then the config file, then ./bifurcbox-out.
 """
@@ -38,7 +44,6 @@ from .critpoints import (
     find_critical_points_with_diagnostics,
     pair_set_distance,
     predict_branches,
-    prediction_to_dict,
 )
 from .errors import BifurcBoxError, ConfigError, PatternMismatch, SupercriticalP
 from .pdeverify import (
@@ -46,12 +51,10 @@ from .pdeverify import (
     _check_exponent,
     build_laplacian,
     continuation_run,
-    diagram_rows,
     geometric_schedule,
-    verdict_to_dict,
 )
 from .reduced import ReducedFunctional, extract_rect_coefficients
-from .spectrum import DomainSpec, enumerate_groups, find_group, spectrum_rows
+from .spectrum import DomainSpec, enumerate_groups, find_group
 
 # Every config key, declared once: its default fixes its type.  The search
 # and verify blocks are the fields of SearchConfig and VerifyConfig.
@@ -81,7 +84,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_ATOMIC_KEYS = {"target", "domain"}  # replaced wholesale, never deep-merged
+# replaced wholesale, never deep-merged; as objects they take these keys
+_ATOMIC_KEYS = {"target": {"j", "lambda"}, "domain": {"side_sq", "dimension"}}
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -122,7 +126,7 @@ def _domain_from_config(spec) -> DomainSpec:
             return DomainSpec.cube()
         raise ConfigError(f"unknown domain preset {spec!r} (use square or cube)")
     if isinstance(spec, list):
-        return DomainSpec.from_strings(spec)
+        spec = {"side_sq": spec}
     if isinstance(spec, dict):
         sides = spec.get("side_sq")
         if not isinstance(sides, list):
@@ -147,57 +151,41 @@ def _domain_echo(domain: DomainSpec) -> dict:
     }
 
 
-def _config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _out_dir(args, cfg) -> Path:
-    out = args.out or os.environ.get("BIFURCBOX_OUT") or cfg["output_dir"]
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _report_header(cfg: dict, kind: str) -> dict:
-    return {
-        "kind": kind,
-        "version": __version__,
-        "config": cfg,
-        "config_hash": _config_hash(cfg),
-    }
-
-
 _JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str}
 
 
 def _as(kind: type, value, key: str):
     """``value`` as a ``kind``: an int takes a JSON integer, a float any
-    JSON number, a bool a boolean and a str a string.  Anything else, a
-    bool for a number included, is a configuration error naming ``key``."""
+    finite JSON number, a bool a boolean and a str a string.  Anything
+    else, a bool for a number included, is a configuration error naming
+    ``key``."""
     if isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind is bool):
         try:
-            return kind(value)
-        except OverflowError:
-            pass
+            typed = kind(value)
+        except OverflowError:  # an integer beyond the float range
+            typed = math.inf
+        if kind is not float or math.isfinite(typed):
+            return typed
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
 def _checked(cfg: dict, defaults: dict = _DEFAULTS, prefix: str = "") -> dict:
     """``cfg`` with every leaf typed like its default, in place, so that the
     echo is the effective config.  A key that ``defaults`` does not declare
-    is a configuration error; ``domain`` and ``target`` have checks of their
-    own."""
+    is a configuration error, and so is one that a ``domain`` or ``target``
+    object does not take; their values have checks of their own."""
     for key, value in cfg.items():
         path = prefix + key
         if key not in defaults:
             raise ConfigError(f"{path}: unknown key")
         default = defaults[key]
-        if key in _ATOMIC_KEYS or value is None:
+        if key in _ATOMIC_KEYS:
+            for sub in value if isinstance(value, dict) else ():
+                if sub not in _ATOMIC_KEYS[key]:
+                    raise ConfigError(f"{path}.{sub}: unknown key")
+            continue
+        if value is None:
             continue
         if isinstance(default, dict):
             _checked(value, default, path + ".")
@@ -276,6 +264,162 @@ def _normalization_note(group, domain, functional) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
+# report files: every key and column of every file the commands write
+
+
+def _report_header(cfg: dict, kind: str) -> dict:
+    """The keys every JSON report carries: its kind, the version, the typed
+    config and its hash."""
+    config_hash = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+    return {"kind": kind, "version": __version__, "config": cfg, "config_hash": config_hash}
+
+
+def _spectrum_rows(groups) -> list[dict]:
+    """The rows of ``spectrum.json``, one per mode: indices, exact
+    eigenvalue, j, k."""
+    return [{"indices": list(m.indices), "eigenvalue_num": m.eigenvalue_num,
+             "eigenvalue_den": m.eigenvalue_den, "j": g.j, "k": g.k}
+            for g in groups for m in g.modes]
+
+
+def _prediction_dict(pred, domain: DomainSpec) -> dict:
+    """The prediction block of ``prediction.json`` and ``verdicts.json``."""
+    g = pred.group
+    return {
+        "lambda_j": g.eigenvalue(domain),
+        "lambda_num": g.value.numerator,
+        "lambda_den": g.value.denominator,
+        "j": g.j,
+        "k": g.k,
+        "p": pred.p,
+        "modes": [list(m.indices) for m in g.modes],
+        "pairs": [
+            {
+                "a": cp.a.tolist(),
+                "J": cp.value,
+                "grad_norm": cp.grad_norm,
+                "hess_eigs": cp.hess_eigs.tolist(),
+                "m": cp.morse_index,
+                "solution_morse_index": cp.morse_index + g.j - 1,
+                "nondegenerate": cp.nondegenerate,
+                "margin": cp.margin,
+                "profile": pred.profile(i),
+            }
+            for i, cp in enumerate(pred.pairs)
+        ],
+        "pair_count_h": pred.pair_count_h,
+        "exact": pred.exact,
+        "guaranteed_minimum": pred.guaranteed_minimum,
+    }
+
+
+# the BranchVerdict attributes that verdicts.json carries under their own names
+_VERDICT_KEYS = ("pair_index", "target_morse", "order_a", "order_phi", "a_ok", "phi_ok",
+                 "morse_ok", "morse_threshold", "eig_scaled", "eig_rel_err", "eig_ok",
+                 "distinct_ok", "inconclusive", "passed", "notes", "transported_from")
+
+
+def _verdict_dict(v) -> dict:
+    """One entry of the ``verdicts`` list of ``verdicts.json``."""
+    return {
+        **{key: getattr(v, key) for key in _VERDICT_KEYS},
+        "a": v.predicted.a.tolist(),
+        "m": v.predicted.morse_index,
+        "records": [
+            {
+                "lambda": r.lam,
+                "epsilon": r.epsilon,
+                "a_lambda": r.a_lambda.tolist(),
+                "phi_norm": r.phi_norm,
+                "newton_residual": r.newton_residual,
+                "u_l2_norm": r.u_l2_norm,
+                "discrete_morse_index": r.discrete_morse_index,
+                "near_zero_mu": None if r.near_zero_mu is None else r.near_zero_mu.tolist(),
+            }
+            for r in v.records
+        ],
+    }
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _prediction_csv(payload: dict) -> str:
+    header = ["pair", *[f"a_{i + 1}" for i in range(payload["k"])], "J", "m",
+              "solution_morse_index", "nondegenerate", "margin"]
+    return _csv_text([header] + [
+        [i, *row["a"], row["J"], row["m"], row["solution_morse_index"],
+         row["nondegenerate"], row["margin"]]
+        for i, row in enumerate(payload["pairs"])
+    ])
+
+
+def _branch_files(verdicts: list[dict]) -> dict[str, str]:
+    """One whitespace-delimited ``branch_NN.dat`` per verdict entry that
+    has records: lambda, |u|_L2, the a_lambda components, the remainder
+    norm and the Morse index (-1 where it was not counted)."""
+    files = {}
+    for v in verdicts:
+        if not v["records"]:
+            continue
+        lines = ["# lambda u_l2 " + " ".join(f"a_{i + 1}" for i in range(len(v["a"])))
+                 + " phi_norm morse_index\n"]
+        for r in v["records"]:
+            morse = r["discrete_morse_index"]
+            row = [r["lambda"], r["u_l2_norm"], *r["a_lambda"], r["phi_norm"],
+                   -1 if morse is None else morse]
+            lines.append(" ".join(f"{x:.16g}" for x in row) + "\n")
+        files[f"branch_{v['pair_index']:02d}.dat"] = "".join(lines)
+    return files
+
+
+def _write_files(args, cfg: dict, files: dict[str, str]) -> Path:
+    """Write the rendered ``{name: text}`` files of one command into the
+    output directory, which is made only now, and return it."""
+    out = Path(args.out or os.environ.get("BIFURCBOX_OUT") or cfg["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, newline="")
+    return out
+
+
+def _prediction_report(payload: dict) -> tuple[list[str], dict[str, str]]:
+    files = {"prediction.csv": _prediction_csv(payload)}
+    lines = [f"pairs: {payload['pair_count_h']} (exact={payload['exact']})"]
+    lines += [f"  pair {i}: m={row['m']} m+j-1={row['solution_morse_index']} a={row['a']}"
+              for i, row in enumerate(payload["pairs"])]
+    return lines, files
+
+
+def _verify_report(payload: dict) -> tuple[list[str], dict[str, str]]:
+    verdicts = payload["verdicts"]
+    lines = [f"verify report: {len(verdicts)} branches, all_passed={payload['all_passed']}"]
+    summary = _csv_text(
+        [["pair", "target_morse", "order_a", "order_phi", "eig_rel_err", "passed"]]
+        + [[v["pair_index"], v["target_morse"], v["order_a"], v["order_phi"],
+            v["eig_rel_err"], v["passed"]] for v in verdicts]
+    )
+    return lines, {"verify_summary.csv": summary}
+
+
+def _spectrum_report(payload: dict) -> tuple[list[str], dict[str, str]]:
+    return [f"  {row['indices']} lambda={row['eigenvalue_num']}/"
+            f"{row['eigenvalue_den']} j={row['j']} k={row['k']}"
+            for row in payload["groups"]], {}
+
+
+_REPORTS = {"prediction": _prediction_report, "verify": _verify_report,
+            "spectrum": _spectrum_report}
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -287,9 +431,8 @@ def cmd_spectrum(args, cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     payload = _report_header(cfg, "spectrum")
-    payload["groups"] = spectrum_rows(groups)
-    out = _out_dir(args, cfg)
-    _write_json(out / "spectrum.json", payload)
+    payload["groups"] = _spectrum_rows(groups)
+    out = _write_files(args, cfg, {"spectrum.json": _json_text(payload)})
 
     print(f"{'lambda':>12}  {'exact':>10}  {'j':>3}  {'k':>3}  modes")
     for g in groups:
@@ -303,8 +446,16 @@ def cmd_spectrum(args, cfg: dict) -> int:
 
 def _target(cfg: dict, pde: bool = False):
     """The domain, group and reduced functional of the configured target;
-    a bad exponent or backend is a configuration error, and so is an
-    exponent the PDE verifier refuses when ``pde`` is set."""
+    a bad exponent or backend is a configuration error, and so is a search
+    that cannot converge or tell its points apart (``newton_tol`` or
+    ``dedup_radius`` not positive, ``max_iter`` below 1), and an exponent
+    the PDE verifier refuses when ``pde`` is set."""
+    search = cfg["search"]
+    for key in ("newton_tol", "dedup_radius"):
+        if not search[key] > 0:
+            raise ConfigError(f"search.{key}: must be positive, got {search[key]!r}")
+    if search["max_iter"] < 1:
+        raise ConfigError(f"search.max_iter: must be at least 1, got {search['max_iter']!r}")
     domain = _domain_from_config(cfg["domain"])
     cfg["domain"] = _domain_echo(domain)
     group = _target_group(domain, cfg)
@@ -326,13 +477,8 @@ def _run_prediction(cfg: dict, group, functional):
     prediction = predict_branches(
         group, points, p=functional.p, dedup_radius=scfg.dedup_radius
     )
-    search = {
-        "n_seeds": diagnostics.n_seeds,
-        "n_converged": diagnostics.n_converged,
-        "n_failed": diagnostics.n_failed,
-        "saturated": diagnostics.saturated,
-        "completeness": diagnostics.completeness,
-    }
+    search = {key: getattr(diagnostics, key) for key in
+              ("n_seeds", "n_converged", "n_failed", "saturated", "completeness")}
     return prediction, search
 
 
@@ -342,7 +488,7 @@ def cmd_predict(args, cfg: dict) -> int:
         raise ConfigError(f"oracle: the grid oracle covers k <= 3, this group has k={group.k}")
     prediction, search = _run_prediction(cfg, group, functional)
     payload = _report_header(cfg, "prediction")
-    payload.update(prediction_to_dict(prediction, domain))
+    payload.update(_prediction_dict(prediction, domain))
     payload["search"] = search
     note = _normalization_note(group, domain, functional)
     if note is not None:
@@ -362,9 +508,8 @@ def cmd_predict(args, cfg: dict) -> int:
             "agrees": bool(dist <= 1e-6),
         }
 
-    out = _out_dir(args, cfg)
-    _write_json(out / "prediction.json", payload)
-    (out / "prediction.csv").write_text(_prediction_csv(payload), newline="")
+    out = _write_files(args, cfg, {"prediction.json": _json_text(payload),
+                                   "prediction.csv": _prediction_csv(payload)})
 
     unsaturated = search["completeness"] == "unsaturated"
     qualifier = ("at least, degenerate present" if not prediction.exact else
@@ -383,22 +528,6 @@ def cmd_predict(args, cfg: dict) -> int:
         )
     print(f"wrote {out / 'prediction.json'}")
     return 0 if prediction.exact and not unsaturated else 2
-
-
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
-
-
-def _prediction_csv(payload: dict) -> str:
-    header = ["pair", *[f"a_{i + 1}" for i in range(payload["k"])], "J", "m",
-              "solution_morse_index", "nondegenerate", "margin"]
-    return _csv_text([header] + [
-        [i, *row["a"], row["J"], row["m"], row["solution_morse_index"],
-         row["nondegenerate"], row["margin"]]
-        for i, row in enumerate(payload["pairs"])
-    ])
 
 
 def cmd_verify(args, cfg: dict) -> int:
@@ -433,7 +562,7 @@ def cmd_verify(args, cfg: dict) -> int:
     all_passed = bool(verdicts) and all(v.passed for v in verdicts)
 
     payload = _report_header(cfg, "verify")
-    payload["prediction"] = prediction_to_dict(prediction, domain)
+    payload["prediction"] = _prediction_dict(prediction, domain)
     payload["search"] = search
     note = _normalization_note(group, domain, functional)
     if note is not None:
@@ -443,12 +572,10 @@ def cmd_verify(args, cfg: dict) -> int:
     payload["multiplet_splitting"] = dp.splitting
     payload["neighbor_gap"] = dp.neighbor_gap
     payload["eps_schedule"] = schedule
-    payload["verdicts"] = [verdict_to_dict(v) for v in verdicts]
+    payload["verdicts"] = [_verdict_dict(v) for v in verdicts]
     payload["all_passed"] = all_passed
-
-    out = _out_dir(args, cfg)
-    _write_json(out / "verdicts.json", payload)
-    _write_diagram_files(out, verdicts)
+    out = _write_files(args, cfg, {"verdicts.json": _json_text(payload),
+                                   **_branch_files(payload["verdicts"])})
 
     print(
         f"lambda_j={group.eigenvalue(domain):g} on grid {dp.grid}: "
@@ -468,49 +595,6 @@ def cmd_verify(args, cfg: dict) -> int:
             print(f"      note: {note_line}")
     print(f"wrote {out / 'verdicts.json'}")
     return 0 if all_passed else 2
-
-
-def _write_diagram_files(out: Path, verdicts) -> None:
-    for v in verdicts:
-        rows = diagram_rows(v)
-        if not rows:
-            continue
-        k = len(v.predicted.a)
-        header = "# lambda u_l2 " + " ".join(f"a_{i + 1}" for i in range(k)) + \
-                 " phi_norm morse_index\n"
-        lines = [header]
-        for row in rows:
-            lines.append(" ".join(f"{x:.16g}" for x in row) + "\n")
-        (out / f"branch_{v.pair_index:02d}.dat").write_text("".join(lines))
-
-
-def _prediction_report(payload: dict) -> tuple[list[str], dict[str, str]]:
-    files = {"prediction.csv": _prediction_csv(payload)}
-    lines = [f"pairs: {payload['pair_count_h']} (exact={payload['exact']})"]
-    lines += [f"  pair {i}: m={row['m']} m+j-1={row['solution_morse_index']} a={row['a']}"
-              for i, row in enumerate(payload["pairs"])]
-    return lines, files
-
-
-def _verify_report(payload: dict) -> tuple[list[str], dict[str, str]]:
-    verdicts = payload["verdicts"]
-    lines = [f"verify report: {len(verdicts)} branches, all_passed={payload['all_passed']}"]
-    summary = _csv_text(
-        [["pair", "target_morse", "order_a", "order_phi", "eig_rel_err", "passed"]]
-        + [[v["pair_index"], v["target_morse"], v["order_a"], v["order_phi"],
-            v["eig_rel_err"], v["passed"]] for v in verdicts]
-    )
-    return lines, {"verify_summary.csv": summary}
-
-
-def _spectrum_report(payload: dict) -> tuple[list[str], dict[str, str]]:
-    return [f"  {row['indices']} lambda={row['eigenvalue_num']}/"
-            f"{row['eigenvalue_den']} j={row['j']} k={row['k']}"
-            for row in payload["groups"]], {}
-
-
-_REPORTS = {"prediction": _prediction_report, "verify": _verify_report,
-            "spectrum": _spectrum_report}
 
 
 def cmd_report(args, cfg: dict) -> int:
@@ -539,10 +623,8 @@ def cmd_report(args, cfg: dict) -> int:
         reason = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
         print(f"report: {path} is not a bifurcbox {kind} report: {reason}", file=sys.stderr)
         return 1
-    out = _out_dir(args, cfg)
-    for name, text in files.items():
-        (out / name).write_text(text, newline="")
-        lines.append(f"wrote {out / name}")
+    out = _write_files(args, cfg, files)
+    lines += [f"wrote {out / name}" for name in files]
     for line in lines:
         print(line)
     return 0
@@ -559,7 +641,10 @@ def _add_common(parser):
                         help="comma-separated squared sides, e.g. 'pi^2,4pi^2'")
     parser.add_argument("--out", help="output directory (or set BIFURCBOX_OUT)")
     parser.add_argument("--seed", type=int,
-                        help="seed of the critical-point search's random starts")
+                        help="seed of the random starts that top the 4(3^k-1) "
+                             "structured seeds up to search.seed_budget; none run "
+                             "for k >= 4 at the default 200, so such predictions "
+                             "do not depend on it")
     parser.add_argument("-v", "--verbose", action="store_true")
 
 

@@ -475,34 +475,3 @@ def predict_branches(group: EigenGroup, points, p: float = 3.0,
         exact=exact,
         guaranteed_minimum=group.k if not exact else len(chosen),
     )
-
-
-def prediction_to_dict(pred: BranchPrediction, domain) -> dict:
-    """JSON-ready payload of a prediction report."""
-    g = pred.group
-    return {
-        "lambda_j": g.eigenvalue(domain),
-        "lambda_num": g.value.numerator,
-        "lambda_den": g.value.denominator,
-        "j": g.j,
-        "k": g.k,
-        "p": pred.p,
-        "modes": [list(m.indices) for m in g.modes],
-        "pairs": [
-            {
-                "a": cp.a.tolist(),
-                "J": cp.value,
-                "grad_norm": cp.grad_norm,
-                "hess_eigs": cp.hess_eigs.tolist(),
-                "m": cp.morse_index,
-                "solution_morse_index": cp.morse_index + g.j - 1,
-                "nondegenerate": cp.nondegenerate,
-                "margin": cp.margin,
-                "profile": pred.profile(i),
-            }
-            for i, cp in enumerate(pred.pairs)
-        ],
-        "pair_count_h": pred.pair_count_h,
-        "exact": pred.exact,
-        "guaranteed_minimum": pred.guaranteed_minimum,
-    }

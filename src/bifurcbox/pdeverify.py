@@ -872,51 +872,3 @@ def _check_distinctness(dp: DiscreteProblem, verdicts, radius: float) -> None:
             v2.notes.append(
                 f"coincides with pair {v1.pair_index} at eps={eps_min:g}"
             )
-
-
-def verdict_to_dict(v: BranchVerdict) -> dict:
-    return {
-        "pair_index": v.pair_index,
-        "a": v.predicted.a.tolist(),
-        "m": v.predicted.morse_index,
-        "target_morse": v.target_morse,
-        "order_a": v.order_a,
-        "order_phi": v.order_phi,
-        "a_ok": v.a_ok,
-        "phi_ok": v.phi_ok,
-        "morse_ok": v.morse_ok,
-        "morse_threshold": v.morse_threshold,
-        "eig_scaled": v.eig_scaled,
-        "eig_rel_err": v.eig_rel_err,
-        "eig_ok": v.eig_ok,
-        "distinct_ok": v.distinct_ok,
-        "inconclusive": v.inconclusive,
-        "passed": v.passed,
-        "notes": v.notes,
-        "transported_from": v.transported_from,
-        "records": [
-            {
-                "lambda": r.lam,
-                "epsilon": r.epsilon,
-                "a_lambda": r.a_lambda.tolist(),
-                "phi_norm": r.phi_norm,
-                "newton_residual": r.newton_residual,
-                "u_l2_norm": r.u_l2_norm,
-                "discrete_morse_index": r.discrete_morse_index,
-                "near_zero_mu": None if r.near_zero_mu is None else r.near_zero_mu.tolist(),
-            }
-            for r in v.records
-        ],
-    }
-
-
-def diagram_rows(verdict: BranchVerdict) -> list[list[float]]:
-    """Whitespace-delimited plot data: lambda, |u|_L2, a_lambda components,
-    remainder norm, Morse index."""
-    rows = []
-    for r in verdict.records:
-        morse = -1 if r.discrete_morse_index is None else r.discrete_morse_index
-        rows.append(
-            [r.lam, r.u_l2_norm, *r.a_lambda.tolist(), r.phi_norm, float(morse)]
-        )
-    return rows

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -295,20 +295,3 @@ def eigenfunction_eval(mode: EigenMode, domain: DomainSpec, point) -> np.ndarray
     for n, c, L in zip(mode.indices, coords, sides):
         out = out * math.sqrt(2.0 / L) * np.sin(n * math.pi * c / L)
     return out
-
-
-def spectrum_rows(groups: Iterable[EigenGroup]) -> list[dict]:
-    """Wire-format rows, one per mode: indices, exact eigenvalue, j, k."""
-    rows = []
-    for g in groups:
-        for m in g.modes:
-            rows.append(
-                {
-                    "indices": list(m.indices),
-                    "eigenvalue_num": m.eigenvalue_num,
-                    "eigenvalue_den": m.eigenvalue_den,
-                    "j": g.j,
-                    "k": g.k,
-                }
-            )
-    return rows

@@ -209,6 +209,38 @@ class TestVerify:
         assert (out1 / "branch_00.dat").read_bytes() == (out2 / "branch_00.dat").read_bytes()
 
 
+# Inputs under which a search would be vacuous or would run on NaN, each
+# with the refusal that names its key.  "--config" is followed by the text
+# of the config file.
+_VACUOUS = [
+    (["predict", "--lam", "5", "--p", "nan"], "p: expected a finite number, got nan"),
+    (["predict", "--lam", "5", "--p", "inf"], "p: expected a finite number, got inf"),
+    (["predict", "--lam", "5", "--config", '{"p": 1e400}'],
+     "p: expected a finite number, got inf"),
+    (["predict", "--lam", "5", "--config", '{"search": {"newton_tol": NaN}}'],
+     "search.newton_tol: expected a finite number, got nan"),
+    (["predict", "--lam", "5", "--config", '{"search": {"newton_tol": 0.0}}'],
+     "search.newton_tol: must be positive, got 0.0"),
+    (["predict", "--lam", "5", "--config", '{"search": {"max_iter": 0}}'],
+     "search.max_iter: must be at least 1, got 0"),
+    (["predict", "--lam", "5", "--config", '{"search": {"dedup_radius": 0}}'],
+     "search.dedup_radius: must be positive, got 0.0"),
+    (["verify", "--lam", "5", "--eps0", "inf"], "verify.eps0: expected a finite number, got inf"),
+    (["verify", "--lam", "5", "--config", '{"search": {"max_iter": 0}}'],
+     "search.max_iter: must be at least 1, got 0"),
+]
+
+
+def _with_config_file(argv, tmp_path):
+    """``argv`` with the config text after "--config" written to a file."""
+    if "--config" not in argv:
+        return argv
+    i = argv.index("--config") + 1
+    path = tmp_path / "run.json"
+    path.write_text(argv[i])
+    return [*argv[:i], str(path), *argv[i + 1:]]
+
+
 class TestConfigAndReport:
     @pytest.mark.parametrize("argv", [
         ["verify", "--domain", "square", "--lam", "5", "--grid", "8"],
@@ -226,6 +258,7 @@ class TestConfigAndReport:
         ["predict", "--domain", "square", "--lam", "1e12"],
         ["predict", "--domain", "square", "--lam", "65", "--oracle"],  # k = 4
         ["verify", "--domain", "square", "--lam", "5", "--oracle"],
+        *(argv for argv, _ in _VACUOUS),
     ])
     def test_bad_input_is_config_error_before_the_search(self, argv, tmp_path,
                                                          monkeypatch, capsys):
@@ -233,9 +266,16 @@ class TestConfigAndReport:
             raise AssertionError("the search ran before the input was checked")
 
         monkeypatch.setattr(bifurcbox.cli, "find_critical_points_with_diagnostics", no_search)
-        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert main([*_with_config_file(argv, tmp_path), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "config error" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", _VACUOUS,
+                             ids=[message.split(":")[0] for _, message in _VACUOUS])
+    def test_vacuous_search_is_refused_by_key(self, argv, message, tmp_path, capsys):
+        assert main([*_with_config_file(argv, tmp_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"bifurcbox: config error: {message}\n"
 
     def test_scan_ceiling_is_config_error(self, tmp_path, monkeypatch, capsys):
         # an index box of 10^6 x 10^6 modes is refused before the scan
@@ -310,14 +350,27 @@ class TestConfigAndReport:
         name = key if block is None else f"{block}.{key}"
         assert err == [f"bifurcbox: config error: {name}: expected {kind}, got {value!r}"]
 
-    @pytest.mark.parametrize("path", ["seach", "search.typo", "verify.mortse"])
+    @pytest.mark.parametrize("path", ["seach", "search.typo", "verify.mortse",
+                                      "target.lamda", "domain.dimesion"])
     def test_unknown_config_key_is_refused(self, path, tmp_path, capsys):
         block, _, key = path.rpartition(".")
+        # the domain and target objects are otherwise valid
+        base = {"target": {"j": 2}, "domain": {"side_sq": ["pi^2", "pi^2"]}}.get(block, {})
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({block: {key: 1}} if block else {key: {}}))
+        cfg.write_text(json.dumps({block: {**base, key: 1}} if block else {key: {}}))
         assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"bifurcbox: config error: {path}: unknown key"]
+
+    def test_domain_list_entries_read_like_side_sq_entries(self, tmp_path):
+        reports = []
+        for name, domain in [("list", [1, 1]), ("object", {"side_sq": [1, 1]})]:
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"domain": domain}))
+            _, out = run(tmp_path, "spectrum", "--config", str(cfg), name=name)
+            reports.append(json.loads((out / "spectrum.json").read_text()))
+        assert reports[0]["groups"] == reports[1]["groups"]
+        assert reports[0]["config"]["domain"] == {"dimension": 2, "side_sq": ["1", "1"]}
 
     @pytest.mark.parametrize("command, report, config_hash, eps0, grid", [
         ("predict", "prediction.json", "9ec370d6ec180183", None, None),
@@ -456,6 +509,70 @@ class TestConfigAndReport:
         assert code == 1
         assert capsys.readouterr().err == f"report: unknown report kind {kind!r}\n"
         assert not (tmp_path / "rep").exists()
+
+
+class TestReportFiles:
+    def test_report_payload(self, square, sq_g5, f_sq5):
+        pred = bifurcbox.predict_branches(sq_g5, bifurcbox.find_critical_points(f_sq5))
+        payload = bifurcbox.cli._prediction_dict(pred, square)
+        assert payload["lambda_j"] == 5.0
+        assert payload["j"] == 2 and payload["k"] == 2 and payload["p"] == 3.0
+        assert payload["pair_count_h"] == 4 and payload["exact"] is True
+        row = payload["pairs"][0]
+        assert set(row) >= {"a", "J", "hess_eigs", "m", "solution_morse_index"}
+        prof = row["profile"]
+        assert prof["amplitude_exponent"] == pytest.approx(0.5)
+        assert prof["modes"] == [[1, 2], [2, 1]]
+
+    @pytest.fixture(scope="class")
+    def sq1_run(self, square, sq_g1, f_sq1):
+        dp = bifurcbox.build_laplacian(square, 32, sq_g1)
+        pred = bifurcbox.predict_branches(sq_g1, bifurcbox.find_critical_points(f_sq1))
+        return dp, bifurcbox.continuation_run(dp, pred, [0.1, 0.05])
+
+    def test_verdict_payload(self, sq1_run):
+        _, verdicts = sq1_run
+        d = bifurcbox.cli._verdict_dict(verdicts[0])
+        assert d["passed"] is True
+        assert d["transported_from"] is None
+        assert len(d["records"]) == 2
+        rec = d["records"][0]
+        assert set(rec) >= {"lambda", "epsilon", "a_lambda", "phi_norm",
+                            "newton_residual", "discrete_morse_index"}
+
+    def test_branch_files(self, sq1_run):
+        dp, verdicts = sq1_run
+        files = bifurcbox.cli._branch_files([bifurcbox.cli._verdict_dict(verdicts[0])])
+        header, *rows = files["branch_00.dat"].splitlines()
+        rows = [[float(x) for x in row.split()] for row in rows]
+        assert len(rows) == 2
+        # columns: lambda, |u|_L2, a_1..a_k, phi_norm, morse
+        assert header.split()[1:] == ["lambda", "u_l2", "a_1", "phi_norm", "morse_index"]
+        assert len(rows[0]) == 4 + dp.group.k
+        assert rows[0][0] == pytest.approx(dp.lambda_h - 0.1)
+        assert rows[1][0] > rows[0][0]
+
+    def test_spectrum_rows_wire_format(self, square):
+        rows = bifurcbox.cli._spectrum_rows(bifurcbox.enumerate_groups(square, 2))
+        assert rows == [
+            {"indices": [1, 1], "eigenvalue_num": 2, "eigenvalue_den": 1, "j": 1, "k": 1},
+            {"indices": [1, 2], "eigenvalue_num": 5, "eigenvalue_den": 1, "j": 2, "k": 2},
+            {"indices": [2, 1], "eigenvalue_num": 5, "eigenvalue_den": 1, "j": 2, "k": 2},
+        ]
+
+    @pytest.mark.parametrize("renderer, argv", [
+        ("_prediction_csv", ["predict", "--domain", "square", "--lam", "5"]),
+        ("_branch_files", ["verify", "--domain", "square", "--j", "1", "--grid", "24",
+                           "--eps-steps", "1"]),
+    ])
+    def test_a_failing_renderer_writes_nothing(self, renderer, argv, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("renderer failed")
+
+        monkeypatch.setattr(bifurcbox.cli, renderer, fail)
+        with pytest.raises(RuntimeError, match="renderer failed"):
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert list(tmp_path.iterdir()) == []
 
 
 def _loaded_by_cli_import(module: str) -> bool:

@@ -17,7 +17,6 @@ from bifurcbox.critpoints import (
     canonicalize,
     dedup_pairs,
     pair_set_distance,
-    prediction_to_dict,
 )
 from bifurcbox.errors import (
     DegeneratePresentWarning,
@@ -326,18 +325,6 @@ class TestPrediction:
             pred = bb.predict_branches(sq_g5, pts)
         assert not pred.exact
         assert pred.guaranteed_minimum == sq_g5.k
-
-    def test_report_payload(self, square, sq_g5, sq5_points):
-        pred = bb.predict_branches(sq_g5, sq5_points)
-        payload = prediction_to_dict(pred, square)
-        assert payload["lambda_j"] == 5.0
-        assert payload["j"] == 2 and payload["k"] == 2 and payload["p"] == 3.0
-        assert payload["pair_count_h"] == 4 and payload["exact"] is True
-        row = payload["pairs"][0]
-        assert set(row) >= {"a", "J", "hess_eigs", "m", "solution_morse_index"}
-        prof = row["profile"]
-        assert prof["amplitude_exponent"] == pytest.approx(0.5)
-        assert prof["modes"] == [[1, 2], [2, 1]]
 
 
 class TestHelpers:

@@ -28,11 +28,9 @@ from bifurcbox.pdeverify import (
     _residual,
     _sine_eigenvalues_1d,
     _SineTransform,
-    diagram_rows,
     discrete_reference_point,
     fit_order,
     geometric_schedule,
-    verdict_to_dict,
 )
 
 PI = math.pi
@@ -560,25 +558,6 @@ class TestContinuation:
 
 
 class TestReporting:
-    def test_verdict_payload(self, dp_sq1, pred_sq1):
-        verdicts = bb.continuation_run(dp_sq1, pred_sq1, [0.1, 0.05])
-        d = verdict_to_dict(verdicts[0])
-        assert d["passed"] is True
-        assert d["transported_from"] is None
-        assert len(d["records"]) == 2
-        rec = d["records"][0]
-        assert set(rec) >= {"lambda", "epsilon", "a_lambda", "phi_norm",
-                            "newton_residual", "discrete_morse_index"}
-
-    def test_diagram_rows(self, dp_sq1, pred_sq1):
-        verdicts = bb.continuation_run(dp_sq1, pred_sq1, [0.1, 0.05])
-        rows = diagram_rows(verdicts[0])
-        assert len(rows) == 2
-        # columns: lambda, |u|_L2, a_1..a_k, phi_norm, morse
-        assert len(rows[0]) == 4 + dp_sq1.group.k
-        assert rows[0][0] == pytest.approx(dp_sq1.lambda_h - 0.1)
-        assert rows[1][0] > rows[0][0]
-
     def test_geometric_schedule(self):
         assert geometric_schedule(0.1, 4) == pytest.approx([0.1, 0.05, 0.025, 0.0125])
         for args in [(0.0, 4), (0.1, 0), (0.1, 4, 1.0), (0.1, 4, 0.0)]:

@@ -7,7 +7,7 @@ import pytest
 import bifurcbox as bb
 import bifurcbox.spectrum
 from bifurcbox.errors import ConfigError, IncompletePrefix, OutOfDomain
-from bifurcbox.spectrum import parse_side_sq, spectrum_rows
+from bifurcbox.spectrum import parse_side_sq
 
 from conftest import integrate_box
 
@@ -207,15 +207,6 @@ def test_orthogonality_within_groups(square, sq_g5, sq_g50):
                 square.sides,
             )
             assert abs(overlap) <= 1e-10
-
-
-def test_spectrum_rows_wire_format(square):
-    rows = spectrum_rows(bb.enumerate_groups(square, 2))
-    assert rows == [
-        {"indices": [1, 1], "eigenvalue_num": 2, "eigenvalue_den": 1, "j": 1, "k": 1},
-        {"indices": [1, 2], "eigenvalue_num": 5, "eigenvalue_den": 1, "j": 2, "k": 2},
-        {"indices": [2, 1], "eigenvalue_num": 5, "eigenvalue_den": 1, "j": 2, "k": 2},
-    ]
 
 
 def test_find_group_by_inner_index(square):
