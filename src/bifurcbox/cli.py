@@ -444,18 +444,26 @@ def cmd_spectrum(args, cfg: dict) -> int:
     return 0
 
 
+def _check_ranges(name: str, block: dict, fractions=(), positive=(), counts=()):
+    """A configuration error naming the first key of the ``name`` block
+    outside its range: ``fractions`` lie strictly between 0 and 1,
+    ``positive`` above 0 and ``counts`` at 1 or more."""
+    for keys, ok, rule in ((fractions, lambda v: 0 < v < 1, "lie strictly between 0 and 1"),
+                           (positive, lambda v: v > 0, "be positive"),
+                           (counts, lambda v: v >= 1, "be at least 1")):
+        for key in keys:
+            if not ok(block[key]):
+                raise ConfigError(f"{name}.{key}: must {rule}, got {block[key]!r}")
+
+
 def _target(cfg: dict, pde: bool = False):
     """The domain, group and reduced functional of the configured target;
     a bad exponent or backend is a configuration error, and so is a search
     that cannot converge or tell its points apart (``newton_tol`` or
     ``dedup_radius`` not positive, ``max_iter`` below 1), and an exponent
     the PDE verifier refuses when ``pde`` is set."""
-    search = cfg["search"]
-    for key in ("newton_tol", "dedup_radius"):
-        if not search[key] > 0:
-            raise ConfigError(f"search.{key}: must be positive, got {search[key]!r}")
-    if search["max_iter"] < 1:
-        raise ConfigError(f"search.max_iter: must be at least 1, got {search['max_iter']!r}")
+    _check_ranges("search", cfg["search"], positive=("newton_tol", "dedup_radius"),
+                  counts=("max_iter",))
     domain = _domain_from_config(cfg["domain"])
     cfg["domain"] = _domain_echo(domain)
     group = _target_group(domain, cfg)
@@ -535,7 +543,11 @@ def cmd_verify(args, cfg: dict) -> int:
         raise ConfigError("oracle: the grid oracle runs with predict only, not verify")
     domain, group, functional = _target(cfg, pde=True)
     vcfg = cfg["verify"]
-    # the exponent, the grid and the schedule are checked before the search runs
+    # the exponent, the tolerances, the grid and the schedule are checked
+    # before the search runs: a tolerance out of range would switch its check off
+    _check_ranges("verify", vcfg, fractions=("a_rtol", "mu_rtol", "linear_rtol"),
+                  positive=("min_phi_order", "newton_tol", "dedup_radius"),
+                  counts=("max_newton",))
     grid = vcfg["grid"]
     if grid is None:
         grid = 64 if domain.dimension == 2 else 33

@@ -310,7 +310,19 @@ def brute_force_oracle(
 ):
     """Independent verification route for k <= 3: scan |grad|^2 on a dense
     grid over [-R, R]^k, polish every local minimum with Newton, and dedup
-    exactly like :func:`find_critical_points`."""
+    exactly like :func:`find_critical_points`.
+
+    The scan is :meth:`ReducedFunctional.gradient_sq_grid`: at p = 3 each
+    gradient component is a cubic, evaluated on the whole grid as an
+    n-mode product of its monomial table with the powers of the axis; the
+    quadrature backend evaluates row blocks whose points are built from
+    their flat grid indices.  Neither holds an (npts^k, k) array: the scan
+    holds two npts^k grids, the neighbourhood minimum four at its peak.
+    Newton starts at every grid point no larger than its neighbours, in C
+    order of the grid.  The tensor product rounds differently from the
+    row-wise gradient of the same points, so ties among the grid minima on
+    flat stretches can break differently and the number of starts can
+    move; the pairs are Newton limits, so they move only by rounding."""
     cfg = cfg or SearchConfig()
     k = f.k
     if k > 3:
@@ -320,17 +332,9 @@ def brute_force_oracle(
     )
     npts = int(np.ceil(2.0 / grid_step_frac)) + 1
     axis = np.linspace(-R, R, npts)
-    A = np.empty((npts,) * k + (k,))  # filled in place: no per-axis mesh copy outlives this
-    for d in range(k):
-        A[..., d] = axis.reshape([npts if e == d else 1 for e in range(k)])
-    A = A.reshape(-1, k)
-    G = np.empty(len(A))  # |grad|^2, in the functional's row blocks: no whole gradient array
-    for rows in f._row_blocks(len(A)):
-        g = f.gradient_many(A[rows])
-        G[rows] = np.sum(np.square(g, out=g), axis=1)
-    G = G.reshape((npts,) * k)
+    G = f.gradient_sq_grid(axis)
     is_min = G <= _neighbourhood_min(G)
-    A, ok = _newton_refine(f, A[is_min.ravel()], cfg)
+    A, ok = _newton_refine(f, np.column_stack([axis[i] for i in np.nonzero(is_min)]), cfg)
     converged = A[ok & (np.max(np.abs(A), axis=1) > cfg.dedup_radius)]
     return [_classify(f, a, cfg) for a in dedup_pairs(converged, cfg.dedup_radius)]
 

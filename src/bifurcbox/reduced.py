@@ -15,7 +15,9 @@ classifies.  Two interchangeable evaluation backends are provided:
   of rows times T read as a k^2 x k^2 matrix give Y[n, i, h] =
   sum_lm T_ihlm a_l a_m, so the Hessian is I - 3Y and the gradient
   a - Y a.  Index roles follow the tensor contraction exactly, so the
-  evaluators do not rely on the symmetry of T.
+  evaluators do not rely on the symmetry of T.  On a tensor grid each
+  gradient component is a cubic whose monomial table is contracted with
+  the powers of the grid axis, one axis at a time (an n-mode product).
 * ``quadrature`` (any p > 1): composite Gauss-Legendre panels per axis,
   aligned to the nodal lines of the highest mode.  General-p fallback and
   the cross-check oracle for the tensor.
@@ -322,6 +324,47 @@ class ReducedFunctional:
                 W = B @ self._E.T
                 out[rows] = B - (self._w * np.abs(W) ** (self.p - 1.0) * W) @ self._E
         return out
+
+    def gradient_sq_grid(self, axis) -> np.ndarray:
+        """|grad F|^2 at every point of the tensor grid ``axis``^k, shaped
+        (len(axis),) * k with grid axis d indexing coordinate d.
+
+        Exact-quartic: gradient component i is a cubic whose (4,)^k table
+        of monomial coefficients (:meth:`_gradient_monomials`) is
+        contracted with V = axis^0..axis^3 along every grid axis, an n-mode
+        (Tucker) product; the squared components are summed into the result
+        one at a time, so two grid-sized arrays are held.  Quadrature: the
+        gradient of each row block (:meth:`gradient_many`) at points built
+        from their flat grid indices.  Neither holds an (npts^k, k) array.
+        """
+        axis = np.asarray(axis, dtype=float)
+        G = np.zeros((len(axis),) * self.k)
+        if self.backend == "exact-quartic":
+            V = axis[:, None] ** np.arange(4)
+            for g in self._gradient_monomials():
+                for _ in range(self.k):  # contracts the leading table axis,
+                    g = np.tensordot(g, V, axes=([0], [1]))  # appends a grid axis
+                G += np.square(g, out=g)
+            return G
+        flat = G.reshape(-1)
+        for rows in self._row_blocks(len(flat)):
+            span = range(len(flat))[rows]
+            idx = np.unravel_index(np.arange(span.start, span.stop), G.shape)
+            g = self.gradient_many(np.column_stack([axis[i] for i in idx]))
+            flat[rows] = np.sum(np.square(g, out=g), axis=1)
+        return G
+
+    def _gradient_monomials(self) -> np.ndarray:
+        """(k,) + (4,)^k coefficients of the gradient's components
+        a_i - sum_hlm T_ihlm a_h a_l a_m: entry [i, e_1, ..., e_k] multiplies
+        prod_d a_d^e_d in component i (exact-quartic only)."""
+        k, T = self.k, self.tensor.entries
+        P = np.zeros((k,) + (4,) * k)
+        for h, l, m in itertools.product(range(k), repeat=3):
+            P[(slice(None), *np.bincount((h, l, m), minlength=k))] -= T[:, h, l, m]
+        for i, unit in enumerate(np.eye(k, dtype=int)):
+            P[(i, *unit)] += 1.0
+        return P
 
     def hessian_many(self, A) -> np.ndarray:
         """Hessians at the rows of ``A``, (n, k, k), in bounded-memory row blocks."""

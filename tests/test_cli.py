@@ -228,6 +228,22 @@ _VACUOUS = [
     (["verify", "--lam", "5", "--eps0", "inf"], "verify.eps0: expected a finite number, got inf"),
     (["verify", "--lam", "5", "--config", '{"search": {"max_iter": 0}}'],
      "search.max_iter: must be at least 1, got 0"),
+    # verify tolerances out of range would switch their checks off
+    (["verify", "--lam", "50", "--config", '{"verify": {"a_rtol": 1e9, "min_phi_order": -1e9, '
+      '"mu_rtol": 1e9, "dedup_radius": -1}}'],
+     "verify.a_rtol: must lie strictly between 0 and 1, got 1000000000.0"),
+    (["verify", "--lam", "5", "--mu-rtol", "0"],
+     "verify.mu_rtol: must lie strictly between 0 and 1, got 0.0"),
+    (["verify", "--lam", "5", "--config", '{"verify": {"linear_rtol": 1}}'],
+     "verify.linear_rtol: must lie strictly between 0 and 1, got 1.0"),
+    (["verify", "--lam", "5", "--min-phi-order", "0"],
+     "verify.min_phi_order: must be positive, got 0.0"),
+    (["verify", "--lam", "5", "--config", '{"verify": {"newton_tol": 0}}'],
+     "verify.newton_tol: must be positive, got 0.0"),
+    (["verify", "--lam", "5", "--config", '{"verify": {"dedup_radius": -1}}'],
+     "verify.dedup_radius: must be positive, got -1.0"),
+    (["verify", "--lam", "5", "--config", '{"verify": {"max_newton": 0}}'],
+     "verify.max_newton: must be at least 1, got 0"),
 ]
 
 

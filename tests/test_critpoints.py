@@ -155,6 +155,12 @@ class TestOracle:
         dist = pair_set_distance([p.a for p in cube6_points], [p.a for p in oracle])
         assert dist <= 1e-6
 
+    def test_quadrature_oracle_agrees_with_exact(self, f_sq5, square, sq_g5):
+        quadr = bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")
+        exact, approx = bb.brute_force_oracle(f_sq5), bb.brute_force_oracle(quadr)
+        assert len(approx) == len(exact) == 4
+        assert pair_set_distance([p.a for p in exact], [p.a for p in approx]) <= 1e-6
+
     @pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 4, 6)])
     def test_neighbourhood_min_matches_loop(self, shape):
         G = np.random.default_rng(3).integers(0, 4, shape).astype(float)
@@ -165,9 +171,11 @@ class TestOracle:
         assert np.array_equal(_neighbourhood_min(G), expected)
 
     def test_oracle_peak_memory(self, square, sq_g50):
-        # the scan, with |grad|^2 summed in the functional's row blocks so no
-        # whole (npts^k, k) gradient array is held, peaks at 60,468,440
-        # bytes on this k = 3 group
+        # |grad|^2 is scanned as a Tucker product of monomial tables, so no
+        # (npts^k, k) point or gradient array is held; the oracle peaks at
+        # 33,382,808 to 33,383,512 bytes on this k = 3 group, depending on
+        # what ran before: four 101^3 grids at once inside _neighbourhood_min
+        # (the scan itself holds two)
         f = bb.ReducedFunctional.for_group(sq_g50, square)
         bb.brute_force_oracle(f)
         tracemalloc.start()
@@ -176,7 +184,7 @@ class TestOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 60_468_440
+        assert peak <= 33_384_000
 
     def test_rejects_large_k(self):
         f = bb.ReducedFunctional.from_tensor(QuarticTensor.from_pattern(4, 9.0, 4.0))

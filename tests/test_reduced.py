@@ -269,6 +269,37 @@ class TestQuadratureBackend:
         for got, ref in ((f.gradient_many(A), grad), (f.hessian_many(A), hess)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("source", ["symmetric", "nonsymmetric", "pattern"])
+    def test_gradient_sq_grid_matches_rows(self, k, source):
+        """The tensor-product scan of |grad|^2 against the batched gradient
+        of the same grid points, row by row; a non-symmetric tensor pins
+        which index the monomial tables contract where."""
+        rng = np.random.default_rng(30 + k)
+        if source == "pattern":
+            tensor = QuarticTensor.from_pattern(k, 9.0, 4.0)
+        else:
+            T = rng.standard_normal((k,) * 4)
+            if source == "symmetric":
+                T = sum(np.transpose(T, perm) for perm in itertools.permutations(range(4))) / 24
+            tensor = QuarticTensor(k, T)
+        f = bb.ReducedFunctional.from_tensor(tensor)
+        axis = np.linspace(-1.3, 1.3, (41, 17, 9)[k - 1])
+        points = np.stack(np.meshgrid(*[axis] * k, indexing="ij"), axis=-1).reshape(-1, k)
+        ref = np.sum(f.gradient_many(points) ** 2, axis=1).reshape((len(axis),) * k)
+        got = f.gradient_sq_grid(axis)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(ref)))
+
+    def test_quadrature_gradient_sq_grid_is_the_row_scan(self, square, sq_g5):
+        # one row block: the same gradient_many call, bit for bit
+        f = bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")
+        axis = np.linspace(-2.0, 2.0, 31)
+        points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        g = f.gradient_many(points)
+        assert np.array_equal(f.gradient_sq_grid(axis).ravel(),
+                              np.sum(np.square(g, out=g), axis=1))
+
     def test_exact_quartic_derivatives_plan_no_einsum(self, f_cube6, monkeypatch):
         def no_einsum(*args, **kwargs):
             raise AssertionError("einsum called")
