@@ -8,7 +8,17 @@ its default and refuses undeclared keys, so every report echoes the
 effective, typed configuration and its hash, and identical configs and
 seeds give byte-identical output.  Exit codes: 0 success,
 1 usage or configuration error, 2 verification mismatch (or a prediction
-containing degenerate points, or from an unsaturated search).
+containing degenerate points, or from a search whose completeness is not
+established: an uncertified root count at p = 3, or an unsaturated
+multistart).
+
+Every report's ``search`` block says how complete the critical set is.
+At p = 3 (the exact-quartic backend) the search counts the gradient's
+roots against the Bezout number 3^k, and the block carries a
+``certificate`` (method, distinct roots, Bezout number) with completeness
+``"certified"`` or ``"uncertified"``; the quadrature backend's multistart
+reports ``"oracle-checkable"``, ``"conjectured exact"`` or
+``"unsaturated"`` and no certificate.
 
 Every key and column of every report file is defined in this module, and
 the numerical modules return data classes only.  Each command renders all
@@ -30,6 +40,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -77,7 +88,14 @@ _NULLABLE = {"backend": str, "verify.eps0": float}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the documented usage exit code (1, not 2)."""
+    """argparse with the documented usage exit code (1, not 2), and with
+    negative numbers in exponent notation (``--eps0 -1e-3``) read as values,
+    not as options, like ``-1`` and ``-0.5``, so that their range check
+    names the key."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -479,7 +497,9 @@ def _target(cfg: dict, pde: bool = False):
 
 
 def _run_prediction(cfg: dict, group, functional):
-    """Search the target group; ``search`` is the block every report carries."""
+    """Search the target group; ``search`` is the block every report carries,
+    with a ``certificate`` block when the search counted roots against the
+    Bezout number."""
     scfg = SearchConfig(**cfg["search"])
     points, diagnostics = find_critical_points_with_diagnostics(functional, scfg)
     prediction = predict_branches(
@@ -487,7 +507,33 @@ def _run_prediction(cfg: dict, group, functional):
     )
     search = {key: getattr(diagnostics, key) for key in
               ("n_seeds", "n_converged", "n_failed", "saturated", "completeness")}
+    if (cert := diagnostics.certificate) is not None:
+        search["certificate"] = {"method": cert.method, "distinct_roots": cert.distinct_roots,
+                                 "bezout_number": cert.bezout_number}
     return prediction, search
+
+
+def _row_text(a: np.ndarray) -> str:
+    """``np.array2string(a, precision=6, suppress_small=True)`` of a 1-D
+    row: each value positional, unique to 6 digits with trailing zeros
+    trimmed, padded to a common integer and fraction width, the words
+    wrapped at 75 columns.  Values of 1e8 or more, and non-finite ones,
+    which numpy prints otherwise, go to numpy itself."""
+    if not np.all(np.abs(a) < 1e8):
+        return np.array2string(a, precision=6, suppress_small=True)
+    parts = [np.format_float_positional(x, precision=6, trim=".").split(".")
+             for x in a.tolist()]
+    left = max(len(whole) for whole, _ in parts)
+    right = max(len(frac) for _, frac in parts)
+    lines, line = [], " "
+    for whole, frac in parts:
+        word = f"{whole:>{left}}.{frac:<{right}}"
+        if len(line) + len(word) > 74 and len(line) > 1:
+            lines.append(line.rstrip())
+            line = " "
+        line += word + " "
+    lines.append(line[:-1])
+    return "[" + "\n".join(lines)[1:] + "]"
 
 
 def cmd_predict(args, cfg: dict) -> int:
@@ -519,9 +565,18 @@ def cmd_predict(args, cfg: dict) -> int:
     out = _write_files(args, cfg, {"prediction.json": _json_text(payload),
                                    "prediction.csv": _prediction_csv(payload)})
 
-    unsaturated = search["completeness"] == "unsaturated"
-    qualifier = ("at least, degenerate present" if not prediction.exact else
-                 "not certified: the search is unsaturated" if unsaturated else "exact")
+    completeness = search["completeness"]
+    uncertain = completeness in ("unsaturated", "uncertified")
+    if not prediction.exact:
+        qualifier = "at least, degenerate present"
+    elif completeness == "unsaturated":
+        qualifier = "not certified: the search is unsaturated"
+    elif completeness == "uncertified":
+        cert = search["certificate"]
+        qualifier = (f"not certified: {cert['distinct_roots']} of "
+                     f"{cert['bezout_number']} Bezout roots found")
+    else:
+        qualifier = "exact"
     lam = payload["lambda_j"]
     print(
         f"lambda_j={lam:g} (j={group.j}, k={group.k}, p={functional.p:g}): "
@@ -529,13 +584,12 @@ def cmd_predict(args, cfg: dict) -> int:
     )
     print(f"{'pair':>4}  {'m':>2}  {'m+j-1':>5}  {'J':>12}  a")
     for i, cp in enumerate(prediction.pairs):
-        a = np.array2string(cp.a, precision=6, suppress_small=True)
         print(
             f"{i:4d}  {cp.morse_index:2d}  {cp.morse_index + group.j - 1:5d}  "
-            f"{cp.value:12.6g}  {a}"
+            f"{cp.value:12.6g}  {_row_text(cp.a)}"
         )
     print(f"wrote {out / 'prediction.json'}")
-    return 0 if prediction.exact and not unsaturated else 2
+    return 0 if prediction.exact and not uncertain else 2
 
 
 def cmd_verify(args, cfg: dict) -> int:
@@ -653,10 +707,12 @@ def _add_common(parser):
                         help="comma-separated squared sides, e.g. 'pi^2,4pi^2'")
     parser.add_argument("--out", help="output directory (or set BIFURCBOX_OUT)")
     parser.add_argument("--seed", type=int,
-                        help="seed of the random starts that top the 4(3^k-1) "
-                             "structured seeds up to search.seed_budget; none run "
-                             "for k >= 4 at the default 200, so such predictions "
-                             "do not depend on it")
+                        help="seed of the search: at p = 3 (exact-quartic) it draws "
+                             "the homotopy constant gamma, which moves the reported "
+                             "points only by rounding; the quadrature multistart "
+                             "draws from it the random starts that top its 4(3^k-1) "
+                             "structured seeds up to search.seed_budget (none for "
+                             "k >= 4 at the default 200)")
     parser.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -666,8 +722,11 @@ def _add_target(parser):
     parser.add_argument("--p", type=float, help="nonlinearity exponent (default 3)")
     parser.add_argument("--backend", choices=["exact-quartic", "quadrature"])
     parser.add_argument("--seed-budget", dest="search.seed_budget", type=int,
-                        help="minimum total seed count, not a cap: random seeds "
-                             "top the 4(3^k-1) structured seeds up to it")
+                        help="minimum total seed count of the quadrature multistart, "
+                             "not a cap: random seeds top its 4(3^k-1) structured "
+                             "seeds up to it; the certified search at p = 3 "
+                             "(exact-quartic) tracks one homotopy path per symmetry "
+                             "orbit instead and ignores it")
     parser.add_argument("--oracle", action="store_const", const=True, default=None,
                         help="cross-check against the grid oracle (predict, k <= 3)")
 

@@ -5,17 +5,22 @@ pair with Morse index m (of the k-dimensional Hessian) predicts one pair of
 PDE solution branches bifurcating from the group's eigenvalue, with
 solution Morse index m + j - 1.  Three independent routes to the same set:
 
-* :func:`find_critical_points` - multistart damped Newton on the gradient.
+* :func:`find_critical_points` - at p = 3 (exact-quartic) a certified
+  search: the gradient is k cubics, so it has at most 3^k isolated complex
+  roots (Bezout), and 3^k distinct nonsingular roots in hand are all of
+  them.  The closed forms of a pattern tensor give them directly; any other
+  tensor gets a total-degree homotopy tracked once per symmetry orbit of
+  its start roots.  The quadrature backend runs a multistart damped Newton.
 * :func:`brute_force_oracle` - dense grid scan of |grad|^2 minima (k <= 3).
 * :func:`gamma_family_solutions` - closed forms for pattern tensors.
 
-The first two and the verifier's reference point share one batched Newton
-whose rows never interact: each iteration evaluates the gradients and
-Hessians of all live rows as one matrix product per row block (see
-:mod:`bifurcbox.reduced`) and solves the stacked Hessians at once, halving
-a batch whose solve is singular until the singular rows stand alone.
-Results are merged and sorted under the sign-pair dedup relation, so
-output does not depend on evaluation order.
+Every route polishes its points with one batched Newton whose rows never
+interact, shared with the verifier's reference point: each iteration
+evaluates the gradients and Hessians of all live rows as one matrix
+product per row block (see :mod:`bifurcbox.reduced`) and solves the
+stacked Hessians at once, halving a batch whose solve is singular until
+the singular rows stand alone.  Results are merged and sorted under the
+sign-pair dedup relation, so output does not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -61,14 +66,20 @@ class CriticalPoint:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Multistart search knobs.
+    """Search knobs.
 
-    Structured seeds place every sign/support pattern at each radius (times
-    the functional's mode scale), 4 (3^k - 1) seeds at the default radii,
-    and always run.  ``seed_budget`` is the minimum total seed count, not a
-    cap: random directions top the structured seeds up to it (none for
-    k >= 4 at the default 200).  All seeds run as the rows of one batched
-    damped Newton.  Defaults reproduce all published examples.
+    The certified search (exact-quartic backend, p = 3) uses
+    ``newton_tol``, ``max_iter``, ``dedup_radius`` and ``degeneracy_rtol``,
+    and ``rng_seed`` draws its homotopy constant gamma; it ignores
+    ``radii``, ``seed_budget`` and ``scale``.
+
+    The multistart (quadrature backend) places every sign/support pattern
+    at each radius (times ``scale``, by default the functional's mode
+    scale), 4 (3^k - 1) seeds at the default radii, and always runs them.
+    ``seed_budget`` is the minimum total seed count, not a cap: random
+    directions drawn from ``rng_seed`` top the structured seeds up to it
+    (none for k >= 4 at the default 200).  All seeds run as the rows of one
+    batched damped Newton.  Defaults reproduce all published examples.
     """
 
     seed_budget: int = 200
@@ -129,43 +140,55 @@ def _newton_refine(f: ReducedFunctional, A0, cfg: SearchConfig):
     return A, gn <= cfg.newton_tol
 
 
-def _newton_steps(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Rows of -H^(-1) g; a singular H gets the ridge 1e-8 max(1, max|H|).
+def _ridge_solve(H: np.ndarray, R: np.ndarray) -> np.ndarray:
+    ridge = 1e-8 * max(1.0, float(np.max(np.abs(H))))
+    return np.linalg.solve(H + ridge * np.eye(H.shape[-1]), R[..., None])[..., 0]
+
+
+def _solve_rows(H: np.ndarray, R: np.ndarray, singular=_ridge_solve) -> np.ndarray:
+    """Rows of H^(-1) r; a singular H alone is ``singular(H, r)``.
 
     A stacked solve that fails is split in halves, recursively, so only the
     rows on the failing paths end alone; each matrix is its own LAPACK
-    solve, so every row's step is the same in any batch."""
+    solve, so every row's solution is the same in any batch."""
     try:
-        return np.linalg.solve(H, -G[..., None])[..., 0]
+        return np.linalg.solve(H, R[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        if len(H) > 1:
-            half = len(H) // 2
-            return np.concatenate([_newton_steps(H[:half], G[:half]),
-                                   _newton_steps(H[half:], G[half:])])
-    ridge = 1e-8 * max(1.0, float(np.max(np.abs(H))))
-    return np.linalg.solve(H + ridge * np.eye(H.shape[-1]), -G[..., None])[..., 0]
+        if len(H) == 1:
+            return singular(H, R)
+        half = len(H) // 2
+        return np.concatenate([_solve_rows(H[:half], R[:half], singular),
+                               _solve_rows(H[half:], R[half:], singular)])
 
 
-def _classify(f: ReducedFunctional, a: np.ndarray, cfg: SearchConfig) -> CriticalPoint:
-    eigs = np.linalg.eigvalsh(f.hessian(a))
-    margin = float(np.min(np.abs(eigs)))
-    nondeg = margin > cfg.degeneracy_rtol * max(1.0, float(np.max(np.abs(eigs))))
-    if not nondeg:
+def _newton_steps(H: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Rows of -H^(-1) g; a singular H gets the ridge 1e-8 max(1, max|H|)."""
+    return _solve_rows(H, -G)
+
+
+def _classify_many(f: ReducedFunctional, A, cfg: SearchConfig) -> list[CriticalPoint]:
+    """Classify the rows of ``A`` at once: one batched Hessian, gradient and
+    stacked eigensolve.  The value comes from the gradient g, since
+    a . (a - g) is the integral of |a . e|^(p+1)."""
+    A = np.array(A, dtype=float).reshape(-1, f.k)
+    eigs = np.linalg.eigvalsh(f.hessian_many(A))
+    G = f.gradient_many(A)
+    sq = np.sum(A * A, axis=1)
+    values = 0.5 * sq - (sq - np.sum(A * G, axis=1)) / (f.p + 1.0)
+    margins = np.min(np.abs(eigs), axis=1)
+    nondeg = margins > cfg.degeneracy_rtol * np.maximum(1.0, np.max(np.abs(eigs), axis=1))
+    for a, margin in zip(A[~nondeg], margins[~nondeg]):
         warnings.warn(
             f"critical point {np.array2string(a, precision=6)} has Hessian "
             f"margin {margin:.3e}; treating as suspected degenerate",
             SuspectedDegenerateWarning,
             stacklevel=3,
         )
-    return CriticalPoint(
-        a=a,
-        value=f.value(a),
-        grad_norm=float(np.linalg.norm(f.gradient(a))),
-        hess_eigs=eigs,
-        morse_index=int(np.sum(eigs < 0.0)),
-        nondegenerate=nondeg,
-        margin=margin,
-    )
+    return [CriticalPoint(a=a, value=v, grad_norm=g, hess_eigs=e, morse_index=m,
+                          nondegenerate=nd, margin=margin)
+            for a, v, g, e, m, nd, margin in zip(
+                A, values.tolist(), np.linalg.norm(G, axis=1).tolist(), eigs,
+                np.sum(eigs < 0.0, axis=1).tolist(), nondeg.tolist(), margins.tolist())]
 
 
 def _pair_representatives(candidates, radius: float):
@@ -176,8 +199,9 @@ def _pair_representatives(candidates, radius: float):
 
     Greedy in input order: a point opens a pair unless it lies within
     ``radius`` of an earlier representative.  Blocks of rows are first
-    compared with the representatives found before the block at once; only
-    the rows that match none of them are checked one by one.
+    compared with the representatives found before the block at once; the
+    rows that match none of them all open pairs when no two of them are
+    within ``radius``, and are checked one by one otherwise.
 
     Returns (representative, position in ``candidates`` of the pair's
     first point) in deterministic sorted order."""
@@ -194,7 +218,13 @@ def _pair_representatives(candidates, radius: float):
         # trailing axis of length k is the slow path of numpy's reductions
         for d in range(C.shape[1]):
             np.maximum(dist, np.abs(block[:, d, None] - reps[:known, d]), out=dist)
-        for i in start + np.flatnonzero(np.all(dist > radius, axis=1)):
+        fresh = start + np.flatnonzero(np.all(dist > radius, axis=1))
+        near = np.max(np.abs(C[fresh, None, :] - C[fresh]), axis=2) <= radius
+        if not np.any(np.tril(near, -1)):  # no two fresh rows are one pair
+            reps[len(first):len(first) + len(fresh)] = C[fresh]
+            first.extend(fresh.tolist())
+            fresh = ()
+        for i in fresh:
             if np.all(np.max(np.abs(reps[known:len(first)] - C[i]), axis=1) > radius):
                 reps[len(first)] = C[i]
                 first.append(int(i))
@@ -231,12 +261,43 @@ def pair_set_distance(points_a, points_b) -> float:
 
 
 @dataclass(frozen=True)
-class SearchDiagnostics:
-    """Multistart bookkeeping behind a completeness claim.
+class Certificate:
+    """The Bezout count behind a critical set at p = 3.
 
-    For k <= 3 completeness is certifiable against the grid oracle; above
-    that it is heuristic: the search is called saturated when the whole
-    second half of the seed list produced no new pair.
+    The gradient a - T(a, a, a, .) is k cubics in k unknowns, so it has at
+    most ``bezout_number`` = 3^k isolated complex roots.  ``distinct_roots``
+    counts the distinct nonsingular roots found, the origin included; when
+    it reaches the Bezout number no other root exists, real or complex, and
+    the real nonzero roots are the complete critical set.  ``method`` is
+    ``"closed form"`` (the pattern tensor's gamma family) or ``"homotopy"``.
+    """
+
+    method: str
+    distinct_roots: int
+    bezout_number: int
+
+    @property
+    def certified(self) -> bool:
+        return self.distinct_roots == self.bezout_number
+
+
+@dataclass(frozen=True)
+class SearchDiagnostics:
+    """Bookkeeping behind a completeness claim.
+
+    Certified search (exact-quartic, p = 3): ``completeness`` is
+    ``"certified"`` when ``certificate`` meets its Bezout number and
+    ``"uncertified"`` otherwise; ``n_seeds`` counts the closed-form points
+    polished and the homotopy paths tracked, ``n_failed`` the paths that
+    did not end at a well-conditioned root and the points Newton could not
+    polish, ``n_converged`` the polished nonzero real roots (one per
+    distinct canonical image), and ``saturated`` is ``certificate.certified``.
+
+    Multistart (quadrature): completeness is ``"oracle-checkable"`` for
+    k <= 3, where the grid oracle applies; above that it is heuristic, and
+    the search is called saturated (``"conjectured exact"``, else
+    ``"unsaturated"``) when the whole second half of the seed list produced
+    no new pair.  ``certificate`` is None.
     """
 
     n_seeds: int
@@ -245,16 +306,20 @@ class SearchDiagnostics:
     last_new_pair_seed: int
     saturated: bool
     completeness: str
+    certificate: Certificate | None = None
 
 
 def find_critical_points(f: ReducedFunctional, cfg: SearchConfig | None = None):
     """All nontrivial critical points, one representative per sign pair.
 
-    Seeds are every sign/support pattern in {-1, 0, 1}^k at radii
-    ``cfg.radii`` times the mode scale, plus random directions up to the
-    seed budget.  Seeds that fail to converge are dropped (logged, not
-    fatal); the origin is excluded.  Completeness is certified against the
-    grid oracle for k <= 3 and is heuristic (seed saturation) above.
+    Exact-quartic (p = 3): the closed form of a pattern tensor, else the
+    real roots of a total-degree homotopy, either counted against the
+    Bezout number 3^k.  Quadrature: multistart damped Newton from every
+    sign/support pattern in {-1, 0, 1}^k at radii ``cfg.radii`` times the
+    mode scale, plus random directions up to the seed budget; completeness
+    is checkable against the grid oracle for k <= 3 and heuristic (seed
+    saturation) above.  Starts that fail to converge are dropped (logged,
+    not fatal); the origin is excluded.
     """
     points, _ = find_critical_points_with_diagnostics(f, cfg)
     return points
@@ -263,11 +328,42 @@ def find_critical_points(f: ReducedFunctional, cfg: SearchConfig | None = None):
 def find_critical_points_with_diagnostics(
     f: ReducedFunctional, cfg: SearchConfig | None = None
 ):
-    """:func:`find_critical_points` plus the saturation diagnostics."""
+    """:func:`find_critical_points` plus the :class:`SearchDiagnostics`."""
     cfg = cfg or SearchConfig()
+    certificate = None
+    if f.backend == "exact-quartic":
+        A, ok, n_seeds, n_failed, certificate = _certified_roots(f, cfg)
+    else:
+        A, ok = _newton_refine(f, _multistart_seeds(f, cfg), cfg)
+        n_seeds, n_failed = len(A), int(np.sum(~ok))
+    ordinals = np.flatnonzero(ok & (np.max(np.abs(A), axis=1) > cfg.dedup_radius))
+    reps = _pair_representatives(A[ordinals], cfg.dedup_radius)
+    last_new = max((int(ordinals[i]) for _, i in reps), default=-1)
+    if n_failed:
+        logger.debug("%d of %d starts failed to converge", n_failed, n_seeds)
+
+    if certificate is not None:
+        saturated = certificate.certified
+        completeness = "certified" if saturated else "uncertified"
+    else:
+        saturated = last_new < len(A) // 2
+        completeness = ("oracle-checkable" if f.k <= 3 else
+                        "conjectured exact" if saturated else "unsaturated")
+    diagnostics = SearchDiagnostics(
+        n_seeds=n_seeds,
+        n_converged=len(ordinals),
+        n_failed=n_failed,
+        last_new_pair_seed=last_new,
+        saturated=saturated,
+        completeness=completeness,
+        certificate=certificate,
+    )
+    return _classify_many(f, [a for a, _ in reps], cfg), diagnostics
+
+
+def _multistart_seeds(f: ReducedFunctional, cfg: SearchConfig) -> np.ndarray:
     k = f.k
     scale = cfg.scale if cfg.scale is not None else f.mode_scale()
-
     patterns = np.array([s for s in itertools.product((-1.0, 0.0, 1.0), repeat=k) if any(s)])
     seeds = [r * scale * patterns for r in cfg.radii]
     rng = np.random.default_rng(cfg.rng_seed)
@@ -275,31 +371,279 @@ def find_critical_points_with_diagnostics(
         d = rng.standard_normal(k)
         d /= np.linalg.norm(d)
         seeds.append(rng.uniform(0.25, 2.0) * scale * d[None])
+    return np.concatenate(seeds)
 
-    A, ok = _newton_refine(f, np.concatenate(seeds), cfg)
-    ordinals = np.flatnonzero(ok & (np.max(np.abs(A), axis=1) > cfg.dedup_radius))
-    reps = _pair_representatives(A[ordinals], cfg.dedup_radius)
-    last_new = max((int(ordinals[i]) for _, i in reps), default=-1)
-    failures = int(np.sum(~ok))
-    if failures:
-        logger.debug("%d of %d seeds failed to converge", failures, len(A))
 
-    saturated = last_new < len(A) // 2
-    if k <= 3:
-        completeness = "oracle-checkable"
-    elif saturated:
-        completeness = "conjectured exact"
-    else:
-        completeness = "unsaturated"
-    diagnostics = SearchDiagnostics(
-        n_seeds=len(A),
-        n_converged=len(ordinals),
-        n_failed=failures,
-        last_new_pair_seed=last_new,
-        saturated=saturated,
-        completeness=completeness,
-    )
-    return [_classify(f, a, cfg) for a, _ in reps], diagnostics
+def _certified_roots(f: ReducedFunctional, cfg: SearchConfig):
+    """Stage A, the closed form, when the tensor has the (alpha, beta)
+    pattern and every closed-form point is nondegenerate: its 3^k - 1
+    nonzero points and the origin (Hessian I) are 3^k distinct nonsingular
+    roots.  Stage B otherwise: the homotopy, whose real roots are pooled
+    with any closed-form points.
+
+    Returns the polished points, their convergence mask, the number of
+    starts, the number that failed, and the :class:`Certificate`."""
+    bezout = 3**f.k
+    closed, nondegenerate = _closed_form_points(f, cfg)
+    if closed is not None:
+        A, ok = _newton_refine(f, closed, cfg)
+        if nondegenerate and ok.all():
+            return A, ok, len(A), 0, Certificate("closed form", bezout, bezout)
+    B, ok_b, n_paths, n_failed, distinct = _homotopy_roots(f, cfg)
+    if closed is not None:
+        B, ok_b = np.concatenate([A, B]), np.concatenate([ok, ok_b])
+        n_paths, n_failed = n_paths + len(A), n_failed + int(np.sum(~ok))
+    return B, ok_b, n_paths, n_failed, Certificate("homotopy", distinct, bezout)
+
+
+def _closed_form_points(f: ReducedFunctional, cfg: SearchConfig):
+    """One sign of each pair of the closed-form critical points, and whether
+    all of them are nondegenerate; (None, False) without the pattern."""
+    try:
+        coeffs = extract_rect_coefficients(f.tensor)
+        table = _gamma_family_table(coeffs.alpha, coeffs.beta, f.k, cfg.degeneracy_rtol)
+    except PatternMismatch:
+        return None, False
+    A = np.concatenate([points for points, *_ in table])
+    return A[np.all(canonicalize(A) == A, axis=1)], all(nondeg for *_, nondeg, _ in table)
+
+
+# The homotopy H(b, t) = (1 - t) gamma (b^3 - b) + t grad(b) runs in the
+# scaled coordinates b = a / mode_scale, where the roots are of order 1.
+_H_MAX = (0.5, 0.125)         # largest step in t of the first track and the retrack
+_PREDICTION_TOL = (1e-3, 1e-4)  # first corrector step, relative, that steers the step size
+_JUMP = 0.05                  # a larger first corrector step is rejected as a jump
+_CORRECTED = 1e-6             # the second corrector step must be this small
+_H_MIN = 1e-8                 # a path whose step falls below it has failed
+_MAX_STEPS = 1000
+_COND_LIMIT = 1e7             # endpoint condition numbers above it are not counted
+_ROOT_TOL = 1e-7              # two roots closer than this, relative, are one
+
+
+def _homotopy_roots(f: ReducedFunctional, cfg: SearchConfig):
+    """Stage B: the real nonzero roots of the gradient from a total-degree
+    homotopy, tracked once per orbit of G x {+-1}, and the number of
+    distinct nonsingular roots found.
+
+    The start system g_i = b_i^3 - b_i has the 3^k roots {-1, 0, 1}^k, and
+    g and the gradient commute with every signed permutation P of G, so
+    the path from P s ends at P applied to the end of the path from s
+    (Verschelde & Cools 1994): one path per orbit of starts is tracked, and
+    the distinct roots are counted orbit by orbit.  The origin is its own
+    path.  When the count falls short of 3^k (a failed path, or two paths
+    that end in one orbit, which is how a path jump shows) every orbit is
+    tracked again with a new gamma and smaller steps, and the two sets of
+    endpoints are pooled.  Gamma is drawn from ``cfg.rng_seed``, so a rerun
+    is identical.  Returns (points, convergence mask, paths tracked, paths
+    failed, distinct roots)."""
+    k, scale = f.k, f.mode_scale()
+    src, sign = _box_group(f)
+    starts = _start_orbits(src, sign)
+    rng = np.random.default_rng(cfg.rng_seed)
+    block = max(1, 2**16 // k**2)  # paths tracked at once
+    found, n_paths, failed = [], 0, 0
+    for h_max, tol in zip(_H_MAX, _PREDICTION_TOL):
+        gamma = np.exp(1j * rng.uniform(np.pi / 6, 5 * np.pi / 6))  # away from the real axis
+        for lo in range(0, len(starts), block):
+            X, ok = _track(f, scale, starts[lo:lo + block], gamma, h_max, tol)
+            found.append(X[ok])
+            n_paths, failed = n_paths + len(X), failed + int(np.sum(~ok))
+        distinct = 1 + _orbit_union_size(np.concatenate(found), src, sign)
+        if distinct == 3**k:
+            break
+    X = np.concatenate(found)
+    real = np.max(np.abs(X.imag), axis=1) <= _ROOT_TOL * (1.0 + np.max(np.abs(X), axis=1))
+    C = np.unique(canonicalize(_images(scale * X[real].real, src, sign)), axis=0)
+    A, ok = _newton_refine(f, C, cfg)
+    return A, ok, n_paths, failed + int(np.sum(~ok)), distinct
+
+
+def _images(X: np.ndarray, src: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Every image P x of every row x of ``X``, (len(X) |G|, k)."""
+    return (X[:, src] * sign).reshape(-1, X.shape[1])
+
+
+def _axis_isometries(kinds) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(perm, flips) of each isometry of a box whose axes have the given
+    kinds, identity first: every permutation of axes of equal kind, composed
+    with every set of reversed axes."""
+    dim = len(kinds)
+    perms = [q for q in itertools.permutations(range(dim))
+             if all(kinds[q[d]] == kinds[d] for d in range(dim))]
+    flips = [tuple(d for d in range(dim) if bits[d])
+             for bits in itertools.product((False, True), repeat=dim)]
+    return [(q, fl) for q in perms for fl in flips]
+
+
+def _signed_permutation(modes, perm, flips) -> np.ndarray:
+    """The box isometry "reverse the axes in ``flips``, then permute the axes
+    by ``perm``" on the coefficients of a group's modes: the signed
+    permutation P that sends mode m to (m[perm[0]], m[perm[1]], ...),
+    signed by (-1)^(m_d + 1) per reversed axis d."""
+    column = {m: c for c, m in enumerate(modes)}
+    P = np.zeros((len(modes), len(modes)))
+    for c, m in enumerate(modes):
+        P[column[tuple(m[d] for d in perm)], c] = (-1.0) ** sum(m[d] + 1 for d in flips)
+    return P
+
+
+def _box_group(f: ReducedFunctional):
+    """G x {+-1} as gather maps, (P a)_i = sign[g, i] a[src[g, i]].
+
+    G holds the isometries of the box, every set of reversed axes composed
+    with every permutation of axes of equal side, on the group's modes; a
+    functional built from a bare tensor has G = {I}.  Only the elements
+    that leave the tensor invariant are kept."""
+    k = f.k
+    mats = [np.eye(k)]
+    if f.group is not None:
+        modes = [m.indices for m in f.group.modes]
+        mats = [_signed_permutation(modes, perm, flips)
+                for perm, flips in _axis_isometries(f.domain.side_sq)]
+    mats = np.unique(np.concatenate([mats, np.negative(mats)]).reshape(-1, k * k), axis=0)
+    src = np.argmax(np.abs(mats.reshape(-1, k, k)), axis=2)
+    sign = np.take_along_axis(mats.reshape(-1, k, k), src[..., None], axis=2)[..., 0]
+    T = f.tensor.entries
+    at = [(slice(None),) + tuple(slice(None) if e == d else None for e in range(4))
+          for d in range(4)]  # index d of four, broadcast over the other three
+    s0, s1, s2, s3 = (sign[a] for a in at)
+    moved = T[tuple(src[a] for a in at)] * (s0 * s1 * s2 * s3)
+    keep = (np.max(np.abs(moved - T).reshape(len(src), -1), axis=1)
+            <= 1e-12 * np.max(np.abs(T)))
+    return src[keep], sign[keep]
+
+
+def _start_orbits(src: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """One start per orbit of the group on {-1, 0, 1}^k minus the origin:
+    the start whose base-3 code (digits s_i + 1) is the least of its
+    orbit's.  Codes are visited in blocks of about 2^20 image entries, so
+    no (3^k, |G|, k) array is built."""
+    n_g, k = src.shape
+    powers = 3 ** np.arange(k - 1, -1, -1)
+    block = max(1, 2**20 // (n_g * k))
+    reps = []
+    for lo in range(0, 3**k, block):
+        codes = np.arange(lo, min(3**k, lo + block))
+        S = (codes[:, None] // powers) % 3 - 1.0
+        image_codes = (S[:, src] * sign + 1.0) @ powers
+        reps.append(S[(image_codes.min(axis=1) == codes) & np.any(S != 0.0, axis=1)])
+    return np.concatenate(reps)
+
+
+def _orbit_union_size(X: np.ndarray, src: np.ndarray, sign: np.ndarray) -> int:
+    """The number of distinct points in the union of the G x {+-1} orbits
+    of the rows of ``X`` (complex roots, scaled coordinates).
+
+    Each orbit has |G| / |stabilizer| points.  Two rows share an orbit only
+    if their invariant keys, the least of Re(w . P x) over the group for a
+    fixed generic w, agree; only such rows are compared image by image."""
+    if not len(X):
+        return 0
+    k = X.shape[1]
+    tol = _ROOT_TOL * (1.0 + np.max(np.abs(X), axis=1))
+    w = np.exp(1j * np.arange(1, k + 1)) / np.arange(1, k + 1)
+    stab, keys = np.empty(len(X), dtype=int), np.empty(len(X))
+    block = max(1, 2**20 // (len(src) * k))
+    for lo in range(0, len(X), block):
+        rows = slice(lo, lo + block)
+        images = X[rows][:, src] * sign  # (b, |G|, k)
+        stab[rows] = np.sum(np.max(np.abs(images - X[rows, None, :]), axis=2)
+                            <= tol[rows, None], axis=1)
+        keys[rows] = np.min((images @ w).real, axis=1)
+    order = np.argsort(keys, kind="stable")
+    opens = np.ones(len(X), dtype=bool)
+    reach = np.sum(np.abs(w)) * tol
+    for pos, i in enumerate(order):
+        for o in order[pos - 1::-1] if pos else ():
+            if keys[i] - keys[o] > reach[i]:
+                break
+            if opens[o] and np.min(np.max(np.abs(_images(X[o:o + 1], src, sign) - X[i]),
+                                          axis=1)) <= tol[i]:
+                opens[i] = False
+                break
+    return int(np.sum(len(src) // stab[opens]))
+
+
+def _track(f: ReducedFunctional, scale: float, starts: np.ndarray, gamma: complex,
+           h_max: float, tol: float):
+    """Track H(b, t) = (1 - t) gamma (b^3 - b) + t grad(b) from each start
+    at t = 0 to t = 1, grad(b) = b - scale^2 T(b, b, b, .) the gradient in
+    scaled coordinates: an RK4 predictor on db/dt = -H_b^(-1) H_t and two
+    Newton corrector steps at the new t, every path with its own step.
+
+    A step is accepted when the first corrector step is below ``_JUMP`` and
+    the second below ``_CORRECTED`` (relative to 1 + |b|): Newton then
+    converges quadratically, and the second step leaves an error of about
+    its square.  The next step aims at a first corrector step of ``tol``,
+    never above ``h_max``; a rejected step is halved.  A singular solve
+    gives NaN, which rejects the step.  Each endpoint is polished by Newton
+    at t = 1.  Returns the endpoints and the mask of paths that reached
+    t = 1 at a root whose Jacobian condition number is at most
+    ``_COND_LIMIT``."""
+    n, k = starts.shape
+    eye = np.eye(k)
+    unsolvable = lambda H, R: np.full_like(R, np.nan)  # noqa: E731
+
+    def parts(B, t):
+        """-H, H_b and -H_t at the rows ``B`` and times ``t``."""
+        tt, c = t[:, None], (1.0 - t[:, None]) * gamma
+        Y = f._pair_contraction(scale * B)
+        grad = B - (Y @ B[:, :, None])[:, :, 0]
+        sq = B * B
+        start = B * (sq - 1.0)
+        J = Y * (-3.0 * tt[:, :, None])
+        J.reshape(len(B), k * k)[:, ::k + 1] += tt + c * (3.0 * sq - 1.0)
+        return -(tt * grad + c * start), J, gamma * start - grad
+
+    def velocity(B, t):
+        _, J, minus_ht = parts(B, t)
+        return _solve_rows(J, minus_ht, unsolvable)
+
+    X = starts.astype(complex)
+    t = np.zeros(n)
+    h = np.full(n, 0.1 * h_max)
+    live = np.ones(n, dtype=bool)
+    reached = np.zeros(n, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            break
+        x, t0 = X[rows], t[rows]
+        last = h[rows] >= 1.0 - t0
+        dt = np.where(last, 1.0 - t0, h[rows])
+        t1 = np.where(last, 1.0, t0 + dt)
+        step = dt[:, None]
+        k1 = velocity(x, t0)
+        k2 = velocity(x + 0.5 * step * k1, t0 + 0.5 * dt)
+        k3 = velocity(x + 0.5 * step * k2, t0 + 0.5 * dt)
+        k4 = velocity(x + step * k3, t1)
+        x = x + step / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        size = 1.0 + np.max(np.abs(x), axis=1)
+        moves = []
+        for _ in range(2):
+            minus_h, J, _ = parts(x, t1)
+            d = _solve_rows(J, minus_h, unsolvable)
+            x = x + d
+            moves.append(np.max(np.abs(d), axis=1) / size)
+        first, moved = moves
+        ok = (first <= _JUMP) & (moved <= _CORRECTED)
+        acc, rej = rows[ok], rows[~ok]
+        X[acc], t[acc] = x[ok], t1[ok]
+        grow = np.clip(0.8 * (tol / np.maximum(first[ok], 1e-300)) ** 0.2, 0.5, 2.0)
+        h[acc] = np.minimum(grow * h[acc], h_max)
+        h[rej] *= 0.5
+        done = acc[last[ok]]
+        reached[done] = True
+        live[done] = False
+        live[rej[(h[rej] < _H_MIN) | (size[~ok] > 1e6)]] = False
+    for _ in range(3):
+        Y = f._pair_contraction(scale * X)
+        J = eye - 3.0 * Y
+        X = X + _solve_rows(J, (Y @ X[:, :, None])[:, :, 0] - X, unsolvable)
+    ok = reached & np.all(np.isfinite(X), axis=1)
+    if ok.any():
+        ok[ok] = np.linalg.cond(J[ok]) <= _COND_LIMIT
+    return X, ok
 
 
 def brute_force_oracle(
@@ -317,7 +661,8 @@ def brute_force_oracle(
     n-mode product of its monomial table with the powers of the axis; the
     quadrature backend evaluates row blocks whose points are built from
     their flat grid indices.  Neither holds an (npts^k, k) array: the scan
-    holds two npts^k grids, the neighbourhood minimum four at its peak.
+    holds two npts^k grids, and so does the neighbourhood minimum, plus an
+    eighth of one.
     Newton starts at every grid point no larger than its neighbours, in C
     order of the grid.  The tensor product rounds differently from the
     row-wise gradient of the same points, so ties among the grid minima on
@@ -336,18 +681,32 @@ def brute_force_oracle(
     is_min = G <= _neighbourhood_min(G)
     A, ok = _newton_refine(f, np.column_stack([axis[i] for i in np.nonzero(is_min)]), cfg)
     converged = A[ok & (np.max(np.abs(A), axis=1) > cfg.dedup_radius)]
-    return [_classify(f, a, cfg) for a in dedup_pairs(converged, cfg.dedup_radius)]
+    return _classify_many(f, dedup_pairs(converged, cfg.dedup_radius), cfg)
 
 
 def _neighbourhood_min(G: np.ndarray) -> np.ndarray:
     """Minimum over each point's 3 x ... x 3 neighbourhood, the grid edges
-    repeated outward; the box minimum is separable, so one axis at a time."""
+    repeated outward.  The box minimum is separable, so it is taken one
+    axis at a time, in place on one copy of ``G``: planes along the axis
+    are done in chunks of about an eighth of the grid, each chunk's planes
+    copied first, so the function holds ``G``, the result and one chunk."""
+    out = G.copy()
     for ax in range(G.ndim):
-        padded = np.moveaxis(np.pad(G, [(int(d == ax),) * 2 for d in range(G.ndim)],
-                                    mode="edge"), ax, 0)
-        G = np.minimum(padded[:-2], padded[1:-1])
-        G = np.moveaxis(np.minimum(G, padded[2:], out=G), 0, ax)
-    return G
+        M = np.moveaxis(out, ax, 0)
+        n = len(M)
+        step = max(1, n // 8)
+        before = None  # the plane before the chunk, as it was
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            here = M[lo:hi].copy()
+            np.minimum(M[lo:hi - 1], here[1:], out=M[lo:hi - 1])
+            if hi < n:
+                np.minimum(M[hi - 1:hi], M[hi:hi + 1], out=M[hi - 1:hi])
+            np.minimum(M[lo + 1:hi], here[:-1], out=M[lo + 1:hi])
+            if before is not None:
+                np.minimum(M[lo:lo + 1], before, out=M[lo:lo + 1])
+            before = here[-1:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -380,9 +739,21 @@ def gamma_family_solutions(alpha: float, beta: float, k: int,
     gamma_i^2 with multiplicity i - 1, plus a (k - i) identity block scaled
     by (alpha - 3 beta) gamma_i^2.
     """
-    fam = GammaFamily(alpha, beta, k)
-    gammas = fam.gammas
-    points = []
+    return [
+        CriticalPoint(a=a, value=value, grad_norm=0.0, hess_eigs=eigs, morse_index=morse,
+                      nondegenerate=nondeg, margin=margin)
+        for A, eigs, value, morse, nondeg, margin in _gamma_family_table(
+            alpha, beta, k, degeneracy_rtol)
+        for a in A
+    ]
+
+
+def _gamma_family_table(alpha: float, beta: float, k: int, degeneracy_rtol: float):
+    """Per support size i = 1..k: the points (supports in lexicographic
+    order, each with every sign pattern), the Hessian spectrum, the value,
+    the Morse index, nondegeneracy and margin they share."""
+    gammas = GammaFamily(alpha, beta, k).gammas
+    table = []
     for i in range(1, k + 1):
         g2 = gammas[i - 1] ** 2
         eigs = np.sort(np.concatenate([
@@ -390,19 +761,16 @@ def gamma_family_solutions(alpha: float, beta: float, k: int,
             np.full(i - 1, (6.0 * beta - 2.0 * alpha) * g2),
             np.full(k - i, (alpha - 3.0 * beta) * g2),
         ]))
-        morse = int(np.sum(eigs < 0.0))
         margin = float(np.min(np.abs(eigs)))
         nondeg = margin > degeneracy_rtol * max(1.0, float(np.max(np.abs(eigs))))
-        value = i * g2 / 4.0
-        for support in itertools.combinations(range(k), i):
-            for signs in itertools.product((1.0, -1.0), repeat=i):
-                a = np.zeros(k)
-                a[list(support)] = gammas[i - 1] * np.array(signs)
-                points.append(CriticalPoint(
-                    a=a, value=value, grad_norm=0.0, hess_eigs=eigs,
-                    morse_index=morse, nondegenerate=nondeg, margin=margin,
-                ))
-    return points
+        supports = np.array(list(itertools.combinations(range(k), i)))
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=i)))
+        A = np.zeros((len(supports), len(signs), k))
+        A[np.arange(len(supports))[:, None, None], np.arange(len(signs))[:, None],
+          supports[:, None, :]] = gammas[i - 1] * signs
+        table.append((A.reshape(-1, k), eigs, i * g2 / 4.0, int(np.sum(eigs < 0.0)),
+                      nondeg, margin))
+    return table
 
 
 def gamma_family_from_functional(f: ReducedFunctional, rtol: float = 1e-10):

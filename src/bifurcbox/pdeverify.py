@@ -41,14 +41,20 @@ index and mu are copied instead of recounted.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critpoints import BranchPrediction, CriticalPoint, SearchConfig, _newton_refine
+from .critpoints import (
+    BranchPrediction,
+    CriticalPoint,
+    SearchConfig,
+    _axis_isometries,
+    _newton_refine,
+    _signed_permutation,
+)
 from .errors import (
     ConvergedToWrongBranch,
     GridTooCoarse,
@@ -689,26 +695,16 @@ class _GridSymmetry:
     def P(self) -> np.ndarray:
         """g on the group coefficients, g (E a) = E (P a): mode m goes to
         (m[perm[0]], m[perm[1]], ...), signed by (-1)^(m_d+1) per reversed d."""
-        modes = [m.indices for m in self.dp.group.modes]
-        column = {m: c for c, m in enumerate(modes)}
-        P = np.zeros((len(modes), len(modes)))
-        for c, m in enumerate(modes):
-            P[column[tuple(m[d] for d in self.perm)], c] = (-1.0) ** sum(
-                m[d] + 1 for d in self.flips)
-        return P
+        return _signed_permutation([m.indices for m in self.dp.group.modes],
+                                    self.perm, self.flips)
 
 
 def _grid_symmetries(dp: DiscreteProblem) -> list[_GridSymmetry]:
     """The symmetry group of the grid, identity first: each set of reversed
     axes, composed with each permutation of axes that share N and side.
     An anisotropic grid gives a smaller group, never a wrong one."""
-    dim = len(dp.grid)
-    kind = list(zip(dp.grid, dp.domain.side_sq))
-    perms = [q for q in itertools.permutations(range(dim))
-             if all(kind[q[d]] == kind[d] for d in range(dim))]
-    flips = [tuple(d for d in range(dim) if bits[d])
-             for bits in itertools.product((False, True), repeat=dim)]
-    return [_GridSymmetry(dp, q, f) for q in perms for f in flips]
+    return [_GridSymmetry(dp, perm, flips)
+            for perm, flips in _axis_isometries(list(zip(dp.grid, dp.domain.side_sq)))]
 
 
 def _pair_orbits(group: list[_GridSymmetry], pairs) -> list[tuple | None]:

@@ -7,11 +7,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bifurcbox
 import bifurcbox.cli
 from bifurcbox.cli import main
+from bifurcbox.critpoints import pair_set_distance
+
+REFS = Path(__file__).parents[1] / "bench" / "refs.json"
 
 
 def run(tmp_path, *args, name="out"):
@@ -96,22 +100,55 @@ class TestPredict:
     def test_search_diagnostics_embedded(self, tmp_path):
         _, out = run(tmp_path, "predict", "--domain", "square", "--j", "2")
         payload = json.loads((out / "prediction.json").read_text())
-        assert payload["search"]["completeness"] == "oracle-checkable"
+        assert payload["search"]["completeness"] == "certified"
         assert payload["search"]["saturated"] is True
+        assert payload["search"]["certificate"] == {
+            "method": "closed form", "distinct_roots": 9, "bezout_number": 9}
         _, out = run(tmp_path, "verify", "--domain", "square", "--j", "2",
                      "--grid", "32", "--eps-steps", "1", "--no-morse", name="v")
         verify = json.loads((out / "verdicts.json").read_text())
         assert verify["search"] == payload["search"]
 
     def test_unsaturated_search_exits_two(self, tmp_path, capsys):
-        code, out = run(tmp_path, "predict", "--domain", "cube", "--lam", "14")
+        # p = 2 runs the quadrature multistart, whose k = 4 search on square
+        # lambda=65 still finds a new pair in the second half of its seeds
+        code, out = run(tmp_path, "predict", "--domain", "square", "--lam", "65", "--p", "2")
         assert code == 2
         payload = json.loads((out / "prediction.json").read_text())
         assert payload["search"]["completeness"] == "unsaturated"
+        assert "certificate" not in payload["search"]
         assert payload["exact"] is True  # the fields keep their meaning
         stdout = capsys.readouterr().out
         assert "not certified: the search is unsaturated" in stdout
         assert "(exact)" not in stdout
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_cube_14_is_certified(self, seed, tmp_path, capsys):
+        # the homotopy counts all 3^6 roots, so the 172 pairs that the
+        # multistart missed 18 of are certified complete
+        code, out = run(tmp_path, "predict", "--domain", "cube", "--lam", "14", "--seed", seed)
+        assert code == 0
+        payload = json.loads((out / "prediction.json").read_text())
+        assert payload["pair_count_h"] == 172 and payload["exact"] is True
+        assert payload["search"]["completeness"] == "certified"
+        assert payload["search"]["certificate"] == {
+            "method": "homotopy", "distinct_roots": 729, "bezout_number": 729}
+        stored = next(c for c in json.loads(REFS.read_text())["cases"]
+                      if c["domain"] == "cube" and c["lambda"] == 14)
+        assert pair_set_distance([p["a"] for p in payload["pairs"]], stored["pairs"]) <= 1e-6
+        assert "172 pairs of branches (exact)" in capsys.readouterr().out
+
+    def test_ill_conditioned_endpoints_leave_the_search_uncertified(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bifurcbox.critpoints, "_COND_LIMIT", 0.0)  # no endpoint counts
+        code, out = run(tmp_path, "predict", "--domain", "cube", "--lam", "27")
+        assert code == 2
+        payload = json.loads((out / "prediction.json").read_text())
+        assert payload["search"]["completeness"] == "uncertified"
+        assert payload["search"]["certificate"]["distinct_roots"] == 1  # the origin
+        captured = capsys.readouterr()
+        assert "not certified: 1 of 81 Bezout roots found" in captured.out
+        assert captured.err == ""
 
     def test_dedup_radius_reaches_prediction(self, tmp_path, monkeypatch):
         seen = []
@@ -275,6 +312,9 @@ class TestConfigAndReport:
         ["predict", "--domain", "square", "--lam", "65", "--oracle"],  # k = 4
         ["verify", "--domain", "square", "--lam", "5", "--oracle"],
         *(argv for argv, _ in _VACUOUS),
+        # negative values in exponent notation are values, not options
+        ["verify", "--domain", "square", "--lam", "5", "--eps0", "-1e-3"],
+        ["verify", "--domain", "square", "--lam", "5", "--min-phi-order", "-1e9"],
     ])
     def test_bad_input_is_config_error_before_the_search(self, argv, tmp_path,
                                                          monkeypatch, capsys):
@@ -528,6 +568,25 @@ class TestConfigAndReport:
 
 
 class TestReportFiles:
+    def test_row_text_is_array2string(self):
+        # the stdout table's coefficient column, byte for byte: random rows
+        # of k = 1..12 (long ones wrap at 75 columns), values that round to
+        # +-0 at six digits, rows of zeros and of -0.0
+        rng = np.random.default_rng(5)
+        rows = [np.zeros(k) for k in (1, 6, 12)] + [np.array([-0.0, 0.0, -0.0])]
+        rows += [np.array([1e-9, -1e-9, 5e-7, -5e-7, 4.9e-7, 2.0, -0.0])]
+        for k in range(1, 13):
+            for scale in (1e-7, 1e-3, 1.0, 1e3, 1e7):
+                rows.append(rng.standard_normal(k) * scale)
+                rows.append(rng.standard_normal(k) * 10.0 ** rng.integers(-8, 8, k))
+                rows.append(np.round(rng.uniform(-3, 3, k), int(rng.integers(0, 8)))
+                            * (rng.random(k) < 0.6))
+        rows.append(np.array([np.nan, 1e9, -np.inf]))  # handed to numpy
+        assert any("\n" in bifurcbox.cli._row_text(a) for a in rows)
+        for a in rows:
+            assert bifurcbox.cli._row_text(a) == np.array2string(
+                a, precision=6, suppress_small=True), a
+
     def test_report_payload(self, square, sq_g5, f_sq5):
         pred = bifurcbox.predict_branches(sq_g5, bifurcbox.find_critical_points(f_sq5))
         payload = bifurcbox.cli._prediction_dict(pred, square)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -8,12 +9,20 @@ import numpy as np
 import pytest
 
 import bifurcbox as bb
+from bifurcbox import critpoints
 from bifurcbox.critpoints import (
+    Certificate,
     SearchConfig,
+    _box_group,
+    _closed_form_points,
+    _homotopy_roots,
+    _images,
     _neighbourhood_min,
     _newton_refine,
     _newton_steps,
+    _orbit_union_size,
     _pair_representatives,
+    _start_orbits,
     canonicalize,
     dedup_pairs,
     pair_set_distance,
@@ -172,10 +181,11 @@ class TestOracle:
 
     def test_oracle_peak_memory(self, square, sq_g50):
         # |grad|^2 is scanned as a Tucker product of monomial tables, so no
-        # (npts^k, k) point or gradient array is held; the oracle peaks at
-        # 33,382,808 to 33,383,512 bytes on this k = 3 group, depending on
-        # what ran before: four 101^3 grids at once inside _neighbourhood_min
-        # (the scan itself holds two)
+        # (npts^k, k) point or gradient array is held, and the neighbourhood
+        # minimum works in place on one copy of the grid; the oracle peaks
+        # at 18,643,360 to 18,644,568 bytes on this k = 3 group, depending on
+        # what ran before: two 101^3 grids (8,242,408 bytes each) in the scan
+        # and in _neighbourhood_min, which also holds an eighth of one
         f = bb.ReducedFunctional.for_group(sq_g50, square)
         bb.brute_force_oracle(f)
         tracemalloc.start()
@@ -184,7 +194,7 @@ class TestOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 33_384_000
+        assert peak <= 18_645_000
 
     def test_rejects_large_k(self):
         f = bb.ReducedFunctional.from_tensor(QuarticTensor.from_pattern(4, 9.0, 4.0))
@@ -256,20 +266,133 @@ class TestCountLaw:
 
 
 class TestSearchDiagnostics:
-    def test_oracle_checkable_at_low_k(self, f_sq5):
+    def test_oracle_checkable_at_low_k(self, f_sq5, sq_g5, square):
+        # exact-quartic counts roots; "oracle-checkable" is left to the
+        # quadrature multistart
         pts, diag = bb.find_critical_points_with_diagnostics(f_sq5)
         assert len(pts) == 4
-        assert diag.completeness == "oracle-checkable"
+        assert diag.completeness == "certified"
+        assert diag.certificate == Certificate("closed form", 9, 9)
+        assert diag.n_converged + diag.n_failed <= diag.n_seeds
+        assert diag.saturated
+        quadr = bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")
+        pts, diag = bb.find_critical_points_with_diagnostics(quadr)
+        assert len(pts) == 4
+        assert diag.completeness == "oracle-checkable" and diag.certificate is None
         assert diag.n_converged + diag.n_failed <= diag.n_seeds
         assert diag.saturated
 
-    def test_conjectured_exact_at_k4(self):
+    def test_conjectured_exact_at_k4(self, square):
         f = bb.ReducedFunctional.from_tensor(QuarticTensor.from_pattern(4, 9.0, 4.0))
         pts, diag = bb.find_critical_points_with_diagnostics(f)
         assert len(pts) == 40
         assert diag.saturated
+        assert diag.completeness == "certified"
+        assert diag.certificate == Certificate("closed form", 81, 81)
+        # the quadrature multistart still calls a saturated k = 4 search
+        # "conjectured exact"
+        quadr = bb.ReducedFunctional.for_group(bb.find_group(square, eigenvalue=65), square,
+                                               backend="quadrature")
+        pts, diag = bb.find_critical_points_with_diagnostics(quadr)
+        assert len(pts) == 40
+        assert diag.saturated
         assert diag.completeness == "conjectured exact"
         assert diag.last_new_pair_seed < diag.n_seeds // 2
+
+
+class TestCertifiedSearch:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_closed_form_meets_bezout(self, k):
+        f = bb.ReducedFunctional.from_tensor(QuarticTensor.from_pattern(k, 9.0, 4.0))
+        closed, nondegenerate = _closed_form_points(f, SearchConfig())
+        assert nondegenerate and len(closed) == (3**k - 1) // 2  # one sign per pair
+        assert np.max(np.abs(f.gradient_many(closed))) <= 1e-12
+        pts, diag = bb.find_critical_points_with_diagnostics(f)
+        roots = [s * p.a for p in pts for s in (1.0, -1.0)]
+        assert len(roots) == 3**k - 1
+        assert diag.certificate == Certificate("closed form", 3**k, 3**k)
+        assert diag.n_seeds == len(pts) and diag.n_failed == 0
+
+    @pytest.mark.parametrize("lam, k, pairs", [(27, 4, 22), (14, 6, 172)])
+    def test_homotopy_meets_bezout(self, cube, lam, k, pairs):
+        f = bb.ReducedFunctional.for_group(bb.find_group(cube, eigenvalue=lam), cube)
+        pts, diag = bb.find_critical_points_with_diagnostics(f)
+        assert diag.certificate == Certificate("homotopy", 3**k, 3**k)
+        assert diag.completeness == "certified" and diag.n_failed == 0
+        assert len(pts) == pairs and all(p.nondegenerate for p in pts)
+        assert max(p.grad_norm for p in pts) <= 1e-12
+
+    def test_homotopy_agrees_with_closed_form(self, square, sq_g50):
+        # stage B run on a pattern tensor finds stage A's set and count
+        f = bb.ReducedFunctional.for_group(sq_g50, square)
+        A, ok, n_paths, n_failed, distinct = _homotopy_roots(f, SearchConfig(rng_seed=3))
+        assert distinct == 27 and n_failed == 0 and ok.all()
+        closed, _ = _closed_form_points(f, SearchConfig())
+        assert pair_set_distance(list(A), list(closed)) <= 1e-12
+        # the modes (1, 7), (5, 5), (7, 1) have odd indices only, so the
+        # reflections act as I: G x {+-1} is the axis swap and the
+        # negatives, four elements, and the 26 nonzero starts form 9 orbits
+        assert len(_box_group(f)[0]) == 4 and n_paths == 9
+
+    def test_start_orbits_cover_every_start_once(self, cube):
+        f = bb.ReducedFunctional.for_group(bb.find_group(cube, eigenvalue=14), cube)
+        src, sign = _box_group(f)
+        assert len(src) == 48
+        reps = _start_orbits(src, sign)
+        assert len(reps) == 29
+        images = np.unique(_images(reps, src, sign), axis=0)
+        assert len(images) == 3**6 - 1 and not np.any(np.all(images == 0.0, axis=1))
+        # every orbit holds one representative
+        codes = (images + 1.0) @ 3 ** np.arange(5, -1, -1)
+        assert len(np.unique(codes)) == 728
+        assert _orbit_union_size(reps.astype(complex), src, sign) == 728
+        # rows that share an orbit (a path jump's endpoints) count once
+        pooled = np.concatenate([reps, -reps[::-1], images[::7]]).astype(complex)
+        assert _orbit_union_size(pooled, src, sign) == 728
+
+    def test_box_group_keeps_only_symmetries_of_the_tensor(self, cube):
+        f = bb.ReducedFunctional.for_group(bb.find_group(cube, eigenvalue=14), cube)
+        T = f.tensor.entries.copy()
+        T[0, 0, 1, 1] = T[0, 1, 0, 1] = T[0, 1, 1, 0] = T[1, 0, 0, 1] = \
+            T[1, 0, 1, 0] = T[1, 1, 0, 0] = 2.0 * T[0, 0, 1, 1]
+        g = bb.ReducedFunctional(f.k, 3.0, "exact-quartic", tensor=QuarticTensor(f.k, T),
+                                 group=f.group, domain=f.domain)
+        src, sign = _box_group(g)
+        assert 1 < len(src) < 48
+        for P_src, P_sign in zip(src, sign):
+            moved = T[np.ix_(P_src, P_src, P_src, P_src)] * np.einsum(
+                "i,j,l,m->ijlm", P_sign, P_sign, P_sign, P_sign)
+            assert np.max(np.abs(moved - T)) <= 1e-12 * np.max(np.abs(T))
+
+    def test_failed_paths_are_tracked_again(self, cube, monkeypatch):
+        f = bb.ReducedFunctional.for_group(bb.find_group(cube, eigenvalue=27), cube)
+        track, calls = critpoints._track, []
+
+        def first_fails(*args):
+            X, ok = track(*args)
+            calls.append(args[4])  # h_max
+            return X, ok & (len(calls) > 1)
+
+        monkeypatch.setattr(critpoints, "_track", first_fails)
+        pts, diag = bb.find_critical_points_with_diagnostics(f)
+        assert calls == list(critpoints._H_MAX)  # a smaller step the second time
+        assert diag.certificate == Certificate("homotopy", 81, 81) and len(pts) == 22
+        assert diag.n_seeds == 30 and diag.n_failed == 15
+
+    def test_degenerate_pattern_is_not_exact(self, sq_g50):
+        # alpha = 3 beta makes F radial: a sphere of critical points, none
+        # isolated, so the closed form is degenerate and the homotopy can
+        # count only the origin as a nonsingular root
+        f = bb.ReducedFunctional.from_tensor(QuarticTensor.from_pattern(3, 0.9, 0.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pts, diag = bb.find_critical_points_with_diagnostics(f)
+            pred = bb.predict_branches(sq_g50, pts)
+        assert diag.completeness == "uncertified" and not diag.saturated
+        assert diag.certificate.method == "homotopy"
+        assert diag.certificate.distinct_roots < 27
+        assert len(pts) >= 13 and not pred.exact
+        assert pred.guaranteed_minimum == 3
 
 
 class TestPrediction:
