@@ -30,6 +30,15 @@ are written here in numpy, on grid-shaped arrays, so numpy is the only
 run-time dependency; MINRES and CG keep SciPy's recurrences and stopping
 tests.
 
+Most branches are even or odd under some axis reversals, and such a
+function is fixed by its values on half of each of those axes, where the
+sine transform keeps only the matching half of its columns.  Newton
+solves a pair with P_d a = +-a on that reversal-parity sector and mirrors
+the solution back to the full grid once.  The Morse count splits the
+linearization into its blocks on the parity sectors of the axes along
+which the solution's potential is even, and sums their inertia.  A pair
+with no such axis is solved on the full grid.
+
 The grid's symmetries (axis reversals, and swaps of axes with equal N and
 side) map discrete solutions onto discrete solutions and act on the group
 coefficients as signed permutations.  A pair whose orbit representative
@@ -90,7 +99,8 @@ def _sine_table(n: int) -> np.ndarray:
 
 
 class _SineTransform:
-    """The discrete Dirichlet Laplacian A, held as its sine transform.
+    """The discrete Dirichlet Laplacian A, held as its sine transform, on
+    one reversal-parity sector of the grid.
 
     The orthonormal type-I DST Q diagonalizes the 5/7-point stencil,
     A = Q D Q with D the stencil eigenvalues, and is its own inverse, so
@@ -103,6 +113,20 @@ class _SineTransform:
     and at 255^2 a transform pair costs about 1.3-1.4x an FFT pair on one
     x86 core.
 
+    ``parities`` holds one entry per axis: None, or the sign s of a
+    function f with f(N_d - i) = s f(i).  Reversing axis d multiplies
+    column m of S by (-1)^(m+1), so an even (s = +1) function has sine
+    coefficients only at odd m, an odd one only at even m, and each is
+    fixed by its values on the first half of the axis.  On a constrained
+    axis the transform keeps those half rows and parity columns: the
+    square table A = S[half, parity] maps coefficients to the half grid,
+    and its transpose weighted by each row's multiplicity (2, or 1 on the
+    centre row of an odd n; an odd function vanishes there, and drops
+    it) maps the half grid back.  With every entry None this is the
+    full transform, A = S both ways.  ``shape`` is the sector's shape,
+    the same for its grid and its coefficients, and ``eigenvalues`` is D
+    on the sector.
+
     In 3-D each axis is a stack of n x n slice products rather than one
     GEMM over the whole grid.  On one thread both cost the same; but
     OpenBLAS splits a GEMM across threads once m n k exceeds 2^18, and on
@@ -112,29 +136,64 @@ class _SineTransform:
     one thread.
     """
 
-    def __init__(self, shape, freq_1d):
-        self.shape = tuple(shape)
+    def __init__(self, shape, freq_1d, parities=None):
+        self.full_shape = tuple(shape)
+        self.freq_1d = list(freq_1d)
+        self.parities = tuple(parities or (None,) * len(self.full_shape))
+        self.matrices, forward, weights, freqs, half = [], [], [], [], []
+        for n, f, s in zip(self.full_shape, self.freq_1d, self.parities):
+            S = math.sqrt(2.0 / (n + 1)) * _sine_table(n + 1)[
+                np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * n + 2)]
+            if s is None:
+                rows, cols, w = n, slice(None), np.ones(1)
+                A = F = S  # symmetric: both directions, and its own transpose
+            else:
+                rows = (n + 1) // 2 if s > 0 else n // 2
+                cols = slice(0 if s > 0 else 1, None, 2)  # odd m when even, even m when odd
+                w = np.full(rows, 2.0)
+                if s > 0 and n % 2:
+                    w[-1] = 1.0  # the centre row
+                A = np.ascontiguousarray(S[:rows, cols])  # coefficients to half grid
+                F = np.ascontiguousarray((w[:, None] * A).T)  # and back
+            self.matrices.append(A)
+            forward.append(F)
+            weights.append(w)
+            freqs.append(f[cols])
+            half.append(slice(0, rows))
+        self.shape = tuple(len(f) for f in freqs)
+        self._half = tuple(half)
+        # per direction, the tables that multiply all axes but the last from
+        # the left, and the transposed table that multiplies the last from
+        # the right
+        if self.parities[-1] is None:
+            right = {False: forward[-1], True: self.matrices[-1]}
+        else:
+            right = {False: np.ascontiguousarray(forward[-1].T),
+                     True: np.ascontiguousarray(self.matrices[-1].T)}
+        self._factors = {False: (forward[:-1], right[False]),
+                         True: (self.matrices[:-1], right[True])}
+        self.multiplicity = functools.reduce(np.multiply.outer, weights)
         W = np.zeros(self.shape)
-        for d, w in enumerate(freq_1d):
+        for d, w in enumerate(freqs):
             bshape = [1] * len(self.shape)
             bshape[d] = -1
             W = W + w.reshape(bshape)
         self.eigenvalues = W
-        self.matrices = [math.sqrt(2.0 / (n + 1)) * _sine_table(n + 1)[
-            np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * n + 2)]
-            for n in self.shape]
 
-    def dst(self, vec: np.ndarray) -> np.ndarray:
-        """Orthonormal DST-I along every axis, returned in grid shape."""
+    def dst(self, vec: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Orthonormal DST-I along every axis, returned in sector shape:
+        grid values to sine coefficients, or back with ``inverse``.  On
+        the full grid the two directions are the same map."""
+        left, right = self._factors[inverse]
         X = vec.reshape(self.shape)
-        for d, S in enumerate(self.matrices[:-1]):
+        for d, S in enumerate(left):
             # a stack of slice products; the strided views need no copy
             X = np.moveaxis(np.matmul(S, np.moveaxis(X, d, -2)), -2, d)
-        return np.matmul(X, self.matrices[-1])
+        return np.matmul(X, right)
 
     def apply_spectral(self, vec: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """f(A) vec, for the f with values ``weights`` on D."""
-        return self.dst(self.dst(vec) * weights).ravel()
+        return self.dst(self.dst(vec) * weights, inverse=True).ravel()
 
     def operator(self, outer: np.ndarray, inner: np.ndarray,
                  diag: np.ndarray | None = None):
@@ -143,12 +202,34 @@ class _SineTransform:
         as the callable that ``_minres`` and ``_cg`` take."""
 
         def apply(y):
-            out = outer * self.dst(inner * self.dst(outer * y))
+            out = outer * self.dst(inner * self.dst(outer * y, inverse=True))
             if diag is not None:
                 out += diag * y
             return out
 
         return apply
+
+    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
+        """The full grid's sum of u v, from the sector's half grid."""
+        return float(np.vdot(self.multiplicity * u.reshape(self.shape), v))
+
+    def restrict(self, x: np.ndarray) -> np.ndarray:
+        """A copy of the sector's half grid of a full-grid function."""
+        return np.array(x.reshape(self.full_shape)[self._half])
+
+    def extend(self, x: np.ndarray) -> np.ndarray:
+        """The flat full-grid function whose half grid is x, mirrored with
+        its sign along each constrained axis (the centre row of an odd
+        function, which x leaves out, is zero)."""
+        X = x.reshape(self.shape)
+        for d, (n, s) in enumerate(zip(self.full_shape, self.parities)):
+            if s is not None:
+                h, before = X.shape[d], (slice(None),) * d
+                full = np.zeros(X.shape[:d] + (n,) + X.shape[d + 1:])
+                full[before + (slice(0, h),)] = X
+                full[before + (slice(n - h, n),)] = s * np.flip(X, d)
+                X = full
+        return X.ravel()
 
 
 @dataclass(frozen=True)
@@ -167,6 +248,7 @@ class DiscreteProblem:
     splitting: float               # spread of the discrete multiplet
     neighbor_gap: float            # distance to nearest non-group eigenvalue
     transform: _SineTransform = field(repr=False)
+    _sectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -185,6 +267,16 @@ class DiscreteProblem:
     def project(self, v) -> np.ndarray:
         """Discrete L2 projections of v onto the group basis."""
         return self.weight * (self.eigvecs.T @ v)
+
+    def sector(self, parities: tuple) -> _SineTransform:
+        """The sine transform on one reversal-parity sector (see
+        ``_SineTransform``), built on first use; all None is ``transform``."""
+        if all(s is None for s in parities):
+            return self.transform
+        if parities not in self._sectors:
+            self._sectors[parities] = _SineTransform(self.shape, self.transform.freq_1d,
+                                                     parities)
+        return self._sectors[parities]
 
 
 def _discrete_mode_value(freq_1d, indices) -> float:
@@ -410,21 +502,30 @@ def _pencil_eigh(S: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, Linv.T @ V
 
 
-def _linear_solve(dp: DiscreteProblem, lam: float, extra: np.ndarray,
+def _linear_solve(Q: _SineTransform, lam: float, extra: np.ndarray,
                   rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
-    """Newton-step solve of (A - lam - diag(extra)) x = rhs in any dimension.
+    """Newton-step solve of (A - lam - diag(extra)) x = rhs in any dimension,
+    on the sector of ``Q``.
 
     MINRES (the matrix is symmetric indefinite near a bifurcation, which
     rules out plain CG) runs split-preconditioned by |A - lam|^(-1/2) in
     sine coordinates: with w = |D - lam|^(-1/2) it solves T y = w Q rhs,
     T = w (D - lam) w - w Q extra Q w, and returns x = Q (w y) with
     MINRES's ``info``; a nonzero ``info`` is a stall."""
-    Q = dp.transform
     shift = Q.eigenvalues - lam
     w = np.maximum(np.abs(shift), 1e-10) ** -0.5
     T = Q.operator(w, -extra.reshape(Q.shape), diag=w * shift * w)
     y, info = _minres(T, w * Q.dst(rhs), rtol=rtol, maxiter=2000)
-    return Q.dst(w * y).ravel(), info
+    return Q.dst(w * y, inverse=True).ravel(), info
+
+
+def _reversal_parities(dp: DiscreteProblem, a: np.ndarray) -> tuple:
+    """Per axis d, the sign s with P_d a = s a to ``_pair_tol(a)``, or None:
+    P_d is the reversal of axis d on the group coefficients."""
+    axes = tuple(range(len(dp.shape)))
+    images = [_GridSymmetry(dp, axes, (d,)).P @ a for d in axes]
+    return tuple(next((s for s in (1, -1) if np.linalg.norm(img - s * a) <= _pair_tol(a)), None)
+                 for img in images)
 
 
 def solve_branch(
@@ -442,6 +543,12 @@ def solve_branch(
     """Damped Newton solve of the rescaled equation at lambda_h - epsilon,
     started from the predicted eigenspace profile a . e (or ``v0``).
 
+    The solve runs on the reversal-parity sector of a: the equation
+    commutes with each axis reversal, so when P_d a = +-a the branch is
+    even or odd along d, and residual, MINRES steps and line search work
+    on the half grid of every such axis.  The start is cut to that half
+    grid, and the solution is mirrored back to the full grid once.
+
     Convergence is to discrete-L2 residual ``tol``.  When ``all_pairs`` is
     given, the converged projection must be nearest the launched pair, of
     every pair and the trivial solution, or :class:`ConvergedToWrongBranch`
@@ -452,17 +559,21 @@ def solve_branch(
         raise ValueError("epsilon must be positive")
     a = np.asarray(a, dtype=float)
     lam = dp.lambda_h - epsilon
-    v = dp.eigvecs @ a if v0 is None else v0.copy()
-    residual = functools.partial(_residual, dp, lam, epsilon, p)
+    Q = dp.sector(_reversal_parities(dp, a))
+    v = Q.restrict(dp.eigvecs @ a if v0 is None else v0).ravel()
+    residual = functools.partial(_residual, Q, lam, epsilon, p)
+
+    def norm(r):
+        return math.sqrt(dp.weight * Q.inner(r, r))
 
     r = residual(v)
-    rn = dp.norm_l2(r)
+    rn = norm(r)
     history = [rn]
     for _ in range(max_iter):
         if rn <= tol:
             break
         f = epsilon * p * np.abs(v) ** (p - 1.0)
-        step, info = _linear_solve(dp, lam, f, -r, linear_rtol)
+        step, info = _linear_solve(Q, lam, f, -r, linear_rtol)
         if info != 0:
             raise NewtonDiverged(
                 f"MINRES stalled (info={info}) at eps={epsilon:g} "
@@ -473,7 +584,7 @@ def solve_branch(
         while s >= 2.0**-30:
             v_new = v + s * step
             r_new = residual(v_new)
-            rn_new = dp.norm_l2(r_new)
+            rn_new = norm(r_new)
             if rn_new <= (1.0 - 1e-4 * s) * rn or rn_new <= tol:
                 break
             s *= 0.5
@@ -491,6 +602,7 @@ def solve_branch(
             history,
         )
 
+    v = Q.extend(v)
     a_lam = dp.project(v)
     phi = v - dp.eigvecs @ a_lam
     record = ContinuationRecord(
@@ -519,12 +631,71 @@ def solve_branch(
     return record
 
 
-def _residual(dp: DiscreteProblem, lam: float, epsilon: float, p: float,
+def _residual(Q: _SineTransform, lam: float, epsilon: float, p: float,
               v: np.ndarray) -> np.ndarray:
-    """A v - lam v - eps |v|^(p-1) v, the rescaled equation's residual."""
-    Q = dp.transform
+    """A v - lam v - eps |v|^(p-1) v, the rescaled equation's residual, on
+    the sector of ``Q``."""
     return (Q.apply_spectral(v, Q.eigenvalues) - lam * v
             - epsilon * np.abs(v) ** (p - 1.0) * v)
+
+
+class _SchurBlock:
+    """The Schur complement S of L = D - Q c Q on one reversal-parity
+    sector, for the entries P of the kept set that lie in it (``P`` indexes
+    the sector's coefficients), and the Ritz values ``theta`` and vectors
+    ``W`` of its first pencil."""
+
+    def __init__(self, Q: _SineTransform, c: np.ndarray, P: tuple, lam: float):
+        self.Q, D = Q, Q.eigenvalues
+        self.rest = np.ones(Q.shape, dtype=bool)
+        self.rest[P] = False
+        self.L_rr = Q.operator(self.rest, -c, diag=self.rest * D)
+        self.precond = np.divide(self.rest, D - lam, out=np.zeros(Q.shape), where=self.rest)
+        self.d = D.ravel()  # flat, like the rows of the flat views Xf, Zf and Rf
+        ell, n = len(P[0]), D.size
+
+        X = np.empty((ell, *Q.shape))  # X[a]: L_rr^(-1) L_rP e_a, zero on P
+        self.Xf = Xf = X.reshape(ell, n)
+        S = np.empty((ell, ell))
+        for a, idx in enumerate(zip(*P)):
+            e = functools.reduce(np.multiply.outer,
+                                 [T[:, i] for T, i in zip(Q.matrices, idx)])
+            col = Q.dst(c * e)  # Q c Q e_a
+            L_rP = -(self.rest * col)
+            X[a] = self.solve(L_rP)
+            # S is symmetric: row a needs only the columns of X solved so far
+            S[a, :a + 1] = -col[P][:a + 1] - Xf[:a + 1] @ L_rP.ravel()
+            S[a, a] += D[idx]
+            S[:a, a] = S[a, :a]
+        self.S = S
+        self.G = np.diag(D[P]) + Xf @ (self.d * Xf).T  # D on the span of [I; -X]
+        self.theta, self.W = _pencil_eigh(S, self.G)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, info = _cg(self.L_rr, rhs, self.precond, rtol=1e-12, maxiter=1000)
+        if info != 0:
+            raise SpectrumTooClose(f"the Schur complement solve stalled (info={info})")
+        return x
+
+    def refine(self, near: np.ndarray) -> np.ndarray:
+        """The Ritz values at the positions ``near`` after the span gains
+        Z x and U x for the Ritz vector x of each."""
+        k, d, Xf = len(near), self.d, self.Xf
+        Z, R = np.empty((2, 2 * k, *self.Q.shape))  # L_rr Z = R
+        Zf, Rf = Z.reshape(2 * k, d.size), R.reshape(2 * k, d.size)
+        Rf[:k] = d * (self.W[:, near].T @ Xf)
+        for i in range(k):
+            Z[i] = self.solve(R[i])
+            Z[k + i] = self.precond * self.Q.eigenvalues * Z[i]
+            R[k + i] = self.L_rr(Z[k + i])
+        DZ = d * Zf
+        cross = -Xf @ DZ.T
+        zero = np.zeros((len(self.S), 2 * k))
+        mu, _ = _pencil_eigh(np.block([[self.S, zero], [zero.T, Zf @ Rf.T]]),
+                             np.block([[self.G, cross], [cross.T, Zf @ DZ.T]]))
+        # a larger subspace lowers each Ritz value toward its eigenvalue, so
+        # the refined values keep the positions of the first ones
+        return mu[near]
 
 
 def discrete_morse_index(
@@ -550,6 +721,14 @@ def discrete_morse_index(
     two transforms per iteration.  Nothing is random: ``rng_seed`` is
     unused and kept for the signature.
 
+    Along each axis under which c is exactly even, L maps even functions
+    to even ones and odd to odd, so it is block-diagonal over the
+    reversal-parity sectors of those axes (see ``_SineTransform``).  Each
+    entry of P lies in one sector; each column of X, and every solve and
+    product below, runs on the half grid of its sector, and the Morse index
+    is the sum of the sectors' counts.  The blocks between sectors are
+    zero; with no such axis there is one sector, the full grid.
+
     The mu come from Rayleigh-Ritz.  On the span of [I; -X] it gives the
     pencil (S, D_P + X^T D_r X), whose mu are off by O(mu^2).  The
     eigenvector of mu has rest part -(X + mu Z + mu^2 U + ...) x, with
@@ -558,60 +737,36 @@ def discrete_morse_index(
     preconditioner standing in for L_rr^(-1) (k products).  What is left
     of the eigenvector is O(mu^2) times the preconditioner's error, and of
     mu about its square.  L [I; -X] vanishes on r, so every projected block
-    is an inner product of arrays already held.  A mu within ``zero_tol``
-    of zero defers the verdict.
+    is an inner product of arrays already held.  Both pencils are taken
+    sector by sector, and the k Ritz values nearest zero are chosen over
+    all of them.  A mu within ``zero_tol`` of zero defers the verdict.
     """
     j, k = dp.group.j, dp.group.k
-    Q = dp.transform
-    D = Q.eigenvalues
-    c = (record.lam + record.epsilon * p * np.abs(record.v) ** (p - 1.0)).reshape(Q.shape)
+    D = dp.transform.eigenvalues
+    c = (record.lam + record.epsilon * p * np.abs(record.v) ** (p - 1.0)).reshape(dp.shape)
     ell = min(max(j - 1 + k + n_extra, int(np.sum(D <= c.max())) + 1), dp.n)
-    P = np.unravel_index(np.argpartition(D, ell - 1, axis=None)[:ell], Q.shape)
-    rest = np.ones(Q.shape, dtype=bool)
-    rest[P] = False
-    L_rr = Q.operator(rest, -c, diag=rest * D)
-    precond = np.divide(rest, D - record.lam, out=np.zeros(Q.shape), where=rest)
-    d = D.ravel()  # flat, like the rows of the flat views Xf, Zf and Rf
+    P = np.unravel_index(np.argpartition(D, ell - 1, axis=None)[:ell], dp.shape)
+    even = [np.array_equal(c, np.flip(c, d)) for d in range(c.ndim)]
+    # index i along an even axis is mode i + 1, column i // 2 of the sector
+    # of even functions when i is even, of odd ones when i is odd
+    keys = list(zip(*[np.where(i % 2 == 0, 1, -1).tolist() if e else [None] * ell
+                      for i, e in zip(P, even)]))
+    blocks = []
+    for key in dict.fromkeys(keys):
+        Q = dp.sector(key)
+        mine = [a for a, other in enumerate(keys) if other == key]
+        P_key = tuple(i[mine] // 2 if e else i[mine] for i, e in zip(P, even))
+        blocks.append(_SchurBlock(Q, Q.restrict(c), P_key, record.lam))
+    morse = sum(int(np.sum(np.linalg.eigvalsh(b.S) < 0.0)) for b in blocks)
 
-    def solve(rhs):
-        x, info = _cg(L_rr, rhs, precond, rtol=1e-12, maxiter=1000)
-        if info != 0:
-            raise SpectrumTooClose(f"the Schur complement solve stalled (info={info})")
-        return x
-
-    X = np.empty((ell, *Q.shape))  # X[a]: L_rr^(-1) L_rP e_a, zero on P
-    Xf = X.reshape(ell, dp.n)
-    S = np.empty((ell, ell))
-    for a, idx in enumerate(zip(*P)):
-        e = functools.reduce(np.multiply.outer,
-                             [T[:, i] for T, i in zip(Q.matrices, idx)])
-        col = Q.dst(c * e)  # Q c Q e_a
-        L_rP = -(rest * col)
-        X[a] = solve(L_rP)
-        # S is symmetric: row a needs only the columns of X solved so far
-        S[a, :a + 1] = -col[P][:a + 1] - Xf[:a + 1] @ L_rP.ravel()
-        S[a, a] += D[idx]
-        S[:a, a] = S[a, :a]
-    morse = int(np.sum(np.linalg.eigvalsh(S) < 0.0))
-
-    G = np.diag(D[P]) + Xf @ (d * Xf).T  # D on the span of [I; -X]
-    theta, W = _pencil_eigh(S, G)
-    near = np.sort(np.argsort(np.abs(theta))[:k])
-    Z, R = np.empty((2, 2 * k, *Q.shape))  # L_rr Z = R
-    Zf, Rf = Z.reshape(2 * k, dp.n), R.reshape(2 * k, dp.n)
-    Rf[:k] = d * (W[:, near].T @ Xf)
-    for i in range(k):
-        Z[i] = solve(R[i])
-        Z[k + i] = precond * D * Z[i]
-        R[k + i] = L_rr(Z[k + i])
-    DZ = d * Zf
-    cross = -Xf @ DZ.T
-    zero = np.zeros((ell, 2 * k))
-    mu, _ = _pencil_eigh(np.block([[S, zero], [zero.T, Zf @ Rf.T]]),
-                         np.block([[G, cross], [cross.T, Zf @ DZ.T]]))
-    # a larger subspace lowers each Ritz value toward its eigenvalue, so
-    # the refined values keep the positions of the first ones
-    near_zero = mu[near]
+    near = np.sort(np.argsort(np.abs(np.concatenate([b.theta for b in blocks])))[:k])
+    start = np.cumsum([0] + [len(b.theta) for b in blocks])
+    refined = []
+    for b, lo, hi in zip(blocks, start, start[1:]):
+        mine = near[(near >= lo) & (near < hi)] - lo
+        if mine.size:
+            refined.append(b.refine(mine))
+    near_zero = np.sort(np.concatenate(refined))
     if np.any(np.abs(near_zero) < zero_tol):
         raise SpectrumTooClose(
             "a transported eigenvalue sits at zero to rounding; defer the "
@@ -707,13 +862,18 @@ def _grid_symmetries(dp: DiscreteProblem) -> list[_GridSymmetry]:
             for perm, flips in _axis_isometries(list(zip(dp.grid, dp.domain.side_sq)))]
 
 
+def _pair_tol(a: np.ndarray) -> float:
+    """The distance within which a coefficient vector counts as a."""
+    return 1e-8 * max(1.0, float(np.linalg.norm(a)))
+
+
 def _pair_orbits(group: list[_GridSymmetry], pairs) -> list[tuple | None]:
     """For each pair, None when it is the lowest index of its orbit, else
-    (representative, g, sign) with sign P_g a_rep = a to 1e-8 max(1, |a|)."""
+    (representative, g, sign) with sign P_g a_rep = a to ``_pair_tol(a)``."""
     P = np.stack([g.P for g in group])
     images, sources = {}, []
     for j, a in enumerate(pairs):
-        tol = 1e-8 * max(1.0, float(np.linalg.norm(a)))
+        tol = _pair_tol(a)
         source = next(((i, group[n], s) for i, img in images.items() for s in (1.0, -1.0)
                        for n in np.flatnonzero(np.linalg.norm(s * img - a, axis=1) <= tol)),
                       None)

@@ -25,7 +25,9 @@ from bifurcbox.pdeverify import (
     _grid_symmetries,
     _GridSymmetry,
     _linear_solve,
+    _pair_orbits,
     _residual,
+    _reversal_parities,
     _sine_eigenvalues_1d,
     _SineTransform,
     discrete_reference_point,
@@ -53,6 +55,29 @@ def reference_stencil(dp) -> sp.csr_matrix:
             term = f if term is None else sp.kron(term, f, format="csr")
         A = term if A is None else A + term
     return A.tocsr()
+
+
+def orbit_representatives(domain, eigenvalue, grid):
+    """The problem on ``grid`` and the lowest pair of each grid-symmetry
+    orbit of the group at ``eigenvalue``."""
+    dom = getattr(bb.DomainSpec, domain)()
+    group = bb.find_group(dom, eigenvalue=eigenvalue)
+    dp = bb.build_laplacian(dom, grid, group)
+    pred = bb.predict_branches(
+        group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom))
+    )
+    sources = _pair_orbits(_grid_symmetries(dp), [cp.a for cp in pred.pairs])
+    return dp, [cp for cp, src in zip(pred.pairs, sources) if src is None]
+
+
+def mirrored(shape, parities, seed):
+    """A random grid function with f(N_d - i) = s f(i) along each axis d
+    whose parity s is not None, exactly."""
+    x = np.random.default_rng(seed).standard_normal(shape)
+    for d, s in enumerate(parities):
+        if s is not None:
+            x = x + s * np.flip(x, d)
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -194,11 +219,53 @@ class TestBuildLaplacian:
         got = T.apply_spectral(x.ravel(), w)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("shape, parities", [
+        ((17,), (1,)), ((17,), (-1,)),  # odd n: the centre row
+        ((16,), (1,)), ((16,), (-1,)),  # even n
+        ((17, 23), (1, -1)),
+        ((11, 13, 16), (-1, None, 1)),  # anisotropic, with a free axis
+        ((12, 11, 9), (1, 1, -1)),
+    ])
+    def test_sector_transform_matches_scipy_dst(self, shape, parities):
+        freq = [_sine_eigenvalues_1d(n + 1, 1.0) for n in shape]
+        T = _SineTransform(shape, freq, parities)
+        x = mirrored(shape, parities, 5)
+        ref = scipy.fft.dstn(x, type=1, norm="ortho")
+        scale = np.max(np.abs(ref))
+        # even functions have odd m only, odd ones even m only
+        cols = tuple(slice(None) if s is None else slice(0 if s > 0 else 1, None, 2)
+                     for s in parities)
+        outside = ref.copy()
+        outside[cols] = 0.0
+        assert np.max(np.abs(outside)) <= 1e-13 * scale
+        half = T.restrict(x)
+        assert half.shape == T.shape == ref[cols].shape
+        got = T.dst(half)
+        assert np.max(np.abs(got - ref[cols])) <= 1e-13 * scale
+        assert np.array_equal(T.eigenvalues, _SineTransform(shape, freq).eigenvalues[cols])
+        # the inverse, against SciPy's on the zero-padded coefficients
+        y = np.random.default_rng(6).standard_normal(T.shape)
+        padded = np.zeros(shape)
+        padded[cols] = y
+        full = scipy.fft.idstn(padded, type=1, norm="ortho")
+        back = T.dst(y, inverse=True)
+        assert np.max(np.abs(back - T.restrict(full))) <= 1e-13 * np.max(np.abs(full))
+        assert np.max(np.abs(T.extend(back) - full.ravel())) <= 1e-13 * np.max(np.abs(full))
+        # round trips, and the mirror back to the full grid
+        assert np.max(np.abs(T.dst(got, inverse=True) - half)) <= 1e-13 * np.max(np.abs(x))
+        assert np.max(np.abs(T.dst(back) - y)) <= 1e-13 * np.max(np.abs(y))
+        assert np.array_equal(T.extend(half), x.ravel())
+        # the half grid, weighted by multiplicity, holds the full inner product
+        u = mirrored(shape, parities, 7)
+        assert T.inner(T.restrict(u), half) == pytest.approx(float(np.vdot(u, x)), rel=1e-13)
+        assert np.vdot(T.dst(T.restrict(u)), got) == pytest.approx(
+            float(np.vdot(u, x)), rel=1e-12)
+
     def test_operator_builds_without_a_matvec(self, dp_sq5, monkeypatch):
         T = dp_sq5.transform
         calls = []
         dst = T.dst
-        monkeypatch.setattr(T, "dst", lambda *args: calls.append(1) or dst(*args))
+        monkeypatch.setattr(T, "dst", lambda *args, **kw: calls.append(1) or dst(*args, **kw))
         op = T.operator(T.eigenvalues ** -0.5, np.ones(T.shape))
         assert calls == []
         op(np.ones(T.shape))
@@ -219,7 +286,7 @@ class TestBuildLaplacian:
         v = dp.eigvecs @ np.linspace(1.0, 2.0, group.k)
         f = 3.0 * eps * v**2
         rhs = np.random.default_rng(3).standard_normal(dp.n)
-        x, info = _linear_solve(dp, lam, f, rhs, 1e-12)
+        x, info = _linear_solve(dp.transform, lam, f, rhs, 1e-12)
         assert info == 0
         J = reference_stencil(dp).toarray() - np.diag(lam + f)
         ref = np.linalg.solve(J, rhs)
@@ -357,6 +424,37 @@ class TestSolveBranch:
                             all_pairs=pairs, expected_index=i)
         assert err.value.nearest_index is None
 
+    @pytest.mark.parametrize("domain, eigenvalue, grid", [("square", 5, 33), ("cube", 6, 12)])
+    def test_parity_sector_solution_matches_dense_newton(self, domain, eigenvalue, grid):
+        # a pair with P_d a = s a along axis d solves on the sector's half
+        # grid; the mirrored solution is s-symmetric bit for bit and agrees
+        # with an undamped full-grid Newton on the assembled stencil
+        dp, reps = orbit_representatives(domain, eigenvalue, grid)
+        A = reference_stencil(dp).toarray()
+        eps, lam = 0.05, dp.lambda_h - 0.05
+        checked = 0
+        for cp in reps:
+            parities = _reversal_parities(dp, cp.a)
+            if all(s is None for s in parities):
+                continue
+            rec = bb.solve_branch(dp, cp.a, eps, tol=1e-12)  # both to rounding
+            v = rec.v.reshape(dp.shape)
+            for d, s in enumerate(parities):
+                if s is not None:
+                    assert np.array_equal(v, s * np.flip(v, d))
+            ref = dp.eigvecs @ cp.a
+            for _ in range(20):
+                r = A @ ref - lam * ref - eps * ref**3
+                if dp.norm_l2(r) <= 1e-13:
+                    break
+                ref -= np.linalg.solve(A - np.diag(lam + 3.0 * eps * ref**2), r)
+            a_ref = dp.project(ref)
+            assert np.max(np.abs(rec.a_lambda - a_ref)) <= 1e-10
+            assert rec.phi_norm == pytest.approx(dp.norm_h1(ref - dp.eigvecs @ a_ref),
+                                                 abs=1e-10)
+            checked += 1
+        assert checked == {"square": 1, "cube": 2}[domain]
+
     def test_supercritical_exponent_refused(self, cube, cube_g6):
         dp = bb.build_laplacian(cube, 12, cube_g6)
         with pytest.raises(SupercriticalP):
@@ -447,7 +545,9 @@ class TestMorseIndex:
         assert near0.tobytes() == near1.tobytes()
 
     def test_morse_peak_memory(self, cube, cube_g6, f_cube6):
-        # one call at 33^3 with ARPACK (eigsh) peaked at 12.34 MB
+        # one call at 33^3 with ARPACK (eigsh) peaked at 12.34 MB, the
+        # full-grid Schur solve at 9.8 MB; this pair is even or odd along
+        # every axis, and on those sectors the solve peaks at 1.5 MB
         dp = bb.build_laplacian(cube, 33, cube_g6)
         pred = bb.predict_branches(cube_g6, bb.find_critical_points(f_cube6))
         rec = bb.solve_branch(dp, pred.pairs[0].a, 0.05)
@@ -458,26 +558,45 @@ class TestMorseIndex:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12_336_576
+        assert peak <= 2_000_000
 
-    @pytest.mark.parametrize("domain, eigenvalue, grid", [("square", 5, 32), ("cube", 6, 12)])
+    @pytest.mark.parametrize("domain, eigenvalue, grid", [
+        ("square", 5, 32), ("square", 5, 33), ("cube", 6, 12), ("cube", 6, 13),
+    ])
     def test_schur_solve_matches_dense_pencil(self, domain, eigenvalue, grid):
-        dom = getattr(bb.DomainSpec, domain)()
-        group = bb.find_group(dom, eigenvalue=eigenvalue)
-        dp = bb.build_laplacian(dom, grid, group)
-        pred = bb.predict_branches(
-            group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom))
-        )
-        cp = max(pred.pairs, key=lambda c: c.morse_index)
-        rec = bb.solve_branch(dp, cp.a, 0.05)
+        # every orbit representative, on an odd and an even number of
+        # interior points: their parity sets are every axis, one, or none
+        dp, reps = orbit_representatives(domain, eigenvalue, grid)
+        sizes = sorted(sum(s is not None for s in _reversal_parities(dp, cp.a)) for cp in reps)
+        assert sizes == {"square": [0, 2], "cube": [0, 1, 3]}[domain]
         A = reference_stencil(dp).toarray()
-        S = A - np.diag(rec.lam + 3.0 * rec.epsilon * rec.v**2)
-        mu = scipy.linalg.eigh(S, A, eigvals_only=True)
-        near_ref = np.sort(mu[np.argsort(np.abs(mu))[:group.k]])
-        for seed in (0, 1):
-            morse, near = bb.discrete_morse_index(dp, rec, rng_seed=seed)
-            assert morse == int(np.sum(mu < 0.0))
-            np.testing.assert_allclose(near, near_ref, rtol=1e-9, atol=0.0)
+        for cp in reps:
+            rec = bb.solve_branch(dp, cp.a, 0.05)
+            S = A - np.diag(rec.lam + 3.0 * rec.epsilon * rec.v**2)
+            mu = scipy.linalg.eigh(S, A, eigvals_only=True)
+            near_ref = np.sort(mu[np.argsort(np.abs(mu))[:dp.group.k]])
+            for seed in (0, 1):
+                morse, near = bb.discrete_morse_index(dp, rec, rng_seed=seed)
+                assert morse == int(np.sum(mu < 0.0))
+                np.testing.assert_allclose(near, near_ref, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("domain, eigenvalue, grid, n_parities, negatives", [
+        ("square", 5, 33, 2, 5), ("cube", 6, 13, 1, 8),
+    ])
+    def test_window_holds_every_negative_mu_in_sectors(self, domain, eigenvalue, grid,
+                                                       n_parities, negatives):
+        # eight times a solution that is even or odd along some axes: the
+        # negatives, far more than the window, spread over the sectors
+        dp, reps = orbit_representatives(domain, eigenvalue, grid)
+        cp = next(cp for cp in reps
+                  if sum(s is not None for s in _reversal_parities(dp, cp.a)) == n_parities)
+        rec = bb.solve_branch(dp, cp.a, 0.05)
+        rec = dataclasses.replace(rec, v=8.0 * rec.v)
+        c = rec.lam + 3.0 * rec.epsilon * rec.v**2
+        assert int(np.sum(dp.transform.eigenvalues <= c.max())) > dp.group.j + dp.group.k + 1
+        mu = np.linalg.eigvalsh(reference_stencil(dp).toarray() - np.diag(c))
+        morse, _ = bb.discrete_morse_index(dp, rec)
+        assert morse == int(np.sum(mu < 0.0)) == negatives
 
 
 class TestContinuation:
@@ -544,6 +663,20 @@ class TestContinuation:
         (verdict,) = bb.continuation_run(dp, pred, [0.05], VerifyConfig(morse=False))
         assert verdict.inconclusive and not verdict.passed
         assert any("MINRES stalled" in note for note in verdict.notes)
+
+    def test_misscaled_mu_fails_the_eigenvalue_check(self, dp_sq5, pred_sq5, monkeypatch):
+        # mu returned already scaled by lambda_h / eps is scaled twice
+        morse = pdeverify.discrete_morse_index
+
+        def misscaled(dp, rec, p):
+            index, mu = morse(dp, rec, p)
+            return index, mu * dp.lambda_h / rec.epsilon
+
+        verdicts = bb.continuation_run(dp_sq5, pred_sq5, [0.05])
+        assert all(v.eig_ok for v in verdicts)
+        monkeypatch.setattr(pdeverify, "discrete_morse_index", misscaled)
+        verdicts = bb.continuation_run(dp_sq5, pred_sq5, [0.05])
+        assert all(v.morse_ok and v.eig_ok is False and not v.passed for v in verdicts)
 
     def test_supercritical_refused(self, cube, cube_g6, f_cube6):
         dp = bb.build_laplacian(cube, 12, cube_g6)
@@ -616,7 +749,7 @@ class TestGridSymmetry:
         rng = np.random.default_rng(4)
         a = rng.standard_normal(dp.group.k)
         v = rng.standard_normal(dp.n)
-        residual = functools.partial(_residual, dp, dp.lambda_h - 0.05, 0.05, 3.0)
+        residual = functools.partial(_residual, dp.transform, dp.lambda_h - 0.05, 0.05, 3.0)
         r = residual(v)
         for g in _grid_symmetries(dp):
             P = g.P
