@@ -30,14 +30,19 @@ are written here in numpy, on grid-shaped arrays, so numpy is the only
 run-time dependency; MINRES and CG keep SciPy's recurrences and stopping
 tests.
 
-Most branches are even or odd under some axis reversals, and such a
-function is fixed by its values on half of each of those axes, where the
-sine transform keeps only the matching half of its columns.  Newton
-solves a pair with P_d a = +-a on that reversal-parity sector and mirrors
-the solution back to the full grid once.  The Morse count splits the
-linearization into its blocks on the parity sectors of the axes along
-which the solution's potential is even, and sums their inertia.  A pair
-with no such axis is solved on the full grid.
+Every grid function is held as a stack of reversal-parity classes, one
+parity per axis, each on the first half of every axis, where the sine
+transform keeps the matching half of its columns; a +-1 Walsh-Hadamard
+combination over the classes gives the function's values on the half
+grid and its reflections.  A branch is fixed by the products of axis
+reversals h with P_h a = chi(h) a, and lives in the classes that agree
+with chi: half of them for square lambda=5's diagonal pairs, a quarter
+for the cube's (t, t, 0), one when every single reversal fixes the pair,
+all of them when none does.  Newton runs on the sine coefficients of
+those classes and mirrors the solution back to the full grid once.  The
+Morse count splits the linearization over the characters of the
+reversals that leave the solution's potential even, and sums their
+inertia.  One transform serves every case.
 
 The grid's symmetries (axis reversals, and swaps of axes with equal N and
 side) map discrete solutions onto discrete solutions and act on the group
@@ -53,6 +58,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,108 +104,181 @@ def _sine_table(n: int) -> np.ndarray:
     return np.where(k < n, 1.0, -1.0) * np.sin(np.pi * np.minimum(r, n - r) / n)
 
 
+def _sine_matrix(n: int, rows, cols) -> np.ndarray:
+    """Entries S[i, m] = sqrt(2/(n+1)) sin(pi i m/(n+1)) of the orthonormal
+    DST-I matrix on n points, at 1-based ``rows`` and ``cols``."""
+    return math.sqrt(2.0 / (n + 1)) * _sine_table(n + 1)[np.outer(rows, cols) % (2 * n + 2)]
+
+
+def _axes(h: int) -> tuple[int, ...]:
+    """The axes of a product of reversals, bit d of h standing for axis d."""
+    return tuple(d for d in range(h.bit_length()) if h >> d & 1)
+
+
+class _AxisTables(NamedTuple):
+    inverse: np.ndarray  # (4, h, h): coefficients to the half grid
+    forward: np.ndarray  # (4, h, h): the half grid to coefficients
+    freqs: np.ndarray    # (2, h): D along the axis, per parity
+    valid: np.ndarray    # (2, h): False at the zero column
+
+
+def _axis_tables(n: int, freq: np.ndarray, right: bool = False) -> _AxisTables:
+    """The half tables of one axis of n points, shared by every sector.
+
+    With h = ceil(n/2), a function even along the axis has sine
+    coefficients at the h odd m only, an odd one at the floor(n/2) even m
+    only, and each is fixed by its values on the first h points.  The
+    inverse tables map coefficients to those points: S[:h, odd m] and
+    S[:h, even m], the latter with a zero column for odd n, so both are
+    h x h, and with an exactly zero centre row, where an odd function
+    vanishes.  The forward tables are their transposes weighted by each
+    point's multiplicity, 2, or 1 on the centre row of an odd n.  Each is
+    held as the stack [even, odd, even, odd], so that every class pattern
+    of a sector is a strided view of it (see ``_SineTransform``), and held
+    transposed when the axis multiplies from the ``right``.  D along the
+    axis gives the zero column the largest value."""
+    h = (n + 1) // 2
+    rows = np.arange(1, h + 1)
+    inverse = np.zeros((2, h, h))
+    inverse[0] = _sine_matrix(n, rows, np.arange(1, n + 1, 2))
+    inverse[1, :, :n // 2] = _sine_matrix(n, rows, np.arange(2, n + 1, 2))
+    w = np.full(h, 2.0)
+    w[-1] = 2.0 - n % 2
+    forward = (w[:, None] * inverse).transpose(0, 2, 1)
+    if right:
+        inverse, forward = inverse.transpose(0, 2, 1), forward.transpose(0, 2, 1)
+    valid = np.ones((2, h), dtype=bool)
+    valid[1, n // 2:] = False
+    freqs = np.stack([freq[0::2], np.append(freq[1::2], freq[-1])[:h]])
+    return _AxisTables(np.tile(inverse, (2, 1, 1)), np.tile(forward, (2, 1, 1)), freqs, valid)
+
+
 class _SineTransform:
     """The discrete Dirichlet Laplacian A, held as its sine transform, on
-    one reversal-parity sector of the grid.
+    one sector of the grid's axis reversals.
 
     The orthonormal type-I DST Q diagonalizes the 5/7-point stencil,
-    A = Q D Q with D the stencil eigenvalues, and is its own inverse, so
-    applying any function of A costs two transforms.  Each axis keeps its
-    dense DST-I matrix S[i, m] = sqrt(2/(n+1)) sin(pi i m/(n+1)) (32 KB
-    at n = 64) and applies it by matrix products: O(n) work per point per
-    axis, against O(log n) for an FFT.  At the grids of 3-D verification
-    the products win by far, since the FFT lengths 2(n+1) have awkward
-    factors (66, 130); in 2-D an FFT catches up near 200 points per axis,
-    and at 255^2 a transform pair costs about 1.3-1.4x an FFT pair on one
-    x86 core.
+    A = Q D Q with D the stencil eigenvalues, so applying any function of
+    A costs two transforms.  Each axis applies its dense DST-I matrix
+    S[i, m] = sqrt(2/(n+1)) sin(pi i m/(n+1)) by matrix products: O(n)
+    work per point per axis, against O(log n) for an FFT.  At the grids of
+    3-D verification the products win by far, since the FFT lengths 2(n+1)
+    have awkward factors (66, 130); in 2-D an FFT catches up near 200
+    points per axis.
 
-    ``parities`` holds one entry per axis: None, or the sign s of a
-    function f with f(N_d - i) = s f(i).  Reversing axis d multiplies
-    column m of S by (-1)^(m+1), so an even (s = +1) function has sine
-    coefficients only at odd m, an odd one only at even m, and each is
-    fixed by its values on the first half of the axis.  On a constrained
-    axis the transform keeps those half rows and parity columns: the
-    square table A = S[half, parity] maps coefficients to the half grid,
-    and its transpose weighted by each row's multiplicity (2, or 1 on the
-    centre row of an odd n; an odd function vanishes there, and drops
-    it) maps the half grid back.  With every entry None this is the
-    full transform, A = S both ways.  ``shape`` is the sector's shape,
-    the same for its grid and its coefficients, and ``eigenvalues`` is D
-    on the sector.
+    A grid function is a stack of reversal-parity classes.  A class sigma
+    is one parity per axis (bit d set: odd along axis d), and its part of
+    the function has sine coefficients only at the m of those parities, is
+    fixed by its values on the first ceil(n/2) points of every axis, and
+    is transformed by the half tables of ``_axis_tables``, one h x h
+    product per axis.  The class parts are connected to the function's
+    values by a +-1 Walsh-Hadamard combination: on the half grid reflected
+    by the reversals g (an "image"), f(g y) = sum_sigma sigma(g) f_sigma(y),
+    with sigma(g) = (-1)^|sigma & g|.
 
-    In 3-D each axis is a stack of n x n slice products rather than one
-    GEMM over the whole grid.  On one thread both cost the same; but
-    OpenBLAS splits a GEMM across threads once m n k exceeds 2^18, and on
-    a busy machine those small split GEMMs wait on their threads: at
-    32^3 on 2 vCPUs a transform pair as three whole-grid GEMMs averaged
-    2.8 ms against a median of 0.4 ms.  Slice products of n <= 64 stay on
-    one thread.
+    ``character`` selects the sector: pairs (h, chi) of a product of
+    reversals h (bit d: axis d reversed) and a sign chi, listing a subgroup
+    H of reversals, identity first.  The sector holds the functions with
+    f(h x) = chi(h) f(x) for every h in H, whose classes are the sigma with
+    sigma(h) = chi(h): 2^(dim - rank H) of the 2^dim.  Such a function is
+    fixed by its values on as many images, one per coset of H.  ``shape``
+    is (classes, h_1, ..., h_dim), the same for the grid side (images) and
+    the coefficient side (classes); ``valid`` marks the real coefficients,
+    False at the zero columns of odd classes, which stay zero.
+    ``eigenvalues`` is D there.
+
+    ``dst`` is one batched product per axis over the class stack: with the
+    classes laid out as (2,) * k, the parity of axis d is constant, one
+    class axis, or the sum of two, so its tables are a strided view of the
+    axis's shared stack and no sector copies them.  Each product is a
+    stack of slices of n <= 64 rather than one GEMM over the whole grid.
+    On one thread both cost the same; but OpenBLAS splits a GEMM across
+    threads once m n k exceeds 2^18, and on a busy machine those small
+    split GEMMs wait on their threads: at 32^3 on 2 vCPUs a transform pair
+    as three whole-grid GEMMs averaged 2.8 ms against a median of 0.4 ms.
     """
 
-    def __init__(self, shape, freq_1d, parities=None):
+    def __init__(self, shape, tables, character=((0, 1),)):
         self.full_shape = tuple(shape)
-        self.freq_1d = list(freq_1d)
-        self.parities = tuple(parities or (None,) * len(self.full_shape))
-        self.matrices, forward, weights, freqs, half = [], [], [], [], []
-        for n, f, s in zip(self.full_shape, self.freq_1d, self.parities):
-            S = math.sqrt(2.0 / (n + 1)) * _sine_table(n + 1)[
-                np.outer(np.arange(1, n + 1), np.arange(1, n + 1)) % (2 * n + 2)]
-            if s is None:
-                rows, cols, w = n, slice(None), np.ones(1)
-                A = F = S  # symmetric: both directions, and its own transpose
-            else:
-                rows = (n + 1) // 2 if s > 0 else n // 2
-                cols = slice(0 if s > 0 else 1, None, 2)  # odd m when even, even m when odd
-                w = np.full(rows, 2.0)
-                if s > 0 and n % 2:
-                    w[-1] = 1.0  # the centre row
-                A = np.ascontiguousarray(S[:rows, cols])  # coefficients to half grid
-                F = np.ascontiguousarray((w[:, None] * A).T)  # and back
-            self.matrices.append(A)
-            forward.append(F)
-            weights.append(w)
-            freqs.append(f[cols])
-            half.append(slice(0, rows))
-        self.shape = tuple(len(f) for f in freqs)
-        self._half = tuple(half)
-        # per direction, the tables that multiply all axes but the last from
-        # the left, and the transposed table that multiplies the last from
-        # the right
-        if self.parities[-1] is None:
-            right = {False: forward[-1], True: self.matrices[-1]}
-        else:
-            right = {False: np.ascontiguousarray(forward[-1].T),
-                     True: np.ascontiguousarray(self.matrices[-1].T)}
-        self._factors = {False: (forward[:-1], right[False]),
-                         True: (self.matrices[:-1], right[True])}
-        self.multiplicity = functools.reduce(np.multiply.outer, weights)
-        W = np.zeros(self.shape)
-        for d, w in enumerate(freqs):
-            bshape = [1] * len(self.shape)
-            bshape[d] = -1
-            W = W + w.reshape(bshape)
-        self.eigenvalues = W
+        self.tables = tables
+        self.character = tuple(character)
+        dim = len(self.full_shape)
+        sigma0 = next(s for s in range(2**dim)
+                      if all((-1) ** (s & h).bit_count() == chi for h, chi in self.character))
+        dual = [t for t in range(2**dim)
+                if all((t & h).bit_count() % 2 == 0 for h, _ in self.character)]
+        basis, span = [], {0}
+        for t in sorted(dual, key=lambda t: (t.bit_count(), t)):
+            if t not in span:
+                basis.append(t)
+                span |= {s ^ t for s in span}
+        k = len(basis)
+        # class c is sigma_0 xor each basis[j] whose bit u_j = c >> (k-1-j) is set
+        self.classes = [functools.reduce(
+            int.__xor__, [b for j, b in enumerate(basis) if c >> (k - 1 - j) & 1], sigma0)
+            for c in range(2**k)]
+        H = [h for h, _ in self.character]
+        self.images, seen = [], set()  # one reversal g per coset of H
+        for g in range(2**dim):
+            if g not in seen:
+                self.images.append(g)
+                seen.update(g ^ h for h in H)
+        # f(g y) = sum_sigma hadamard[g, sigma] f_sigma(y); its inverse is
+        # its transpose over the number of classes
+        self.hadamard = np.array([[(-1.0) ** (g & s).bit_count() for s in self.classes]
+                                  for g in self.images])
+        self._unmix = self.hadamard.T / 2**k
+
+        half = tuple(t.freqs.shape[1] for t in tables)
+        self._half = tuple(slice(0, n) for n in half)
+        self._stack = (2,) * k + half
+        self.shape = (2**k,) + half
+        # along axis d, class u has the parity of sigma_0 + sum_j u_j basis[j]:
+        # index s + sum_j u_j (over the basis[j] holding d) into the stack [even, odd, even, odd], at most
+        # 1 + 2 since, with dim <= 3 and the basis of least weight first, no
+        # axis lies in more than two basis elements
+        self._views = {False: [], True: []}
+        for d, t in enumerate(tables):
+            s = sigma0 >> d & 1
+            on = [b >> d & 1 for b in basis]
+            for inverse, T in ((True, t.inverse), (False, t.forward)):
+                self._views[inverse].append(np.lib.stride_tricks.as_strided(
+                    T[s], shape=tuple(1 + o for o in on) + (1,) * (dim - 2) + T.shape[1:],
+                    strides=tuple(o * T.strides[0] for o in on) + (0,) * (dim - 2)
+                    + T.strides[1:], writeable=False))
+        self.eigenvalues = np.zeros(self.shape)
+        self.valid = np.ones(self.shape, dtype=bool)
+        for d, t in enumerate(tables):
+            parity = [s >> d & 1 for s in self.classes]
+            bshape = [len(parity)] + [-1 if e == d else 1 for e in range(dim)]
+            self.eigenvalues = self.eigenvalues + t.freqs[parity].reshape(bshape)
+            self.valid = self.valid & t.valid[parity].reshape(bshape)
 
     def dst(self, vec: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Orthonormal DST-I along every axis, returned in sector shape:
-        grid values to sine coefficients, or back with ``inverse``.  On
-        the full grid the two directions are the same map."""
-        left, right = self._factors[inverse]
-        X = vec.reshape(self.shape)
-        for d, S in enumerate(left):
-            # a stack of slice products; the strided views need no copy
-            X = np.moveaxis(np.matmul(S, np.moveaxis(X, d, -2)), -2, d)
-        return np.matmul(X, right)
-
-    def apply_spectral(self, vec: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """f(A) vec, for the f with values ``weights`` on D."""
-        return self.dst(self.dst(vec) * weights, inverse=True).ravel()
+        """Orthonormal DST-I along every axis, in sector shape: the images'
+        values to the classes' sine coefficients, or back with ``inverse``."""
+        C, dim = self.shape[0], len(self.full_shape)
+        X = vec.reshape(self._stack)
+        if C > 1 and not inverse:
+            X = np.matmul(self._unmix, X.reshape(C, -1)).reshape(self._stack)
+        *left, right = self._views[inverse]
+        for d, T in enumerate(left):
+            if d == dim - 2:
+                X = np.matmul(T, X)
+            else:  # a stack of slice products; the strided views need no copy
+                a = len(self._stack) - dim + d
+                X = np.matmul(T, X.swapaxes(a, -2)).swapaxes(a, -2)
+        X = np.matmul(X, right).reshape(self.shape)  # the last tables are held transposed
+        if C > 1 and inverse:
+            X = np.matmul(self.hadamard, X.reshape(C, -1)).reshape(self.shape)
+        return X
 
     def operator(self, outer: np.ndarray, inner: np.ndarray,
                  diag: np.ndarray | None = None):
-        """The map y -> diag y + outer Q(inner Q(outer y)) on grid-shaped
-        arrays, every factor pointwise: an operator on sine coordinates,
-        as the callable that ``_minres`` and ``_cg`` take."""
+        """The map y -> diag y + outer Q(inner Q(outer y)) on sector-shaped
+        arrays, every factor pointwise and ``inner`` on the images: an
+        operator on sine coordinates, as the callable that ``_minres`` and
+        ``_cg`` take."""
 
         def apply(y):
             out = outer * self.dst(inner * self.dst(outer * y, inverse=True))
@@ -209,33 +288,38 @@ class _SineTransform:
 
         return apply
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        """The full grid's sum of u v, from the sector's half grid."""
-        return float(np.vdot(self.multiplicity * u.reshape(self.shape), v))
+    def mode(self, cls: int, idx) -> np.ndarray:
+        """The images of the grid function whose only sine coefficient, 1,
+        is at position ``idx`` of class ``cls``."""
+        sigma, last = self.classes[cls], len(self.tables) - 1
+        e = functools.reduce(np.multiply.outer, [
+            t.inverse[sigma >> d & 1][i] if d == last else t.inverse[sigma >> d & 1][:, i]
+            for d, (t, i) in enumerate(zip(self.tables, idx))])
+        return np.multiply.outer(self.hadamard[:, cls], e)
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
-        """A copy of the sector's half grid of a full-grid function."""
-        return np.array(x.reshape(self.full_shape)[self._half])
+        """The images of a full-grid function: its values on the half grid
+        reflected by each image's reversals, copied."""
+        X = x.reshape(self.full_shape)
+        return np.stack([np.flip(X, _axes(g))[self._half] for g in self.images])
 
     def extend(self, x: np.ndarray) -> np.ndarray:
-        """The flat full-grid function whose half grid is x, mirrored with
-        its sign along each constrained axis (the centre row of an odd
-        function, which x leaves out, is zero)."""
+        """The flat full-grid function with images x: image g, times
+        chi(h), on the half grid reflected by g h for each h of H."""
         X = x.reshape(self.shape)
-        for d, (n, s) in enumerate(zip(self.full_shape, self.parities)):
-            if s is not None:
-                h, before = X.shape[d], (slice(None),) * d
-                full = np.zeros(X.shape[:d] + (n,) + X.shape[d + 1:])
-                full[before + (slice(0, h),)] = X
-                full[before + (slice(n - h, n),)] = s * np.flip(X, d)
-                X = full
-        return X.ravel()
+        full = np.empty(self.full_shape)
+        for h, chi in reversed(self.character):  # the identity last
+            for g, image in zip(self.images, X):
+                np.flip(full, _axes(g ^ h))[self._half] = chi * image
+        return full.ravel()
 
 
 @dataclass(frozen=True)
 class DiscreteProblem:
     """Immutable discretization of a domain around one eigenvalue group;
-    the stencil A = -lap_h is kept only as its sine ``transform``."""
+    the stencil A = -lap_h is kept only as its eigenvalues D on the grid of
+    sine indices and the axis tables that every sector of its sine
+    transform shares (see ``_SineTransform``)."""
 
     domain: DomainSpec
     group: EigenGroup
@@ -247,7 +331,8 @@ class DiscreteProblem:
     lambda_h: float                # discrete group eigenvalue
     splitting: float               # spread of the discrete multiplet
     neighbor_gap: float            # distance to nearest non-group eigenvalue
-    transform: _SineTransform = field(repr=False)
+    eigenvalues: np.ndarray = field(repr=False)  # D, per sine index
+    tables: list[_AxisTables] = field(repr=False)  # per axis, shared by the sectors
     _sectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -262,21 +347,30 @@ class DiscreteProblem:
 
     def norm_h1(self, u) -> float:
         Q = self.transform
-        return math.sqrt(self.weight * float(np.sum(Q.eigenvalues * Q.dst(u) ** 2)))
+        return math.sqrt(self.weight * float(np.sum(Q.eigenvalues * Q.dst(Q.restrict(u)) ** 2)))
 
     def project(self, v) -> np.ndarray:
         """Discrete L2 projections of v onto the group basis."""
         return self.weight * (self.eigvecs.T @ v)
 
-    def sector(self, parities: tuple) -> _SineTransform:
-        """The sine transform on one reversal-parity sector (see
-        ``_SineTransform``), built on first use; all None is ``transform``."""
-        if all(s is None for s in parities):
-            return self.transform
-        if parities not in self._sectors:
-            self._sectors[parities] = _SineTransform(self.shape, self.transform.freq_1d,
-                                                     parities)
-        return self._sectors[parities]
+    @property
+    def transform(self) -> _SineTransform:
+        """The sine transform on every class: the sector of no symmetry."""
+        return self.sector(((0, 1),))
+
+    def sector(self, character: tuple) -> _SineTransform:
+        """The sine transform on the sector of ``character`` (see
+        ``_SineTransform``), built on first use on the shared axis tables."""
+        if character not in self._sectors:
+            self._sectors[character] = _SineTransform(self.shape, self.tables, character)
+        return self._sectors[character]
+
+
+def _grid_tables(shape, freq_1d) -> list:
+    """``_axis_tables`` of every axis, the last one multiplying from the
+    right, as ``_SineTransform.dst`` applies them."""
+    return [_axis_tables(n, f, right=d == len(shape) - 1)
+            for d, (n, f) in enumerate(zip(shape, freq_1d))]
 
 
 def _discrete_mode_value(freq_1d, indices) -> float:
@@ -315,7 +409,6 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
     hs = tuple(L / g for L, g in zip(sides, grid))
     shape = tuple(g - 1 for g in grid)
     freq_1d = [_sine_eigenvalues_1d(g, L) for g, L in zip(grid, sides)]
-    transform = _SineTransform(shape, freq_1d)
 
     group_vals = [_discrete_mode_value(freq_1d, m.indices) for m in group.modes]
     lambda_h = float(np.mean(group_vals))
@@ -323,7 +416,10 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
 
     # every discrete eigenvalue is in D; the group's own sit at indices - 1
     positions = tuple(np.array([m.indices for m in group.modes]).T - 1)
-    dist = np.abs(transform.eigenvalues - lambda_h)
+    D = np.zeros(shape)
+    for d, f in enumerate(freq_1d):
+        D = D + f.reshape([-1 if e == d else 1 for e in range(dim)])
+    dist = np.abs(D - lambda_h)
     dist[positions] = np.inf
     neighbor_gap = float(dist.min())
     if splitting > 0.5 * neighbor_gap:
@@ -335,14 +431,16 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
     weight = float(np.prod(hs))
     E = np.column_stack([
         functools.reduce(np.multiply.outer,
-                         [S[:, i - 1] for S, i in zip(transform.matrices, m.indices)]).ravel()
+                         [_sine_matrix(n, np.arange(1, n + 1), [i])[:, 0]
+                          for n, i in zip(shape, m.indices)]).ravel()
         for m in group.modes
     ]) / math.sqrt(weight)
 
     return DiscreteProblem(
         domain=domain, group=group, grid=grid, shape=shape, h=hs, weight=weight,
         eigvecs=E, lambda_h=lambda_h, splitting=splitting,
-        neighbor_gap=neighbor_gap, transform=transform,
+        neighbor_gap=neighbor_gap, eigenvalues=D,
+        tables=_grid_tables(shape, freq_1d),
     )
 
 
@@ -420,14 +518,15 @@ def _minres(A, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, in
     gmax, gmin, cs, sn = 0.0, np.finfo(float).max, -1.0, 0.0
     w = w2 = np.zeros_like(b)
     r1 = r2 = y = b
+    pair = np.empty(2)
     for itn in range(1, maxiter + 1):
         # Lanczos step: v = y / beta, then y = A v - alfa r2 - (beta/oldb) r1
         v = (1.0 / beta) * y
-        y = A(v)
+        y = A(v)  # a new array: the updates below may write into it
         if itn >= 2:
-            y = y - (beta / oldb) * r1
+            y -= (beta / oldb) * r1
         alfa = float(np.vdot(v, y))
-        y = y - (alfa / beta) * r2
+        y -= (alfa / beta) * r2
         r1, r2 = r2, y
         oldb, beta = beta, math.sqrt(np.vdot(y, y))
         tnorm2 += alfa**2 + oldb**2 + beta**2
@@ -440,18 +539,23 @@ def _minres(A, b: np.ndarray, rtol: float, maxiter: int) -> tuple[np.ndarray, in
         gbar = sn * dbar - cs * alfa
         epsln = sn * beta
         dbar = -cs * beta
-        root = float(np.linalg.norm([gbar, dbar]))
-        gamma = max(float(np.linalg.norm([gbar, beta])), eps)
+        root = math.hypot(gbar, dbar)
+        # gamma as SciPy rounds it, sqrt of numpy's dot: a rounding of it
+        # moves the iterates of a singular A
+        pair[0], pair[1] = gbar, beta
+        gamma = max(math.sqrt(pair.dot(pair)), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
 
         w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
-        x = x + phi * w
+        w = v - oldeps * w1
+        w -= delta * w2
+        w *= 1.0 / gamma
+        x += phi * w
         gmax, gmin = max(gmax, gamma), min(gmin, gamma)
 
         Anorm = math.sqrt(tnorm2)
-        ynorm = float(np.linalg.norm(x))
+        ynorm = math.sqrt(np.vdot(x, x))
         test1 = math.inf if ynorm == 0 or Anorm == 0 else phibar / (Anorm * ynorm)
         test2 = math.inf if Anorm == 0 else root / Anorm
         if (invariant or test1 <= rtol or test2 <= rtol or Anorm * ynorm * eps >= beta1
@@ -470,13 +574,13 @@ def _cg(A, b: np.ndarray, M: np.ndarray, rtol: float,
     callable on arrays shaped like b and M the pointwise preconditioner,
     started from x = 0: SciPy's ``cg`` loop, which stops at
     ||r|| < rtol ||b|| and returns ``info = maxiter`` if it never does."""
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(np.vdot(b, b))
     if bnorm == 0.0:
         return b, 0
     atol = rtol * bnorm
     x, r = np.zeros_like(b), b.copy()
     for it in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        if math.sqrt(np.vdot(r, r)) < atol:
             return x, 0
         z = M * r
         rho = np.vdot(r, z)
@@ -505,27 +609,36 @@ def _pencil_eigh(S: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _linear_solve(Q: _SineTransform, lam: float, extra: np.ndarray,
                   rhs: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     """Newton-step solve of (A - lam - diag(extra)) x = rhs in any dimension,
-    on the sector of ``Q``.
+    on the sector of ``Q``: ``extra`` on its images, ``rhs`` and x as its
+    sine coefficients.
 
     MINRES (the matrix is symmetric indefinite near a bifurcation, which
     rules out plain CG) runs split-preconditioned by |A - lam|^(-1/2) in
-    sine coordinates: with w = |D - lam|^(-1/2) it solves T y = w Q rhs,
-    T = w (D - lam) w - w Q extra Q w, and returns x = Q (w y) with
-    MINRES's ``info``; a nonzero ``info`` is a stall."""
+    sine coordinates: with w = |D - lam|^(-1/2) it solves T y = w rhs,
+    T = w (D - lam) w - w Q extra Q w, and returns x = w y with MINRES's
+    ``info``; a nonzero ``info`` is a stall."""
     shift = Q.eigenvalues - lam
     w = np.maximum(np.abs(shift), 1e-10) ** -0.5
-    T = Q.operator(w, -extra.reshape(Q.shape), diag=w * shift * w)
-    y, info = _minres(T, w * Q.dst(rhs), rtol=rtol, maxiter=2000)
-    return Q.dst(w * y, inverse=True).ravel(), info
+    T = Q.operator(w, -extra, diag=w * shift * w)
+    y, info = _minres(T, w * rhs, rtol=rtol, maxiter=2000)
+    return w * y, info
 
 
-def _reversal_parities(dp: DiscreteProblem, a: np.ndarray) -> tuple:
-    """Per axis d, the sign s with P_d a = s a to ``_pair_tol(a)``, or None:
-    P_d is the reversal of axis d on the group coefficients."""
+def _stabiliser(dp: DiscreteProblem, a: np.ndarray) -> tuple:
+    """The products h of axis reversals with P_h a = chi(h) a to
+    ``_pair_tol(a)``, as the pairs (h, chi(h)) ascending in h, identity
+    first: P_h is h on the group coefficients, bit d of h reversing axis d.
+    They form a subgroup and chi a character on it, the sector of a."""
     axes = tuple(range(len(dp.shape)))
-    images = [_GridSymmetry(dp, axes, (d,)).P @ a for d in axes]
-    return tuple(next((s for s in (1, -1) if np.linalg.norm(img - s * a) <= _pair_tol(a)), None)
-                 for img in images)
+    # a reversal's P is diagonal, and P_h the product of those of its axes
+    signs = [np.diag(_GridSymmetry(dp, axes, (d,)).P) for d in axes]
+    pairs = []
+    for h in range(2 ** len(axes)):
+        image = functools.reduce(np.multiply, [signs[d] for d in _axes(h)], a)
+        chi = next((s for s in (1, -1) if np.linalg.norm(image - s * a) <= _pair_tol(a)), None)
+        if chi is not None:
+            pairs.append((h, chi))
+    return tuple(pairs)
 
 
 def solve_branch(
@@ -543,11 +656,14 @@ def solve_branch(
     """Damped Newton solve of the rescaled equation at lambda_h - epsilon,
     started from the predicted eigenspace profile a . e (or ``v0``).
 
-    The solve runs on the reversal-parity sector of a: the equation
-    commutes with each axis reversal, so when P_d a = +-a the branch is
-    even or odd along d, and residual, MINRES steps and line search work
-    on the half grid of every such axis.  The start is cut to that half
-    grid, and the solution is mirrored back to the full grid once.
+    The solve runs on the sector of a's stabiliser: the equation commutes
+    with each product h of axis reversals, so when P_h a = chi(h) a the
+    branch has f(h x) = chi(h) f(x).  Newton iterates on the sine
+    coefficients of the sector's classes: the residual evaluates the
+    nonlinearity on the sector's images, MINRES steps and line search stay
+    in coefficients, and residual norms are taken there (Parseval).  The
+    start is cut to the images, and the solution is mirrored back to the
+    full grid once.
 
     Convergence is to discrete-L2 residual ``tol``.  When ``all_pairs`` is
     given, the converged projection must be nearest the launched pair, of
@@ -559,14 +675,14 @@ def solve_branch(
         raise ValueError("epsilon must be positive")
     a = np.asarray(a, dtype=float)
     lam = dp.lambda_h - epsilon
-    Q = dp.sector(_reversal_parities(dp, a))
-    v = Q.restrict(dp.eigvecs @ a if v0 is None else v0).ravel()
+    Q = dp.sector(_stabiliser(dp, a))
+    coef = Q.dst(Q.restrict(dp.eigvecs @ a if v0 is None else v0))
     residual = functools.partial(_residual, Q, lam, epsilon, p)
 
     def norm(r):
-        return math.sqrt(dp.weight * Q.inner(r, r))
+        return math.sqrt(dp.weight * np.vdot(r, r))
 
-    r = residual(v)
+    r, v = residual(coef)
     rn = norm(r)
     history = [rn]
     for _ in range(max_iter):
@@ -582,8 +698,8 @@ def solve_branch(
             )
         s = 1.0
         while s >= 2.0**-30:
-            v_new = v + s * step
-            r_new = residual(v_new)
+            coef_new = coef + s * step
+            r_new, v_new = residual(coef_new)
             rn_new = norm(r_new)
             if rn_new <= (1.0 - 1e-4 * s) * rn or rn_new <= tol:
                 break
@@ -593,7 +709,7 @@ def solve_branch(
                 f"line search stalled at eps={epsilon:g} (residual {rn:.3e})",
                 history,
             )
-        v, r, rn = v_new, r_new, rn_new
+        coef, v, r, rn = coef_new, v_new, r_new, rn_new
         history.append(rn)
     if rn > tol:
         raise NewtonDiverged(
@@ -604,13 +720,13 @@ def solve_branch(
 
     v = Q.extend(v)
     a_lam = dp.project(v)
-    phi = v - dp.eigvecs @ a_lam
+    phi = Q.dst(Q.restrict(v - dp.eigvecs @ a_lam))
     record = ContinuationRecord(
         lam=lam,
         epsilon=epsilon,
         v=v,
         a_lambda=a_lam,
-        phi_norm=dp.norm_h1(phi),
+        phi_norm=math.sqrt(dp.weight * np.vdot(Q.eigenvalues * phi, phi)),
         newton_residual=rn,
         residual_history=history,
         u_l2_norm=epsilon ** (1.0 / (p - 1.0)) * dp.norm_l2(v),
@@ -632,22 +748,23 @@ def solve_branch(
 
 
 def _residual(Q: _SineTransform, lam: float, epsilon: float, p: float,
-              v: np.ndarray) -> np.ndarray:
-    """A v - lam v - eps |v|^(p-1) v, the rescaled equation's residual, on
-    the sector of ``Q``."""
-    return (Q.apply_spectral(v, Q.eigenvalues) - lam * v
-            - epsilon * np.abs(v) ** (p - 1.0) * v)
+              coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sine coefficients of A v - lam v - eps |v|^(p-1) v, the rescaled
+    equation's residual, on the sector of ``Q``, for the v with
+    coefficients ``coef``; and v on the sector's images."""
+    v = Q.dst(coef, inverse=True)
+    return (Q.eigenvalues - lam) * coef - epsilon * Q.dst(np.abs(v) ** (p - 1.0) * v), v
 
 
 class _SchurBlock:
-    """The Schur complement S of L = D - Q c Q on one reversal-parity
-    sector, for the entries P of the kept set that lie in it (``P`` indexes
-    the sector's coefficients), and the Ritz values ``theta`` and vectors
-    ``W`` of its first pencil."""
+    """The Schur complement S of L = D - Q c Q on one sector, for the
+    entries P of the kept set that lie in it (``P`` indexes the sector's
+    coefficients, ``c`` is on its images), and the Ritz values ``theta`` and
+    vectors ``W`` of its first pencil."""
 
     def __init__(self, Q: _SineTransform, c: np.ndarray, P: tuple, lam: float):
         self.Q, D = Q, Q.eigenvalues
-        self.rest = np.ones(Q.shape, dtype=bool)
+        self.rest = Q.valid.copy()
         self.rest[P] = False
         self.L_rr = Q.operator(self.rest, -c, diag=self.rest * D)
         self.precond = np.divide(self.rest, D - lam, out=np.zeros(Q.shape), where=self.rest)
@@ -657,15 +774,13 @@ class _SchurBlock:
         X = np.empty((ell, *Q.shape))  # X[a]: L_rr^(-1) L_rP e_a, zero on P
         self.Xf = Xf = X.reshape(ell, n)
         S = np.empty((ell, ell))
-        for a, idx in enumerate(zip(*P)):
-            e = functools.reduce(np.multiply.outer,
-                                 [T[:, i] for T, i in zip(Q.matrices, idx)])
-            col = Q.dst(c * e)  # Q c Q e_a
+        for a, (cls, *idx) in enumerate(zip(*P)):
+            col = Q.dst(c * Q.mode(cls, idx))  # Q c Q e_a
             L_rP = -(self.rest * col)
             X[a] = self.solve(L_rP)
             # S is symmetric: row a needs only the columns of X solved so far
             S[a, :a + 1] = -col[P][:a + 1] - Xf[:a + 1] @ L_rP.ravel()
-            S[a, a] += D[idx]
+            S[a, a] += D[(cls, *idx)]
             S[:a, a] = S[a, :a]
         self.S = S
         self.G = np.diag(D[P]) + Xf @ (self.d * Xf).T  # D on the span of [I; -X]
@@ -721,13 +836,14 @@ def discrete_morse_index(
     two transforms per iteration.  Nothing is random: ``rng_seed`` is
     unused and kept for the signature.
 
-    Along each axis under which c is exactly even, L maps even functions
-    to even ones and odd to odd, so it is block-diagonal over the
-    reversal-parity sectors of those axes (see ``_SineTransform``).  Each
-    entry of P lies in one sector; each column of X, and every solve and
-    product below, runs on the half grid of its sector, and the Morse index
-    is the sum of the sectors' counts.  The blocks between sectors are
-    zero; with no such axis there is one sector, the full grid.
+    Under each product h of axis reversals that leaves c exactly even, L
+    maps a function with f(h x) = +-f(x) to one of the same sign, so it is
+    block-diagonal over the characters of the subgroup of those h, each
+    character a sector (see ``_SineTransform``).  Each entry of P lies in
+    one sector; each column of X, and every solve and product below, runs
+    on the class stack of its sector, and the Morse index is the sum of the
+    sectors' counts.  The blocks between sectors are zero; when no
+    reversal leaves c even there is one sector, every class.
 
     The mu come from Rayleigh-Ritz.  On the span of [I; -X] it gives the
     pencil (S, D_P + X^T D_r X), whose mu are off by O(mu^2).  The
@@ -742,20 +858,21 @@ def discrete_morse_index(
     all of them.  A mu within ``zero_tol`` of zero defers the verdict.
     """
     j, k = dp.group.j, dp.group.k
-    D = dp.transform.eigenvalues
+    D = dp.eigenvalues
     c = (record.lam + record.epsilon * p * np.abs(record.v) ** (p - 1.0)).reshape(dp.shape)
     ell = min(max(j - 1 + k + n_extra, int(np.sum(D <= c.max())) + 1), dp.n)
     P = np.unravel_index(np.argpartition(D, ell - 1, axis=None)[:ell], dp.shape)
-    even = [np.array_equal(c, np.flip(c, d)) for d in range(c.ndim)]
-    # index i along an even axis is mode i + 1, column i // 2 of the sector
-    # of even functions when i is even, of odd ones when i is odd
-    keys = list(zip(*[np.where(i % 2 == 0, 1, -1).tolist() if e else [None] * ell
-                      for i, e in zip(P, even)]))
+    even = [0] + [h for h in range(1, 2**c.ndim) if np.array_equal(c, np.flip(c, _axes(h)))]
+    # index i along an axis is mode i + 1: the class of an entry is odd
+    # along the axes where i is odd, and it sits at i // 2 of the class
+    sigma = sum((i % 2) << d for d, i in enumerate(P))
+    keys = [tuple((h, (-1) ** (int(s) & h).bit_count()) for h in even) for s in sigma]
     blocks = []
     for key in dict.fromkeys(keys):
         Q = dp.sector(key)
         mine = [a for a, other in enumerate(keys) if other == key]
-        P_key = tuple(i[mine] // 2 if e else i[mine] for i, e in zip(P, even))
+        P_key = (np.array([Q.classes.index(int(s)) for s in sigma[mine]]),
+                 *(i[mine] // 2 for i in P))
         blocks.append(_SchurBlock(Q, Q.restrict(c), P_key, record.lam))
     morse = sum(int(np.sum(np.linalg.eigvalsh(b.S) < 0.0)) for b in blocks)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import logging
 import math
 import tracemalloc
@@ -12,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import bifurcbox as bb
-from bifurcbox import pdeverify
+from bifurcbox import cli, pdeverify
 from bifurcbox.errors import (
     ConvergedToWrongBranch,
     GridTooCoarse,
@@ -23,13 +24,16 @@ from bifurcbox.errors import (
 from bifurcbox.pdeverify import (
     VerifyConfig,
     _grid_symmetries,
+    _grid_tables,
     _GridSymmetry,
     _linear_solve,
     _pair_orbits,
+    _axes,
     _residual,
-    _reversal_parities,
     _sine_eigenvalues_1d,
+    _sine_matrix,
     _SineTransform,
+    _stabiliser,
     discrete_reference_point,
     fit_order,
     geometric_schedule,
@@ -70,14 +74,83 @@ def orbit_representatives(domain, eigenvalue, grid):
     return dp, [cp for cp, src in zip(pred.pairs, sources) if src is None]
 
 
-def mirrored(shape, parities, seed):
-    """A random grid function with f(N_d - i) = s f(i) along each axis d
-    whose parity s is not None, exactly."""
+def axis_character(parities):
+    """The character of the reversals of the axes whose parity s is not
+    None, with chi = s on each: ((h, chi), ...) ascending in h."""
+    fixed = [d for d, s in enumerate(parities) if s is not None]
+    return tuple(sorted(
+        (sum(1 << d for d in sub), math.prod(parities[d] for d in sub))
+        for r in range(len(fixed) + 1) for sub in itertools.combinations(fixed, r)))
+
+
+def subgroup_characters(dim):
+    """Every subgroup H of the 2^dim axis-reversal products (bit d: axis d)
+    with every character on it, each as ((h, chi), ...) ascending in h."""
+    groups = set()
+    for gens in itertools.product(range(2**dim), repeat=dim):
+        H = {0}
+        for g in gens:
+            H |= {h ^ g for h in H}
+        groups.add(tuple(sorted(H)))
+    out = []
+    for H in sorted(groups):
+        for signs in itertools.product((1, -1), repeat=len(H) - 1):
+            chi = dict(zip(H, (1, *signs)))
+            if all(chi[a ^ b] == chi[a] * chi[b] for a in H for b in H):
+                out.append(tuple(chi.items()))
+    return out
+
+
+def sector_function(shape, character, seed):
+    """A random grid function with f(h x) = chi f(x) for each (h, chi),
+    exactly: mirrored along one generator of the subgroup at a time."""
     x = np.random.default_rng(seed).standard_normal(shape)
-    for d, s in enumerate(parities):
-        if s is not None:
-            x = x + s * np.flip(x, d)
+    span = {0}
+    for h, chi in character:
+        if h not in span:
+            x = x + chi * np.flip(x, _axes(h))
+            span |= {g ^ h for g in span}
     return x
+
+
+def unit_tables(shape):
+    return _grid_tables(shape, [_sine_eigenvalues_1d(n + 1, 1.0) for n in shape])
+
+
+def full_eigenvalues(shape):
+    freq = [_sine_eigenvalues_1d(n + 1, 1.0) for n in shape]
+    return functools.reduce(np.add.outer, freq)
+
+
+def class_slices(T, c):
+    """Where class c of ``T`` sits in a full array of sine coefficients,
+    and the block of the class stack it fills."""
+    sigma = T.classes[c]
+    full = tuple(slice(sigma >> d & 1, None, 2) for d in range(len(T.full_shape)))
+    block = (c,) + tuple(slice(0, (n - (sigma >> d & 1) + 1) // 2)
+                         for d, n in enumerate(T.full_shape))
+    return full, block
+
+
+def to_classes(T, coeffs):
+    """A full array of sine coefficients as ``T``'s class stack, zero-padded."""
+    out = np.zeros(T.shape)
+    for c in range(T.shape[0]):
+        full, block = class_slices(T, c)
+        out[block] = coeffs[full]
+    return out
+
+
+def from_classes(T, stack):
+    out = np.zeros(T.full_shape)
+    for c in range(T.shape[0]):
+        full, block = class_slices(T, c)
+        out[full] = stack[block]
+    return out
+
+
+def rank(character):
+    return len(character).bit_length() - 1
 
 
 @pytest.fixture(scope="module")
@@ -123,9 +196,9 @@ class TestBuildLaplacian:
         Q = dp_sq5.transform
         shift = Q.eigenvalues - rec_sq5.lam
         w = np.abs(shift) ** -0.5
-        f = 3.0 * rec_sq5.epsilon * rec_sq5.v.reshape(Q.shape) ** 2
+        f = 3.0 * rec_sq5.epsilon * Q.restrict(rec_sq5.v) ** 2
         op = Q.operator(w, -f, diag=w * shift * w)
-        T = np.column_stack([op(e.reshape(Q.shape)).ravel() for e in np.eye(dp_sq5.n)])
+        T = np.column_stack([op(e.reshape(Q.shape)).ravel() for e in np.eye(w.size)])
         assert np.max(np.abs(T - T.T)) <= 1e-13 * np.max(np.abs(T))
 
     def test_build_peak_memory(self, cube, cube_g6):
@@ -203,20 +276,24 @@ class TestBuildLaplacian:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(dp_sq5.n)
         direct = reference_stencil(dp_sq5) @ v
-        spectral = dp_sq5.transform.apply_spectral(v, dp_sq5.transform.eigenvalues)
+        Q = dp_sq5.transform
+        spectral = Q.extend(Q.dst(Q.dst(Q.restrict(v)) * Q.eigenvalues, inverse=True))
         assert np.max(np.abs(direct - spectral)) <= 1e-10 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("shape", [(17, 23), (11, 13, 16)])
     def test_sine_transform_matches_scipy_dst(self, shape):
         # anisotropic shapes catch an axis-order slip in the per-axis products
-        T = _SineTransform(shape, [_sine_eigenvalues_1d(n + 1, 1.0) for n in shape])
+        T = _SineTransform(shape, unit_tables(shape))
         x = np.random.default_rng(1).standard_normal(shape)
         ref = scipy.fft.dstn(x, type=1, norm="ortho")
-        assert np.max(np.abs(T.dst(x) - ref)) <= 1e-13 * np.max(np.abs(ref))
-        assert np.max(np.abs(T.dst(T.dst(x)) - x)) <= 1e-13 * np.max(np.abs(x))
-        w = T.eigenvalues
+        got = T.dst(T.restrict(x))
+        assert np.max(np.abs(got - to_classes(T, ref))) <= 1e-13 * np.max(np.abs(ref))
+        back = T.extend(T.dst(got, inverse=True))
+        assert np.max(np.abs(back - x.ravel())) <= 1e-13 * np.max(np.abs(x))
+        w = full_eigenvalues(shape)
+        assert np.array_equal(T.eigenvalues[T.valid], to_classes(T, w)[T.valid])
         ref = scipy.fft.idstn(ref * w, type=1, norm="ortho").ravel()
-        got = T.apply_spectral(x.ravel(), w)
+        got = T.extend(T.dst(got * T.eigenvalues, inverse=True))
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("shape, parities", [
@@ -227,9 +304,10 @@ class TestBuildLaplacian:
         ((12, 11, 9), (1, 1, -1)),
     ])
     def test_sector_transform_matches_scipy_dst(self, shape, parities):
-        freq = [_sine_eigenvalues_1d(n + 1, 1.0) for n in shape]
-        T = _SineTransform(shape, freq, parities)
-        x = mirrored(shape, parities, 5)
+        character = axis_character(parities)
+        T = _SineTransform(shape, unit_tables(shape), character)
+        assert T.shape[0] == 2 ** sum(s is None for s in parities)
+        x = sector_function(shape, character, 5)
         ref = scipy.fft.dstn(x, type=1, norm="ortho")
         scale = np.max(np.abs(ref))
         # even functions have odd m only, odd ones even m only
@@ -239,15 +317,14 @@ class TestBuildLaplacian:
         outside[cols] = 0.0
         assert np.max(np.abs(outside)) <= 1e-13 * scale
         half = T.restrict(x)
-        assert half.shape == T.shape == ref[cols].shape
+        assert half.shape == T.shape
         got = T.dst(half)
-        assert np.max(np.abs(got - ref[cols])) <= 1e-13 * scale
-        assert np.array_equal(T.eigenvalues, _SineTransform(shape, freq).eigenvalues[cols])
+        assert np.max(np.abs(got - to_classes(T, ref))) <= 1e-13 * scale
+        D = to_classes(T, full_eigenvalues(shape))
+        assert np.array_equal(T.eigenvalues[T.valid], D[T.valid])
         # the inverse, against SciPy's on the zero-padded coefficients
-        y = np.random.default_rng(6).standard_normal(T.shape)
-        padded = np.zeros(shape)
-        padded[cols] = y
-        full = scipy.fft.idstn(padded, type=1, norm="ortho")
+        y = np.random.default_rng(6).standard_normal(T.shape) * T.valid
+        full = scipy.fft.idstn(from_classes(T, y), type=1, norm="ortho")
         back = T.dst(y, inverse=True)
         assert np.max(np.abs(back - T.restrict(full))) <= 1e-13 * np.max(np.abs(full))
         assert np.max(np.abs(T.extend(back) - full.ravel())) <= 1e-13 * np.max(np.abs(full))
@@ -255,11 +332,45 @@ class TestBuildLaplacian:
         assert np.max(np.abs(T.dst(got, inverse=True) - half)) <= 1e-13 * np.max(np.abs(x))
         assert np.max(np.abs(T.dst(back) - y)) <= 1e-13 * np.max(np.abs(y))
         assert np.array_equal(T.extend(half), x.ravel())
-        # the half grid, weighted by multiplicity, holds the full inner product
-        u = mirrored(shape, parities, 7)
-        assert T.inner(T.restrict(u), half) == pytest.approx(float(np.vdot(u, x)), rel=1e-13)
+        # the sector's coefficients hold the full inner product (Parseval)
+        u = sector_function(shape, character, 7)
         assert np.vdot(T.dst(T.restrict(u)), got) == pytest.approx(
             float(np.vdot(u, x)), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(16, 16), (17, 17), (11, 13, 16)])
+    def test_class_stack_transform_matches_scipy_dst(self, shape):
+        # every subgroup H of reversal products with every character: the
+        # sector has 2^(dim - rank H) classes, each on the half grid
+        tables = unit_tables(shape)
+        D = full_eigenvalues(shape)
+        sectors = subgroup_characters(len(shape))
+        assert len(sectors) == {2: 1 + 3 * 2 + 4, 3: 1 + 7 * 2 + 7 * 4 + 8}[len(shape)]
+        for n, character in enumerate(sectors):
+            T = _SineTransform(shape, tables, character)
+            assert T.shape[0] * len(character) == 2 ** len(shape)
+            x = sector_function(shape, character, n)
+            ref = scipy.fft.dstn(x, type=1, norm="ortho")
+            scale = np.max(np.abs(ref))
+            images = T.restrict(x)
+            assert images.shape == T.shape
+            got = T.dst(images)
+            assert np.max(np.abs(got - to_classes(T, ref))) <= 1e-13 * scale
+            # nothing outside the classes: every other coefficient vanishes
+            assert np.max(np.abs(from_classes(T, got) - ref)) <= 1e-13 * scale
+            assert np.all(got[~T.valid] == 0.0)
+            assert np.array_equal(T.eigenvalues[T.valid], to_classes(T, D)[T.valid])
+            # round trip, and the images mirrored to the full grid exactly
+            again = T.dst(got, inverse=True)
+            assert np.max(np.abs(again - images)) <= 1e-13 * np.max(np.abs(x))
+            assert np.array_equal(T.extend(images), x.ravel())
+            # the inverse against SciPy's on the zero-padded coefficients;
+            # values at the padding are ignored
+            y = np.random.default_rng(n + 100).standard_normal(T.shape)
+            full = scipy.fft.idstn(from_classes(T, y * T.valid), type=1, norm="ortho")
+            back = T.extend(T.dst(y, inverse=True))
+            assert np.max(np.abs(back - full.ravel())) <= 1e-13 * np.max(np.abs(full))
+            # Parseval: the class coefficients hold the full grid's sum
+            assert np.vdot(got, got) == pytest.approx(float(np.vdot(x, x)), rel=1e-12)
 
     def test_operator_builds_without_a_matvec(self, dp_sq5, monkeypatch):
         T = dp_sq5.transform
@@ -286,7 +397,9 @@ class TestBuildLaplacian:
         v = dp.eigvecs @ np.linspace(1.0, 2.0, group.k)
         f = 3.0 * eps * v**2
         rhs = np.random.default_rng(3).standard_normal(dp.n)
-        x, info = _linear_solve(dp.transform, lam, f, rhs, 1e-12)
+        Q = dp.transform
+        x, info = _linear_solve(Q, lam, Q.restrict(f), Q.dst(Q.restrict(rhs)), 1e-12)
+        x = Q.extend(Q.dst(x, inverse=True))
         assert info == 0
         J = reference_stencil(dp).toarray() - np.diag(lam + f)
         ref = np.linalg.solve(J, rhs)
@@ -424,24 +537,27 @@ class TestSolveBranch:
                             all_pairs=pairs, expected_index=i)
         assert err.value.nearest_index is None
 
-    @pytest.mark.parametrize("domain, eigenvalue, grid", [("square", 5, 33), ("cube", 6, 12)])
+    @pytest.mark.parametrize("domain, eigenvalue, grid", [
+        ("square", 5, 33), ("cube", 6, 12), ("square", 5, 32), ("cube", 6, 14),
+    ])
     def test_parity_sector_solution_matches_dense_newton(self, domain, eigenvalue, grid):
-        # a pair with P_d a = s a along axis d solves on the sector's half
-        # grid; the mirrored solution is s-symmetric bit for bit and agrees
-        # with an undamped full-grid Newton on the assembled stencil
+        # a pair with P_h a = chi(h) a for the reversal products h of its
+        # stabiliser solves on the classes of that character; the mirrored
+        # solution has v(h x) = chi(h) v(x) bit for bit and agrees with an
+        # undamped full-grid Newton on the assembled stencil.  The square's
+        # diagonal pair and the cube's (t, t, t) and (t, t, 0) pairs have
+        # composite stabilisers: no single reversal fixes the first two
         dp, reps = orbit_representatives(domain, eigenvalue, grid)
+        characters = [_stabiliser(dp, cp.a) for cp in reps]
+        assert sorted(map(rank, characters)) == {"square": [1, 2], "cube": [1, 2, 3]}[domain]
         A = reference_stencil(dp).toarray()
         eps, lam = 0.05, dp.lambda_h - 0.05
         checked = 0
-        for cp in reps:
-            parities = _reversal_parities(dp, cp.a)
-            if all(s is None for s in parities):
-                continue
+        for cp, character in zip(reps, characters):
             rec = bb.solve_branch(dp, cp.a, eps, tol=1e-12)  # both to rounding
             v = rec.v.reshape(dp.shape)
-            for d, s in enumerate(parities):
-                if s is not None:
-                    assert np.array_equal(v, s * np.flip(v, d))
+            for h, chi in character:
+                assert np.array_equal(v, chi * np.flip(v, _axes(h)))
             ref = dp.eigvecs @ cp.a
             for _ in range(20):
                 r = A @ ref - lam * ref - eps * ref**3
@@ -453,7 +569,7 @@ class TestSolveBranch:
             assert rec.phi_norm == pytest.approx(dp.norm_h1(ref - dp.eigvecs @ a_ref),
                                                  abs=1e-10)
             checked += 1
-        assert checked == {"square": 1, "cube": 2}[domain]
+        assert checked == {"square": 2, "cube": 3}[domain]
 
     def test_supercritical_exponent_refused(self, cube, cube_g6):
         dp = bb.build_laplacian(cube, 12, cube_g6)
@@ -517,7 +633,7 @@ class TestMorseIndex:
         rec = dataclasses.replace(rec, v=8.0 * rec.v)
         c = rec.lam + 3.0 * rec.epsilon * rec.v**2
         window = cube_g6.j - 1 + cube_g6.k + 2
-        assert int(np.sum(dp.transform.eigenvalues <= c.max())) > window
+        assert int(np.sum(dp.eigenvalues <= c.max())) > window
         mu = np.linalg.eigvalsh(reference_stencil(dp).toarray() - np.diag(c))
         morse, _ = bb.discrete_morse_index(dp, rec)
         assert morse == int(np.sum(mu < 0.0)) == 10
@@ -560,15 +676,34 @@ class TestMorseIndex:
             tracemalloc.stop()
         assert peak <= 2_000_000
 
+    def test_verify_peak_memory(self, tmp_path, capsys):
+        # square lambda=5 at 128^2, in process: the sectors share each axis's
+        # half tables and the diagonal pairs run on two classes of four.
+        # The whole run peaked at 5.51 MB with full-grid Morse solves, 6.04
+        # MB with a copy of the half tables per sector, 4.27 MB now
+        argv = ["verify", "--domain", "square", "--lam", "5", "--grid", "128"]
+        assert cli.main(argv + ["--out", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            code = cli.main(argv + ["--out", str(tmp_path / "run")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 5_500_000
+
     @pytest.mark.parametrize("domain, eigenvalue, grid", [
         ("square", 5, 32), ("square", 5, 33), ("cube", 6, 12), ("cube", 6, 13),
+        ("cube", 6, 14),
     ])
     def test_schur_solve_matches_dense_pencil(self, domain, eigenvalue, grid):
         # every orbit representative, on an odd and an even number of
-        # interior points: their parity sets are every axis, one, or none
+        # interior points: their stabilisers have rank 1 (the square's
+        # diagonal pair, the cube's (t, t, t)), 2 or 3
         dp, reps = orbit_representatives(domain, eigenvalue, grid)
-        sizes = sorted(sum(s is not None for s in _reversal_parities(dp, cp.a)) for cp in reps)
-        assert sizes == {"square": [0, 2], "cube": [0, 1, 3]}[domain]
+        ranks = sorted(rank(_stabiliser(dp, cp.a)) for cp in reps)
+        assert ranks == {"square": [1, 2], "cube": [1, 2, 3]}[domain]
         A = reference_stencil(dp).toarray()
         for cp in reps:
             rec = bb.solve_branch(dp, cp.a, 0.05)
@@ -588,12 +723,12 @@ class TestMorseIndex:
         # eight times a solution that is even or odd along some axes: the
         # negatives, far more than the window, spread over the sectors
         dp, reps = orbit_representatives(domain, eigenvalue, grid)
-        cp = next(cp for cp in reps
-                  if sum(s is not None for s in _reversal_parities(dp, cp.a)) == n_parities)
+        cp = next(cp for cp in reps  # n_parities single reversals fix the pair
+                  if sum(h.bit_count() == 1 for h, _ in _stabiliser(dp, cp.a)) == n_parities)
         rec = bb.solve_branch(dp, cp.a, 0.05)
         rec = dataclasses.replace(rec, v=8.0 * rec.v)
         c = rec.lam + 3.0 * rec.epsilon * rec.v**2
-        assert int(np.sum(dp.transform.eigenvalues <= c.max())) > dp.group.j + dp.group.k + 1
+        assert int(np.sum(dp.eigenvalues <= c.max())) > dp.group.j + dp.group.k + 1
         mu = np.linalg.eigvalsh(reference_stencil(dp).toarray() - np.diag(c))
         morse, _ = bb.discrete_morse_index(dp, rec)
         assert morse == int(np.sum(mu < 0.0)) == negatives
@@ -731,7 +866,7 @@ class TestGridSymmetry:
     def test_sine_matrix_reflects_exactly(self, n):
         # reversing the grid axis maps column m to (-1)^(m+1) times itself,
         # bit for bit, so mapped solutions keep their residual
-        (S,) = _SineTransform((n,), [_sine_eigenvalues_1d(n + 1, 1.0)]).matrices
+        S = _sine_matrix(n, np.arange(1, n + 1), np.arange(1, n + 1))
         signs = (-1.0) ** (np.arange(1, n + 1) + 1)
         assert np.array_equal(S[::-1], S * signs)
         assert np.array_equal(S, S.T)
@@ -749,7 +884,12 @@ class TestGridSymmetry:
         rng = np.random.default_rng(4)
         a = rng.standard_normal(dp.group.k)
         v = rng.standard_normal(dp.n)
-        residual = functools.partial(_residual, dp.transform, dp.lambda_h - 0.05, 0.05, 3.0)
+        Q = dp.transform
+
+        def residual(v):
+            r, _ = _residual(Q, dp.lambda_h - 0.05, 0.05, 3.0, Q.dst(Q.restrict(v)))
+            return Q.extend(Q.dst(r, inverse=True))
+
         r = residual(v)
         for g in _grid_symmetries(dp):
             P = g.P
