@@ -43,13 +43,16 @@ class NewtonDiverged(BifurcBoxError):
 class ConvergedToWrongBranch(BifurcBoxError):
     """A PDE solve landed on a solution whose eigenspace projection is
     closer to a different predicted pair, or to the trivial solution
-    (``nearest_index`` None), than to the one it started from."""
+    (``nearest_index`` None), than to the one it started from.  Carries the
+    converged full-grid solution in ``solution``."""
 
-    def __init__(self, message, got=None, expected=None, nearest_index=None):
+    def __init__(self, message, got=None, expected=None, nearest_index=None,
+                 solution=None):
         super().__init__(message)
         self.got = got
         self.expected = expected
         self.nearest_index = nearest_index
+        self.solution = solution
 
 
 class SpectrumTooClose(BifurcBoxError):

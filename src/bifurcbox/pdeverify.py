@@ -23,9 +23,11 @@ exactly.  The Newton residual and the H1 norm apply its eigenvalues in
 sine coordinates, and the MINRES Newton steps and the CG solves of the
 Morse index run on operators of one shape there: pointwise, transform,
 pointwise, transform, pointwise.  The Morse index is an exact inertia
-count, the negative eigenvalues of a small Schur complement whose
-eliminated block is positive definite by construction; no eigensolver
-runs.  MINRES, CG and the Cholesky-reduced pencil solves of Rayleigh-Ritz
+count: the modes below a window around lambda form a block that is
+negative definite by construction and count as they are, the modes above
+the kept ones a positive definite block, and a small Schur complement on
+the window gives the rest; no eigensolver runs, and CG runs for the window
+only.  MINRES, CG and the Cholesky-reduced pencil solves of Rayleigh-Ritz
 are written here in numpy, on grid-shaped arrays, so numpy is the only
 run-time dependency; MINRES and CG keep SciPy's recurrences and stopping
 tests.
@@ -49,7 +51,8 @@ side) map discrete solutions onto discrete solutions and act on the group
 coefficients as signed permutations.  A pair whose orbit representative
 was solved at an eps starts its own solve there from the representative's
 mapped solution; when that start already meets the tolerance, the Morse
-index and mu are copied instead of recounted.
+index and mu are copied instead of recounted.  A representative's landing
+on a wrong branch starts its orbit's other pairs the same way.
 """
 
 from __future__ import annotations
@@ -314,12 +317,13 @@ class _SineTransform:
         return full.ravel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteProblem:
     """Immutable discretization of a domain around one eigenvalue group;
     the stencil A = -lap_h is kept only as its eigenvalues D on the grid of
     sine indices and the axis tables that every sector of its sine
-    transform shares (see ``_SineTransform``)."""
+    transform shares (see ``_SineTransform``).  Two problems are equal
+    only when they are the same object, and hash by identity."""
 
     domain: DomainSpec
     group: EigenGroup
@@ -333,7 +337,9 @@ class DiscreteProblem:
     neighbor_gap: float            # distance to nearest non-group eigenvalue
     eigenvalues: np.ndarray = field(repr=False)  # D, per sine index
     tables: list[_AxisTables] = field(repr=False)  # per axis, shared by the sectors
-    _sectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # row h: P_h on the group coefficients, diagonal, bit d of h reversing axis d
+    reversal_signs: np.ndarray = field(repr=False)
+    _sectors: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -441,6 +447,8 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
         eigvecs=E, lambda_h=lambda_h, splitting=splitting,
         neighbor_gap=neighbor_gap, eigenvalues=D,
         tables=_grid_tables(shape, freq_1d),
+        reversal_signs=np.array([np.diag(_signed_permutation(
+            [m.indices for m in group.modes], range(dim), _axes(h))) for h in range(2**dim)]),
     )
 
 
@@ -629,16 +637,10 @@ def _stabiliser(dp: DiscreteProblem, a: np.ndarray) -> tuple:
     ``_pair_tol(a)``, as the pairs (h, chi(h)) ascending in h, identity
     first: P_h is h on the group coefficients, bit d of h reversing axis d.
     They form a subgroup and chi a character on it, the sector of a."""
-    axes = tuple(range(len(dp.shape)))
-    # a reversal's P is diagonal, and P_h the product of those of its axes
-    signs = [np.diag(_GridSymmetry(dp, axes, (d,)).P) for d in axes]
-    pairs = []
-    for h in range(2 ** len(axes)):
-        image = functools.reduce(np.multiply, [signs[d] for d in _axes(h)], a)
-        chi = next((s for s in (1, -1) if np.linalg.norm(image - s * a) <= _pair_tol(a)), None)
-        if chi is not None:
-            pairs.append((h, chi))
-    return tuple(pairs)
+    images, tol = dp.reversal_signs * a, _pair_tol(a)
+    plus = np.linalg.norm(images - a, axis=1) <= tol
+    minus = np.linalg.norm(images + a, axis=1) <= tol
+    return tuple((h, 1 if p else -1) for h, (p, m) in enumerate(zip(plus, minus)) if p or m)
 
 
 def solve_branch(
@@ -733,9 +735,9 @@ def solve_branch(
     )
 
     if all_pairs is not None and expected_index is not None and np.any(a != 0.0):
-        dists = [min(float(np.max(np.abs(a_lam - b))), float(np.max(np.abs(a_lam + b))))
-                 for b in all_pairs]
-        dists.append(float(np.max(np.abs(a_lam))))  # the trivial solution
+        targets = np.vstack([*all_pairs, np.zeros_like(a)])  # the trivial solution last
+        dists = np.minimum(np.max(np.abs(a_lam - targets), axis=1),
+                           np.max(np.abs(a_lam + targets), axis=1))
         nearest = int(np.argmin(dists))
         if nearest != expected_index:
             trivial = nearest == len(all_pairs)
@@ -743,6 +745,7 @@ def solve_branch(
                 f"solve launched at pair {expected_index} landed at "
                 + ("the trivial solution" if trivial else f"pair {nearest}"),
                 got=a_lam, expected=a, nearest_index=None if trivial else nearest,
+                solution=v,
             )
     return record
 
@@ -757,52 +760,90 @@ def _residual(Q: _SineTransform, lam: float, epsilon: float, p: float,
 
 
 class _SchurBlock:
-    """The Schur complement S of L = D - Q c Q on one sector, for the
-    entries P of the kept set that lie in it (``P`` indexes the sector's
-    coefficients, ``c`` is on its images), and the Ritz values ``theta`` and
-    vectors ``W`` of its first pencil."""
+    """The Schur complement S of L = D - Q c Q on one sector onto the
+    entries M of the kept set that lie in it and in the window, eliminating
+    the rest E = N + R, with N the kept entries below the window (``P``
+    indexes the sector's coefficients, ``below`` marks N among them, ``c``
+    is on its images); the count of negative eigenvalues of L, and the Ritz
+    values ``theta`` and vectors ``W`` of S's first pencil."""
 
-    def __init__(self, Q: _SineTransform, c: np.ndarray, P: tuple, lam: float):
+    def __init__(self, Q: _SineTransform, c: np.ndarray, P: tuple, below: np.ndarray,
+                 lam: float):
         self.Q, D = Q, Q.eigenvalues
-        self.rest = Q.valid.copy()
-        self.rest[P] = False
-        self.L_rr = Q.operator(self.rest, -c, diag=self.rest * D)
-        self.precond = np.divide(self.rest, D - lam, out=np.zeros(Q.shape), where=self.rest)
+        self.N = N = tuple(i[below] for i in P)
+        M = tuple(i[~below] for i in P)
+        self.elim = Q.valid.copy()
+        self.elim[M] = False
+        rest = self.elim.copy()
+        rest[N] = False
+        self.rest, self.minus_c = rest, -c
+        self.precond = np.divide(self.elim, D - lam, out=np.zeros(Q.shape), where=self.elim)
         self.d = D.ravel()  # flat, like the rows of the flat views Xf, Zf and Rf
-        ell, n = len(P[0]), D.size
+        ell, nN, n = len(M[0]), len(N[0]), D.size
 
-        X = np.empty((ell, *Q.shape))  # X[a]: L_rr^(-1) L_rP e_a, zero on P
+        # -L_NN = (Q c Q)_NN - D_N is positive definite, since c >= lam > D_N:
+        # with -L_NN = F F^T, C = L_RR + B^T B, B = F^(-1) (Q c Q)_NR
+        QcQ_NN, K = np.empty((nN, nN)), np.empty((nN, *Q.shape))
+        for b, (cls, *idx) in enumerate(zip(*N)):
+            col = Q.dst(c * Q.mode(cls, idx))
+            QcQ_NN[b], K[b] = col[N], rest * col
+        try:
+            self.Finv = np.linalg.inv(np.linalg.cholesky(QcQ_NN - np.diag(D[N])))
+        except np.linalg.LinAlgError:
+            raise SpectrumTooClose("the modes below the window are not negative definite")
+        self.B = B = self.Finv @ K.reshape(nN, n)
+        L_rr = Q.operator(rest, self.minus_c, diag=rest * D)
+
+        def schur(p):
+            out = L_rr(p)
+            out += (B.T @ (B @ p.ravel())).reshape(p.shape)
+            return out
+
+        # most sectors hold no N: their C is L_RR, at no cost per iteration
+        self.C, self.count = schur if nN else L_rr, nN
+
+        X = np.empty((ell, *Q.shape))  # X[a]: L_EE^(-1) L_EM e_a, zero on M
         self.Xf = Xf = X.reshape(ell, n)
         S = np.empty((ell, ell))
-        for a, (cls, *idx) in enumerate(zip(*P)):
+        for a, (cls, *idx) in enumerate(zip(*M)):
             col = Q.dst(c * Q.mode(cls, idx))  # Q c Q e_a
-            L_rP = -(self.rest * col)
-            X[a] = self.solve(L_rP)
+            L_eM = -(self.elim * col)
+            X[a] = self.solve(L_eM)
             # S is symmetric: row a needs only the columns of X solved so far
-            S[a, :a + 1] = -col[P][:a + 1] - Xf[:a + 1] @ L_rP.ravel()
+            S[a, :a + 1] = -col[M][:a + 1] - Xf[:a + 1] @ L_eM.ravel()
             S[a, a] += D[(cls, *idx)]
             S[:a, a] = S[a, :a]
         self.S = S
-        self.G = np.diag(D[P]) + Xf @ (self.d * Xf).T  # D on the span of [I; -X]
+        self.count += int(np.sum(np.linalg.eigvalsh(S) < 0.0))
+        self.G = np.diag(D[M]) + Xf @ (self.d * Xf).T  # D on the span of [I; -X]
         self.theta, self.W = _pencil_eigh(S, self.G)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = _cg(self.L_rr, rhs, self.precond, rtol=1e-12, maxiter=1000)
+        """L_EE^(-1) rhs for rhs on E: x_R by CG on the Schur complement
+        C = L_RR - L_RN L_NN^(-1) L_NR, then x_N = L_NN^(-1) (rhs_N - L_NR x_R)."""
+        y = self.Finv @ rhs[self.N]
+        if y.size:
+            rhs = self.rest * rhs - (self.B.T @ y).reshape(rhs.shape)
+        x, info = _cg(self.C, rhs, self.precond, rtol=1e-12, maxiter=1000)
         if info != 0:
             raise SpectrumTooClose(f"the Schur complement solve stalled (info={info})")
+        if y.size:
+            x[self.N] = -self.Finv.T @ (y + self.B @ x.ravel())
         return x
 
     def refine(self, near: np.ndarray) -> np.ndarray:
         """The Ritz values at the positions ``near`` after the span gains
         Z x and U x for the Ritz vector x of each."""
         k, d, Xf = len(near), self.d, self.Xf
-        Z, R = np.empty((2, 2 * k, *self.Q.shape))  # L_rr Z = R
+        Z, R = np.empty((2, 2 * k, *self.Q.shape))  # L_EE Z = R
         Zf, Rf = Z.reshape(2 * k, d.size), R.reshape(2 * k, d.size)
         Rf[:k] = d * (self.W[:, near].T @ Xf)
+        D = self.Q.eigenvalues
+        L_ee = self.Q.operator(self.elim, self.minus_c, diag=D)  # on the U x, zero off E
         for i in range(k):
             Z[i] = self.solve(R[i])
-            Z[k + i] = self.precond * self.Q.eigenvalues * Z[i]
-            R[k + i] = self.L_rr(Z[k + i])
+            Z[k + i] = self.precond * D * Z[i]
+            R[k + i] = L_ee(Z[k + i])
         DZ = d * Zf
         cross = -Xf @ DZ.T
         zero = np.zeros((len(self.S), 2 * k))
@@ -826,15 +867,23 @@ def discrete_morse_index(
     F = diag(p |v|^(p-1)), which has the inertia of the linearization.
 
     In sine coordinates the linearization is L = D - Q c Q, with Q the sine
-    transform, D the stencil eigenvalues and c = lambda + eps F pointwise.
-    P holds the ell lowest entries of D, every D <= max(c) among them, so L
-    on the rest r is positive definite: L_rr >= min(D_r) - max(c) > 0.  By
-    inertia additivity (Haynsworth) the Morse index is then the number of
-    negative eigenvalues of the ell x ell Schur complement
-    S = L_PP - L_Pr X, X = L_rr^(-1) L_rP, exact up to the solve tolerance.
-    Each column of X is a CG solve preconditioned by 1/(D - lambda) on r,
-    two transforms per iteration.  Nothing is random: ``rng_seed`` is
-    unused and kept for the signature.
+    transform, D the stencil eigenvalues and c = lambda + eps F >= lambda
+    pointwise.  P holds the ell lowest entries of D, every D <= max(c)
+    among them.  It splits into N, the entries with D < lambda - eta,
+    eta = max(c) - lambda, and the window M, the rest of P.  The eliminated
+    set is E = N + R, R the entries beyond P.  Since Q c Q >= lambda,
+    L_NN <= D_N - lambda < 0, and L_RR >= min(D_R) - max(c) > 0, so the
+    Schur complement C = L_RR - L_RN L_NN^(-1) L_NR >= L_RR > 0 too.  By
+    inertia additivity (Haynsworth) L_EE has |N| negative eigenvalues, and
+    the Morse index is |N| plus the number of negative eigenvalues of the
+    |M| x |M| Schur complement S = L_MM - L_ME X, X = L_EE^(-1) L_EM, exact
+    up to the solve tolerance.  Each solve with L_EE is a CG solve on C, preconditioned by
+    1/(D - lambda) on R: per iteration two transforms and a rank-|N|
+    correction through a Cholesky factor of -L_NN, which then gives x_N.
+    CG runs for the columns of M, not for the |N| ~ j modes below the
+    window.  The window eta keeps the multiplet's near-zero Ritz values in
+    M, including split members that fall below lambda.  Nothing is random:
+    ``rng_seed`` is unused and kept for the signature.
 
     Under each product h of axis reversals that leaves c exactly even, L
     maps a function with f(h x) = +-f(x) to one of the same sign, so it is
@@ -846,13 +895,13 @@ def discrete_morse_index(
     reversal leaves c even there is one sector, every class.
 
     The mu come from Rayleigh-Ritz.  On the span of [I; -X] it gives the
-    pencil (S, D_P + X^T D_r X), whose mu are off by O(mu^2).  The
-    eigenvector of mu has rest part -(X + mu Z + mu^2 U + ...) x, with
-    Z = L_rr^(-1) D_r X and U = L_rr^(-1) D_r Z, so for the k Ritz vectors
+    pencil (S, D_M + X^T D_E X), whose mu are off by O(mu^2).  The
+    eigenvector of mu has part -(X + mu Z + mu^2 U + ...) x on E, with
+    Z = L_EE^(-1) D_E X and U = L_EE^(-1) D_E Z, so for the k Ritz vectors
     x nearest zero the span gains Z x (k more solves) and U x with the
-    preconditioner standing in for L_rr^(-1) (k products).  What is left
+    preconditioner standing in for L_EE^(-1) (k products).  What is left
     of the eigenvector is O(mu^2) times the preconditioner's error, and of
-    mu about its square.  L [I; -X] vanishes on r, so every projected block
+    mu about its square.  L [I; -X] vanishes on E, so every projected block
     is an inner product of arrays already held.  Both pencils are taken
     sector by sector, and the k Ritz values nearest zero are chosen over
     all of them.  A mu within ``zero_tol`` of zero defers the verdict.
@@ -867,14 +916,15 @@ def discrete_morse_index(
     # along the axes where i is odd, and it sits at i // 2 of the class
     sigma = sum((i % 2) << d for d, i in enumerate(P))
     keys = [tuple((h, (-1) ** (int(s) & h).bit_count()) for h in even) for s in sigma]
+    below = D[P] < 2.0 * record.lam - c.max()  # N: D < lam - eta, eta = max(c) - lam
     blocks = []
     for key in dict.fromkeys(keys):
         Q = dp.sector(key)
         mine = [a for a, other in enumerate(keys) if other == key]
         P_key = (np.array([Q.classes.index(int(s)) for s in sigma[mine]]),
                  *(i[mine] // 2 for i in P))
-        blocks.append(_SchurBlock(Q, Q.restrict(c), P_key, record.lam))
-    morse = sum(int(np.sum(np.linalg.eigvalsh(b.S) < 0.0)) for b in blocks)
+        blocks.append(_SchurBlock(Q, Q.restrict(c), P_key, below[mine], record.lam))
+    morse = sum(b.count for b in blocks)
 
     near = np.sort(np.argsort(np.abs(np.concatenate([b.theta for b in blocks])))[:k])
     start = np.cumsum([0] + [len(b.theta) for b in blocks])
@@ -1024,9 +1074,11 @@ def continuation_run(
     solution; at any other eps it starts from its own previous solution, or
     from a . e.  A mapped start that meets ``newton_tol`` takes no Newton
     step and copies the representative's Morse index and mu, when it has
-    them; any other solve is finished by Newton and Morse-counted.
-    ``transported_from`` of a verdict names the representative whose
-    solutions started its solves.
+    them; any other solve is finished by Newton and Morse-counted.  Where
+    the representative landed on a wrong branch instead, the solution it
+    converged to is mapped the same way, and the pair's own checks
+    classify it.  ``transported_from`` of a verdict names the
+    representative whose solutions or landings started its solves.
     """
     cfg = cfg or VerifyConfig()
     p = prediction.p
@@ -1037,26 +1089,33 @@ def continuation_run(
     all_pairs = [cp.a for cp in prediction.pairs]
     group = _grid_symmetries(dp)
     verdicts = []
+    sources = _pair_orbits(group, all_pairs)
+    last_member = {src[0]: j for j, src in enumerate(sources) if src is not None}
+    landings = {}  # {rep: {eps: solution}}, kept until the rep's last member
 
-    for i, (cp, source) in enumerate(zip(prediction.pairs, _pair_orbits(group, all_pairs))):
+    for i, (cp, source) in enumerate(zip(prediction.pairs, sources)):
         target = cp.morse_index + dp.group.j - 1
         verdict = BranchVerdict(
             pair_index=i, predicted=cp, target_morse=target, records=[],
         )
         rep, g, sign = source or (None, None, None)
         rep_records = {} if rep is None else {r.epsilon: r for r in verdicts[rep].records}
+        rep_landings = landings.get(rep, {})
         v0 = None
         for eps in schedule:
             mapped = rep_records.get(eps)
-            if mapped is not None:
+            start = mapped.v if mapped is not None else rep_landings.get(eps)
+            if start is not None:
                 verdict.transported_from = rep
             try:
                 rec = solve_branch(
-                    dp, cp.a, eps, p, v0=v0 if mapped is None else sign * g(mapped.v),
+                    dp, cp.a, eps, p, v0=v0 if start is None else sign * g(start),
                     tol=cfg.newton_tol, max_iter=cfg.max_newton,
                     linear_rtol=cfg.linear_rtol, all_pairs=all_pairs, expected_index=i,
                 )
             except (NewtonDiverged, ConvergedToWrongBranch) as exc:
+                if isinstance(exc, ConvergedToWrongBranch) and i in last_member:
+                    landings.setdefault(i, {})[eps] = exc.solution
                 verdict.notes.append(f"eps={eps:g}: {exc}")
                 verdict.inconclusive = True
                 continue
@@ -1074,6 +1133,8 @@ def continuation_run(
                     verdict.notes.append(f"eps={eps:g}: {exc}")
             verdict.records.append(rec)
         verdicts.append(verdict)
+        if rep is not None and last_member[rep] == i:
+            landings.pop(rep, None)
 
         if not verdict.records:
             verdict.inconclusive = True

@@ -213,6 +213,20 @@ class TestBuildLaplacian:
             tracemalloc.stop()
         assert peak <= 5e6
 
+    def test_problems_compare_by_identity(self, square, sq_g5, dp_sq5):
+        # comparing the ndarray fields would raise; a problem equals itself only
+        other = bb.build_laplacian(square, 32, sq_g5)
+        assert dp_sq5 == dp_sq5 and dp_sq5 != other
+        assert hash(dp_sq5) == hash(dp_sq5)
+        assert len({dp_sq5, other}) == 2
+
+    def test_reversal_signs_match_grid_symmetries(self, dp_sq5, cube, cube_g6):
+        for dp in (dp_sq5, bb.build_laplacian(cube, 12, cube_g6)):
+            axes = tuple(range(len(dp.shape)))
+            assert len(dp.reversal_signs) == 2 ** len(axes)
+            for h, signs in enumerate(dp.reversal_signs):
+                assert np.array_equal(signs, np.diag(_GridSymmetry(dp, axes, _axes(h)).P))
+
     def test_multiplet_splitting_zero_on_symmetric_grid(self, dp_sq5, cube, cube_g6):
         assert dp_sq5.splitting <= 1e-12
         dp3 = bb.build_laplacian(cube, 16, cube_g6)
@@ -695,12 +709,13 @@ class TestMorseIndex:
 
     @pytest.mark.parametrize("domain, eigenvalue, grid", [
         ("square", 5, 32), ("square", 5, 33), ("cube", 6, 12), ("cube", 6, 13),
-        ("cube", 6, 14),
+        ("cube", 6, 14), ("square", 25, 32),
     ])
     def test_schur_solve_matches_dense_pencil(self, domain, eigenvalue, grid):
         # every orbit representative, on an odd and an even number of
         # interior points: their stabilisers have rank 1 (the square's
-        # diagonal pair, the cube's (t, t, t)), 2 or 3
+        # diagonal pair, the cube's (t, t, t)), 2 or 3.  Square lambda=25
+        # (j = 14) eliminates the 13 modes below the window exactly
         dp, reps = orbit_representatives(domain, eigenvalue, grid)
         ranks = sorted(rank(_stabiliser(dp, cp.a)) for cp in reps)
         assert ranks == {"square": [1, 2], "cube": [1, 2, 3]}[domain]
@@ -714,6 +729,22 @@ class TestMorseIndex:
                 morse, near = bb.discrete_morse_index(dp, rec, rng_seed=seed)
                 assert morse == int(np.sum(mu < 0.0))
                 np.testing.assert_allclose(near, near_ref, rtol=1e-9, atol=0.0)
+
+    def test_cg_solves_do_not_grow_with_j(self, square, monkeypatch):
+        # square lambda=5 and lambda=25 share k = 2 but have j = 2 and 14:
+        # the modes below lambda cost no CG solve, so one count runs as many
+        cg, calls = pdeverify._cg, []
+        monkeypatch.setattr(pdeverify, "_cg",
+                            lambda *args, **kw: calls.append(args) or cg(*args, **kw))
+        counts = {}
+        for eigenvalue in (5, 25):
+            dp, reps = orbit_representatives("square", eigenvalue, 32)
+            rec = bb.solve_branch(dp, reps[0].a, 0.05)
+            calls.clear()
+            morse, _ = bb.discrete_morse_index(dp, rec)
+            assert morse == reps[0].morse_index + dp.group.j - 1
+            counts[dp.group.j] = len(calls)
+        assert counts[2] == counts[14]
 
     @pytest.mark.parametrize("domain, eigenvalue, grid, n_parities, negatives", [
         ("square", 5, 33, 2, 5), ("cube", 6, 13, 1, 8),
@@ -938,6 +969,34 @@ class TestGridSymmetry:
             assert v.notes == [f"eps=0.05: {err.value}"]
         assert [r.getMessage() for r in caplog.records] == [
             "grid symmetry group of order 8: 0 pairs started from a mapped solution"]
+
+    def test_wrong_branch_landings_are_transported(self, square, sq_g50, monkeypatch):
+        # square lambda=50 at 64^2 at eps = 0.1: the FD multiplet splits by
+        # more than eps, and most solves land on the trivial solution
+        dp = bb.build_laplacian(square, 64, sq_g50)
+        pred = bb.predict_branches(
+            sq_g50, bb.find_critical_points(bb.ReducedFunctional.for_group(sq_g50, square)))
+        all_pairs = [cp.a for cp in pred.pairs]
+        linear, solve, log = pdeverify._linear_solve, pdeverify.solve_branch, []
+        monkeypatch.setattr(pdeverify, "solve_branch", lambda *args, **kw: log.append(
+            [kw["expected_index"]]) or solve(*args, **kw))
+        monkeypatch.setattr(pdeverify, "_linear_solve",
+                            lambda *args: log[-1].append(args) or linear(*args))
+        verdicts = bb.continuation_run(dp, pred, [0.1])
+        steps = {index: len(calls) for index, *calls in log}  # Newton steps per solve
+        landed = {v.pair_index for v in verdicts
+                  if not v.records and "landed at" in " ".join(v.notes)}
+        sources = _pair_orbits(_grid_symmetries(dp), all_pairs)
+        members = [v for v, src in zip(verdicts, sources) if src is not None and src[0] in landed]
+        assert [v.pair_index for v in members] == [6, 8, 11, 12]
+        for v in members:
+            assert v.transported_from == sources[v.pair_index][0]
+            assert steps[v.pair_index] == 0
+            with pytest.raises(ConvergedToWrongBranch) as err:
+                solve(dp, v.predicted.a, 0.1, all_pairs=all_pairs, expected_index=v.pair_index)
+            assert v.notes == [f"eps=0.1: {err.value}"]
+        assert [v.pair_index for v in verdicts if v.transported_from is not None] == [
+            6, 8, 11, 12]
 
     def test_mapped_start_off_tolerance_is_finished_by_newton(self, dp_sq5, pred_sq5,
                                                               monkeypatch):
