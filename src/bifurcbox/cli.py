@@ -24,7 +24,10 @@ Every key and column of every report file is defined in this module, and
 the numerical modules return data classes only.  Each command renders all
 of its files to text first and hands them to ``_write_files``, which makes
 the output directory only then, so a failure while rendering leaves no
-partial report set behind.
+partial report set behind.  Every JSON report (``spectrum.json``,
+``prediction.json``, ``verdicts.json``) is written by ``_json_text``, whose
+bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
+final newline, at the cost of the json module's C encoder.
 
 The output directory resolves as: --out flag, then the BIFURCBOX_OUT
 environment variable, then the config file, then ./bifurcbox-out.
@@ -360,7 +363,42 @@ def _verdict_dict(v) -> dict:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for
+    byte.  With ``indent`` the json module runs its pure-Python encoder, so
+    the payload goes through the C encoder without it, and one numpy pass
+    lays the text out: a line break and two spaces per level of depth after
+    each non-empty opener and each comma, and before each non-empty closer,
+    of those outside strings."""
+    raw = np.frombuffer(json.dumps(payload, sort_keys=True, separators=(",", ": "))
+                        .encode("ascii"), np.int8)
+    quote = raw == ord('"')
+    slashes = np.flatnonzero(raw == ord("\\"))
+    if slashes.size:  # a backslash that ends an odd run escapes the quote after it
+        first = np.flatnonzero(np.diff(slashes, prepend=-2) != 1)
+        run = np.diff(first, append=slashes.size)
+        quote[(slashes[first] + run)[run % 2 == 1]] = False
+    layout = raw == ord(",")
+    for c in "[]{}":
+        layout |= raw == ord(c)
+    layout &= ~np.logical_xor.accumulate(quote)  # outside strings
+    pos = np.flatnonzero(layout)
+    del quote, layout  # freed early, so the peak stays the C encoder's
+    byte = raw[pos]
+    opener = (byte == ord("[")) | (byte == ord("{"))
+    closer = (byte == ord("]")) | (byte == ord("}"))
+    width = 1 + 2 * (np.cumsum(opener) - np.cumsum(closer))
+    empty = opener[:-1] & closer[1:] & (np.diff(pos) == 1)
+    width[:-1][empty] = width[1:][empty] = 0
+    # runs of the original bytes alternate with the breaks, the last one "\n";
+    # a break goes after an opener or a comma, before a closer
+    lengths = np.empty(2 * np.count_nonzero(width) + 2, np.intp)
+    lengths[0::2] = np.diff((pos + ~closer)[width > 0], prepend=0, append=raw.size)
+    lengths[1:-1:2], lengths[-1] = width[width > 0], 1
+    del pos, byte, opener, closer, width
+    out = np.full(raw.size + lengths[1::2].sum(), ord(" "), np.int8)
+    out[np.repeat(np.tile([True, False], lengths.size // 2), lengths)] = raw
+    out[np.cumsum(lengths)[0::2]] = ord("\n")
+    return str(out.data, "ascii")
 
 
 def _csv_text(rows) -> str:
@@ -521,8 +559,7 @@ def _row_text(a: np.ndarray) -> str:
     which numpy prints otherwise, go to numpy itself."""
     if not np.all(np.abs(a) < 1e8):
         return np.array2string(a, precision=6, suppress_small=True)
-    parts = [np.format_float_positional(x, precision=6, trim=".").split(".")
-             for x in a.tolist()]
+    parts = [f"{x:.6f}".rstrip("0").split(".") for x in a.tolist()]
     left = max(len(whole) for whole, _ in parts)
     right = max(len(frac) for _, frac in parts)
     lines, line = [], " "

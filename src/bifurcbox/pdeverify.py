@@ -849,9 +849,15 @@ class _SchurBlock:
         zero = np.zeros((len(self.S), 2 * k))
         mu, _ = _pencil_eigh(np.block([[self.S, zero], [zero.T, Zf @ Rf.T]]),
                              np.block([[self.G, cross], [cross.T, Zf @ DZ.T]]))
-        # a larger subspace lowers each Ritz value toward its eigenvalue, so
-        # the refined values keep the positions of the first ones
-        return mu[near]
+        # The span grew by 2k, so by Cauchy interlacing mu[i] <= theta[i] <=
+        # mu[i + 2k]: the refined value of position i sits s in [0, 2k] places
+        # up, s the eigenvalues the new directions bring in below it (their
+        # parts on N can bring in one of N's, far below the window).  A
+        # near-zero value moves by about its square, much less than the gaps
+        # to the new ones, so s is the shift that moves it least.
+        shifts = np.arange(min(2 * k, len(mu) - 1 - near.max()) + 1)
+        moved = np.abs(mu[near[None, :] + shifts[:, None]] - self.theta[near]).max(axis=1)
+        return mu[near + shifts[np.argmin(moved)]]
 
 
 def discrete_morse_index(

@@ -1,10 +1,12 @@
 import argparse
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -567,14 +569,103 @@ class TestConfigAndReport:
         assert not (tmp_path / "rep").exists()
 
 
+def indent_2(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+# strings that hold the layout's bytes, escapes and runs of backslashes
+TRICKY = ["[]{}:,", '"', '\\"', "\\", "a\\", '\\\\"', '"[",', "\\\\\\", "{,\\", "", " ", "\t\n"]
+
+
+def random_payload(rng, depth=0):
+    roll = rng.random() * (0.45 if depth == 0 else 1.0)  # a container at the top
+    if depth < 5 and roll < 0.25:
+        return {random_string(rng): random_payload(rng, depth + 1)
+                for _ in range(rng.integers(0, 5))}
+    if depth < 5 and roll < 0.45:
+        return [random_payload(rng, depth + 1) for _ in range(rng.integers(0, 5))]
+    return [
+        lambda: float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300)),
+        lambda: int(rng.integers(-10**6, 10**6)) * 10 ** int(rng.integers(0, 40)),
+        lambda: random_string(rng),
+        lambda: [True, False, None][rng.integers(3)],
+        lambda: [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308][rng.integers(6)],
+    ][rng.integers(5)]()
+
+
+def random_string(rng):
+    alphabet = ["a", "Z", "0", " ", ":", "\u00e9", "\u2202", "\U0001d706", "\x00", "\x7f",
+                *"[]{},", '"', "\\"]
+    return "".join(alphabet[i] for i in rng.integers(0, len(alphabet), rng.integers(0, 9)))
+
+
 class TestReportFiles:
+    def test_json_text_is_indent_2_on_a_random_corpus(self):
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            payload = random_payload(rng)
+            assert bifurcbox.cli._json_text(payload) == indent_2(payload), payload
+
+    @pytest.mark.parametrize("empty", [{}, []])
+    def test_json_text_keeps_empty_containers_at_every_depth(self, empty):
+        payload = empty
+        for depth in range(6):
+            payload = {"a": [payload, empty, 1], "b": empty, "c": [empty], "d": {"e": payload}}
+            for p in (payload, empty, [empty, empty], {"x": empty}):
+                assert bifurcbox.cli._json_text(p) == indent_2(p)
+
+    def test_json_text_of_special_values(self):
+        payload = {"nan": math.nan, "inf": [math.inf, -math.inf], "zero": [-0.0, 0.0],
+                   "tiny": 5e-324, "huge": 1e308, "flags": [True, False, None],
+                   "big": [2**200, -(3**90)], "ints": [0, -1, 7]}
+        assert bifurcbox.cli._json_text(payload) == indent_2(payload)
+        for value in (*payload.values(), math.nan, 5e-324, "x", None, 2**70):
+            assert bifurcbox.cli._json_text(value) == indent_2(value)
+
+    def test_json_text_of_non_ascii_and_tricky_strings(self):
+        payload = {"\u03bb\u2081": "\u00e9t\u00e9",
+                   "\U0001d706": ["\u2202F", {"\u00fc": "\u2264"}],
+                   **{key: [key, {key: key}] for key in TRICKY}}
+        assert bifurcbox.cli._json_text(payload) == indent_2(payload)
+        for key in TRICKY:
+            for p in (key, [key], {key: []}, {key: [key, 1]}, [[key], {}, {"k": key}]):
+                assert bifurcbox.cli._json_text(p) == indent_2(p), p
+
+    def test_json_text_peak_memory(self, tmp_path, capsys):
+        # square lambda=325 (k = 6): 424 KB of indented report.  Its
+        # tracemalloc peak is the C encoder's own, 1.63 MB, against 2.29 MB
+        # for the pure-Python encoder that indent=2 runs
+        code, out = run(tmp_path, "predict", "--domain", "square", "--lam", "325")
+        capsys.readouterr()
+        assert code == 0
+        payload = json.loads((out / "prediction.json").read_text())
+        peaks = []
+        for write in (bifurcbox.cli._json_text, indent_2):
+            text = write(payload)
+            tracemalloc.start()
+            try:
+                write(payload)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert text == (out / "prediction.json").read_text()
+        assert peaks[0] <= peaks[1]
+
     def test_row_text_is_array2string(self):
         # the stdout table's coefficient column, byte for byte: random rows
         # of k = 1..12 (long ones wrap at 75 columns), values that round to
-        # +-0 at six digits, rows of zeros and of -0.0
+        # +-0 at six digits, rows of zeros and of -0.0, exact ties at the
+        # sixth digit, values just below 1e8, subnormals
         rng = np.random.default_rng(5)
         rows = [np.zeros(k) for k in (1, 6, 12)] + [np.array([-0.0, 0.0, -0.0])]
         rows += [np.array([1e-9, -1e-9, 5e-7, -5e-7, 4.9e-7, 2.0, -0.0])]
+        rows += [np.array([0.0078125, -0.5078125, 1.0000005]),
+                 np.array([0.0000005, 0.0000015, -0.0000025, 2.5e-6, 0.1234565, 3.0000005]),
+                 np.array([99999999.99999999, -99999999.9, 99999999.9999995]),
+                 np.nextafter(1e8, 0.0) * np.array([1.0, -1.0, 0.5]),
+                 np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1e-310]),
+                 np.array([-0.0, 4e-7, 0.0, -4e-7, 1e-300, -0.0]),
+                 np.array([0.0, -3e-8, 1.5, -0.0])]
         for k in range(1, 13):
             for scale in (1e-7, 1e-3, 1.0, 1e3, 1e7):
                 rows.append(rng.standard_normal(k) * scale)
