@@ -10,7 +10,7 @@ seeds give byte-identical output.  Exit codes: 0 success,
 1 usage or configuration error, 2 verification mismatch (or a prediction
 containing degenerate points, or from a search whose completeness is not
 established: an uncertified root count at p = 3, or an unsaturated
-multistart).
+multistart; or a ``predict --oracle`` whose grid oracle disagrees).
 
 Every report's ``search`` block says how complete the critical set is.
 At p = 3 (the exact-quartic backend) the search counts the gradient's
@@ -614,6 +614,11 @@ def cmd_predict(args, cfg: dict) -> int:
                      f"{cert['bezout_number']} Bezout roots found")
     else:
         qualifier = "exact"
+    disagrees = cfg["oracle"] and not payload["oracle"]["agrees"]
+    if disagrees:
+        mismatch = (f"the grid oracle disagrees: {payload['oracle']['pair_count']} pairs "
+                    f"at set distance {payload['oracle']['set_distance']:.3g}")
+        qualifier = mismatch if qualifier == "exact" else f"{qualifier}; {mismatch}"
     lam = payload["lambda_j"]
     print(
         f"lambda_j={lam:g} (j={group.j}, k={group.k}, p={functional.p:g}): "
@@ -626,7 +631,7 @@ def cmd_predict(args, cfg: dict) -> int:
             f"{cp.value:12.6g}  {_row_text(cp.a)}"
         )
     print(f"wrote {out / 'prediction.json'}")
-    return 0 if prediction.exact and not uncertain else 2
+    return 0 if prediction.exact and not uncertain and not disagrees else 2
 
 
 def cmd_verify(args, cfg: dict) -> int:

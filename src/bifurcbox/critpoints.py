@@ -433,9 +433,11 @@ def _homotopy_roots(f: ReducedFunctional, cfg: SearchConfig):
     path.  When the count falls short of 3^k (a failed path, or two paths
     that end in one orbit, which is how a path jump shows) every orbit is
     tracked again with a new gamma and smaller steps, and the two sets of
-    endpoints are pooled.  Gamma is drawn from ``cfg.rng_seed``, so a rerun
-    is identical.  Returns (points, convergence mask, paths tracked, paths
-    failed, distinct roots)."""
+    endpoints are pooled; unless a path reached t = 1 at a singular or
+    ill-conditioned root, which no track counts, so that no retrack can
+    reach 3^k (a continuum of roots shows this way).  Gamma is drawn from
+    ``cfg.rng_seed``, so a rerun is identical.  Returns (points,
+    convergence mask, paths tracked, paths failed, distinct roots)."""
     k, scale = f.k, f.mode_scale()
     src, sign = _box_group(f)
     starts = _start_orbits(src, sign)
@@ -444,12 +446,14 @@ def _homotopy_roots(f: ReducedFunctional, cfg: SearchConfig):
     found, n_paths, failed = [], 0, 0
     for h_max, tol in zip(_H_MAX, _PREDICTION_TOL):
         gamma = np.exp(1j * rng.uniform(np.pi / 6, 5 * np.pi / 6))  # away from the real axis
+        singular = False
         for lo in range(0, len(starts), block):
-            X, ok = _track(f, scale, starts[lo:lo + block], gamma, h_max, tol)
+            X, ok, at_singular = _track(f, scale, starts[lo:lo + block], gamma, h_max, tol)
             found.append(X[ok])
+            singular |= bool(np.any(at_singular))
             n_paths, failed = n_paths + len(X), failed + int(np.sum(~ok))
         distinct = 1 + _orbit_union_size(np.concatenate(found), src, sign)
-        if distinct == 3**k:
+        if distinct == 3**k or singular:
             break
     X = np.concatenate(found)
     real = np.max(np.abs(X.imag), axis=1) <= _ROOT_TOL * (1.0 + np.max(np.abs(X), axis=1))
@@ -577,9 +581,11 @@ def _track(f: ReducedFunctional, scale: float, starts: np.ndarray, gamma: comple
     its square.  The next step aims at a first corrector step of ``tol``,
     never above ``h_max``; a rejected step is halved.  A singular solve
     gives NaN, which rejects the step.  Each endpoint is polished by Newton
-    at t = 1.  Returns the endpoints and the mask of paths that reached
-    t = 1 at a root whose Jacobian condition number is at most
-    ``_COND_LIMIT``."""
+    at t = 1.  Returns the endpoints, the mask of paths that reached t = 1
+    at a finite root whose Jacobian condition number is at most
+    ``_COND_LIMIT``, and the mask of paths that reached t = 1 at a root that
+    fails this test where the path arrived or after the polish: Newton at
+    a singular root drifts, so the polished point alone can pass."""
     n, k = starts.shape
     eye = np.eye(k)
     unsolvable = lambda H, R: np.full_like(R, np.nan)  # noqa: E731
@@ -636,14 +642,20 @@ def _track(f: ReducedFunctional, scale: float, starts: np.ndarray, gamma: comple
         reached[done] = True
         live[done] = False
         live[rej[(h[rej] < _H_MIN) | (size[~ok] > 1e6)]] = False
-    for _ in range(3):
+    conditioned = np.ones(n, dtype=bool)
+    for i in range(3):
         Y = f._pair_contraction(scale * X)
         J = eye - 3.0 * Y
+        if i == 0 and reached.any():  # where each path arrived
+            conditioned[reached] = np.linalg.cond(J[reached]) <= _COND_LIMIT
         X = X + _solve_rows(J, (Y @ X[:, :, None])[:, :, 0] - X, unsolvable)
     ok = reached & np.all(np.isfinite(X), axis=1)
     if ok.any():
         ok[ok] = np.linalg.cond(J[ok]) <= _COND_LIMIT
-    return X, ok
+    return X, ok, reached & ~(ok & conditioned)
+
+
+_SLAB = 2**17  # grid points per slab of the oracle's scan, its two halo planes aside
 
 
 def brute_force_oracle(
@@ -656,18 +668,15 @@ def brute_force_oracle(
     grid over [-R, R]^k, polish every local minimum with Newton, and dedup
     exactly like :func:`find_critical_points`.
 
-    The scan is :meth:`ReducedFunctional.gradient_sq_grid`: at p = 3 each
-    gradient component is a cubic, evaluated on the whole grid as an
-    n-mode product of its monomial table with the powers of the axis; the
-    quadrature backend evaluates row blocks whose points are built from
-    their flat grid indices.  Neither holds an (npts^k, k) array: the scan
-    holds two npts^k grids, and so does the neighbourhood minimum, plus an
-    eighth of one.
-    Newton starts at every grid point no larger than its neighbours, in C
-    order of the grid.  The tensor product rounds differently from the
-    row-wise gradient of the same points, so ties among the grid minima on
-    flat stretches can break differently and the number of starts can
-    move; the pairs are Newton limits, so they move only by rounding."""
+    The grid is walked in slabs of whole planes along its first axis, about
+    ``_SLAB`` points plus one halo plane on either side, each slab's
+    |grad|^2 (:meth:`ReducedFunctional.gradient_sq_grid`) and 3^k
+    neighbourhood minimum taken on the slab alone; Newton starts at every
+    grid point no larger than its neighbours, in C order of the grid.  The
+    tensor product rounds differently from the row-wise gradient of the
+    same points, so ties among the grid minima on flat stretches can break
+    differently and the number of starts can move; the pairs are Newton
+    limits, so they move only by rounding."""
     cfg = cfg or SearchConfig()
     k = f.k
     if k > 3:
@@ -677,9 +686,15 @@ def brute_force_oracle(
     )
     npts = int(np.ceil(2.0 / grid_step_frac)) + 1
     axis = np.linspace(-R, R, npts)
-    G = f.gradient_sq_grid(axis)
-    is_min = G <= _neighbourhood_min(G)
-    A, ok = _newton_refine(f, np.column_stack([axis[i] for i in np.nonzero(is_min)]), cfg)
+    step = max(1, _SLAB // npts ** (k - 1))  # planes per slab
+    starts = []
+    for lo in range(0, npts, step):
+        halo = max(lo - 1, 0)
+        G = f.gradient_sq_grid([axis[halo:lo + step + 1]] + [axis] * (k - 1))
+        idx = np.nonzero((G <= _neighbourhood_min(G))[lo - halo:lo - halo + step])
+        starts.append(np.column_stack([axis[lo + idx[0]]] + [axis[i] for i in idx[1:]]))
+        del G  # so the next slab's scan does not hold this one
+    A, ok = _newton_refine(f, np.concatenate(starts), cfg)
     converged = A[ok & (np.max(np.abs(A), axis=1) > cfg.dedup_radius)]
     return _classify_many(f, dedup_pairs(converged, cfg.dedup_radius), cfg)
 
@@ -687,25 +702,15 @@ def brute_force_oracle(
 def _neighbourhood_min(G: np.ndarray) -> np.ndarray:
     """Minimum over each point's 3 x ... x 3 neighbourhood, the grid edges
     repeated outward.  The box minimum is separable, so it is taken one
-    axis at a time, in place on one copy of ``G``: planes along the axis
-    are done in chunks of about an eighth of the grid, each chunk's planes
-    copied first, so the function holds ``G``, the result and one chunk."""
-    out = G.copy()
+    axis at a time on a copy of ``G``, each pass against a copy of the
+    last: ``G``, the result and that copy are held."""
+    out, last = G.copy(), np.empty_like(G)
     for ax in range(G.ndim):
-        M = np.moveaxis(out, ax, 0)
-        n = len(M)
-        step = max(1, n // 8)
-        before = None  # the plane before the chunk, as it was
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            here = M[lo:hi].copy()
-            np.minimum(M[lo:hi - 1], here[1:], out=M[lo:hi - 1])
-            if hi < n:
-                np.minimum(M[hi - 1:hi], M[hi:hi + 1], out=M[hi - 1:hi])
-            np.minimum(M[lo + 1:hi], here[:-1], out=M[lo + 1:hi])
-            if before is not None:
-                np.minimum(M[lo:lo + 1], before, out=M[lo:lo + 1])
-            before = here[-1:]
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        np.copyto(last, out)
+        np.minimum(out[lo], last[hi], out=out[lo])
+        np.minimum(out[hi], last[lo], out=out[hi])
     return out
 
 

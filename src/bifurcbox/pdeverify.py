@@ -80,7 +80,7 @@ from .errors import (
     SpectrumTooClose,
     SupercriticalP,
 )
-from .reduced import ReducedFunctional
+from .reduced import QuarticTensor, ReducedFunctional
 from .spectrum import DomainSpec, EigenGroup
 
 # Not used here: bench/tracing.py wraps these two names on this module, so
@@ -363,6 +363,19 @@ class DiscreteProblem:
     def transform(self) -> _SineTransform:
         """The sine transform on every class: the sector of no symmetry."""
         return self.sector(((0, 1),))
+
+    @functools.cached_property
+    def grid_quartic(self) -> QuarticTensor:
+        """The grid-sum quartic T[i, h, l, m] = sum_x w E_i E_h E_l E_m of
+        the group basis.  E_i is a product over the axes of DST-I columns
+        S_d over sqrt(w), so T = (1/w) prod_d sum_x S_d(x, n_i) S_d(x, n_h)
+        S_d(x, n_l) S_d(x, n_m), n the mode indices on axis d: one sum
+        over each axis, not over the whole grid."""
+        T = np.full((self.group.k,) * 4, 1.0 / self.weight)
+        for d, n in enumerate(self.shape):
+            S = _sine_matrix(n, np.arange(1, n + 1), [m.indices[d] for m in self.group.modes])
+            T *= np.einsum("xi,xh,xl,xm->ihlm", S, S, S, S)
+        return QuarticTensor(self.group.k, T)
 
     def sector(self, character: tuple) -> _SineTransform:
         """The sine transform on the sector of ``character`` (see
@@ -954,11 +967,15 @@ def discrete_reference_point(dp: DiscreteProblem, a, p: float = 3.0,
 
     This is the exact eps -> 0 limit of the discrete branch projections;
     fitting convergence orders against it separates the eps asymptotics
-    from the O(h^2) discretization bias.  The grid sum is a quadrature
+    from the O(h^2) discretization bias.  At p = 3 the grid-sum functional
+    is the quartic ``dp.grid_quartic``; at any other p it is a quadrature
     functional with the grid points as nodes.
     """
-    f = ReducedFunctional(dp.group.k, p, "quadrature", quad_points=dp.eigvecs,
-                          quad_weights=np.full(dp.n, dp.weight))
+    if p == 3.0:
+        f = ReducedFunctional.from_tensor(dp.grid_quartic)
+    else:
+        f = ReducedFunctional(dp.group.k, p, "quadrature", quad_points=dp.eigvecs,
+                              quad_weights=np.full(dp.n, dp.weight))
     return _newton_refine(f, a, SearchConfig(newton_tol=tol, max_iter=max_iter))[0][0]
 
 

@@ -326,23 +326,24 @@ class ReducedFunctional:
         return out
 
     def gradient_sq_grid(self, axis) -> np.ndarray:
-        """|grad F|^2 at every point of the tensor grid ``axis``^k, shaped
-        (len(axis),) * k with grid axis d indexing coordinate d.
+        """|grad F|^2 at every point of a tensor grid, grid axis d indexing
+        coordinate d: ``axis`` is one coordinate array per grid axis, or a
+        single array for all k of them.
 
-        Exact-quartic: gradient component i is a cubic whose (4,)^k table
-        of monomial coefficients (:meth:`_gradient_monomials`) is
-        contracted with V = axis^0..axis^3 along every grid axis, an n-mode
-        (Tucker) product; the squared components are summed into the result
-        one at a time, so two grid-sized arrays are held.  Quadrature: the
-        gradient of each row block (:meth:`gradient_many`) at points built
-        from their flat grid indices.  Neither holds an (npts^k, k) array.
+        Exact-quartic: gradient component i is a cubic whose (4,)^k table of
+        monomial coefficients (:meth:`_gradient_monomials`) is contracted
+        with x_d^0..x_d^3 along every grid axis d, an n-mode (Tucker)
+        product; the squared components are summed into the result one at a
+        time, so two grid-sized arrays are held.  Quadrature: the gradient
+        of each row block (:meth:`gradient_many`) at points built from their
+        flat grid indices.  Neither holds an (n_points, k) array.
         """
-        axis = np.asarray(axis, dtype=float)
-        G = np.zeros((len(axis),) * self.k)
+        axes = [np.asarray(x, float) for x in ([axis] * self.k if np.ndim(axis[0]) == 0 else axis)]
+        G = np.zeros([len(x) for x in axes])
         if self.backend == "exact-quartic":
-            V = axis[:, None] ** np.arange(4)
+            powers = [x[:, None] ** np.arange(4) for x in axes]
             for g in self._gradient_monomials():
-                for _ in range(self.k):  # contracts the leading table axis,
+                for V in powers:  # contracts the leading table axis,
                     g = np.tensordot(g, V, axes=([0], [1]))  # appends a grid axis
                 G += np.square(g, out=g)
             return G
@@ -350,7 +351,7 @@ class ReducedFunctional:
         for rows in self._row_blocks(len(flat)):
             span = range(len(flat))[rows]
             idx = np.unravel_index(np.arange(span.start, span.stop), G.shape)
-            g = self.gradient_many(np.column_stack([axis[i] for i in idx]))
+            g = self.gradient_many(np.column_stack([x[i] for x, i in zip(axes, idx)]))
             flat[rows] = np.sum(np.square(g, out=g), axis=1)
         return G
 

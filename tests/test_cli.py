@@ -94,6 +94,22 @@ class TestPredict:
         assert payload["oracle"]["agrees"] is True
         assert payload["oracle"]["pair_count"] == 4
 
+    def test_oracle_disagreement_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an oracle that misses one of square lambda=50's 13 pairs
+        oracle = bifurcbox.cli.brute_force_oracle
+        monkeypatch.setattr(bifurcbox.cli, "brute_force_oracle",
+                            lambda *a, **kw: oracle(*a, **kw)[1:])
+        code, out = run(tmp_path, "predict", "--domain", "square", "--lam", "50", "--oracle")
+        payload = json.loads((out / "prediction.json").read_text())
+        assert code == 2
+        assert payload["pair_count_h"] == 13 and payload["search"]["completeness"] == "certified"
+        assert payload["oracle"]["agrees"] is False and payload["oracle"]["pair_count"] == 12
+        dist = payload["oracle"]["set_distance"]
+        assert dist > 1e-6
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.endswith(
+            f"13 pairs of branches (the grid oracle disagrees: 12 pairs at set distance {dist:.3g})")
+
     def test_byte_identical_reports(self, tmp_path):
         _, out1 = run(tmp_path, "predict", "--domain", "square", "--j", "2", name="a")
         _, out2 = run(tmp_path, "predict", "--domain", "square", "--j", "2", name="b")

@@ -179,13 +179,43 @@ class TestOracle:
             expected[idx] = G[box].min()
         assert np.array_equal(_neighbourhood_min(G), expected)
 
+    @pytest.mark.parametrize("slab", [None, 16])
+    @pytest.mark.parametrize("case, backend, step", [
+        ("sq1", "exact-quartic", 0.02), ("sq5", "exact-quartic", 0.02),
+        ("cube6", "exact-quartic", 0.02), ("sq50", "exact-quartic", 0.02),
+        ("sq1", "quadrature", 0.02), ("sq5", "quadrature", 0.05),
+        ("cube6", "quadrature", 0.125),  # the default step takes about a minute
+    ])
+    def test_slab_scan_starts_are_the_whole_grid_scan(self, case, backend, step, slab,
+                                                      square, cube, monkeypatch):
+        # the oracle's Newton starts, in order, against one scan of the whole
+        # grid and an edge-padded 3^k shifted minimum; a 16-point slab puts
+        # every k in several slabs, one plane each at k = 2 and 3
+        domain, lam = {"sq1": (square, 2), "sq5": (square, 5),
+                       "cube6": (cube, 6), "sq50": (square, 50)}[case]
+        f = bb.ReducedFunctional.for_group(bb.find_group(domain, eigenvalue=lam), domain,
+                                           backend=backend)
+        R = 2.5 * f.mode_scale()
+        axis = np.linspace(-R, R, int(np.ceil(2.0 / step)) + 1)
+        G = f.gradient_sq_grid(axis)
+        padded, M = np.pad(G, 1, mode="edge"), np.full_like(G, np.inf)
+        for shift in itertools.product(range(3), repeat=f.k):
+            np.minimum(M, padded[tuple(slice(s, s + len(axis)) for s in shift)], out=M)
+        expected = np.column_stack([axis[i] for i in np.nonzero(G <= M)])
+
+        if slab is not None:
+            monkeypatch.setattr(critpoints, "_SLAB", slab)
+        refine, starts = critpoints._newton_refine, []
+        monkeypatch.setattr(critpoints, "_newton_refine",
+                            lambda f, A0, cfg: starts.append(A0) or refine(f, A0, cfg))
+        bb.brute_force_oracle(f, grid_step_frac=step)
+        assert np.array_equal(starts[0], expected)
+
     def test_oracle_peak_memory(self, square, sq_g50):
-        # |grad|^2 is scanned as a Tucker product of monomial tables, so no
-        # (npts^k, k) point or gradient array is held, and the neighbourhood
-        # minimum works in place on one copy of the grid; the oracle peaks
-        # at 18,643,360 to 18,644,568 bytes on this k = 3 group, depending on
-        # what ran before: two 101^3 grids (8,242,408 bytes each) in the scan
-        # and in _neighbourhood_min, which also holds an eighth of one
+        # the scan walks slabs of 12 planes of the 101^3 grid plus two halo
+        # planes (1,142,512 bytes); the oracle peaks at about 3.63 MB on this
+        # k = 3 group, three slab arrays in _neighbourhood_min, where one
+        # scan of the whole grid held two 101^3 grids (8,242,408 bytes each)
         f = bb.ReducedFunctional.for_group(sq_g50, square)
         bb.brute_force_oracle(f)
         tracemalloc.start()
@@ -194,7 +224,7 @@ class TestOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 18_645_000
+        assert peak <= 5_000_000
 
     def test_rejects_large_k(self):
         f = bb.ReducedFunctional.from_tensor(QuarticTensor.from_pattern(4, 9.0, 4.0))
@@ -369,15 +399,40 @@ class TestCertifiedSearch:
         track, calls = critpoints._track, []
 
         def first_fails(*args):
-            X, ok = track(*args)
+            X, ok, at_singular = track(*args)
             calls.append(args[4])  # h_max
-            return X, ok & (len(calls) > 1)
+            return X, ok & (len(calls) > 1), at_singular
 
         monkeypatch.setattr(critpoints, "_track", first_fails)
         pts, diag = bb.find_critical_points_with_diagnostics(f)
         assert calls == list(critpoints._H_MAX)  # a smaller step the second time
         assert diag.certificate == Certificate("homotopy", 81, 81) and len(pts) == 22
         assert diag.n_seeds == 30 and diag.n_failed == 15
+
+    @pytest.mark.parametrize("pattern, paths, retracked, distinct, pairs", [
+        ((3, 0.9, 0.3), 26, 39, 13, 13), ((2, 3.0, 1.0), 8, 12, 5, 4)])
+    def test_continuum_is_tracked_once(self, pattern, paths, retracked, distinct, pairs,
+                                       monkeypatch):
+        # alpha = 3 beta: a path reaches t = 1 on the sphere of critical
+        # points, a root no track counts, so the orbits are not tracked again
+        # (n_seeds counts the closed-form points and the paths); forcing the
+        # retrack finds the same pairs and the same count
+        f = bb.ReducedFunctional.from_tensor(QuarticTensor.from_pattern(*pattern))
+        track, calls = critpoints._track, []
+        monkeypatch.setattr(critpoints, "_track",
+                            lambda *args: calls.append(args[4]) or track(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            once, diag = bb.find_critical_points_with_diagnostics(f)
+            monkeypatch.setattr(critpoints, "_track",
+                                lambda *args: track(*args)[:2] + (np.zeros(len(args[2]), bool),))
+            twice, diag2 = bb.find_critical_points_with_diagnostics(f)
+        assert calls == [critpoints._H_MAX[0]]
+        assert (diag.n_seeds, diag2.n_seeds) == (paths, retracked)
+        assert diag.completeness == diag2.completeness == "uncertified"
+        assert diag.certificate.distinct_roots == diag2.certificate.distinct_roots == distinct
+        assert len(once) == pairs
+        assert np.array_equal([p.a for p in once], [p.a for p in twice])
 
     def test_degenerate_pattern_is_not_exact(self, sq_g50):
         # alpha = 3 beta makes F radial: a sphere of critical points, none

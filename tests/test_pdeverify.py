@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import bifurcbox as bb
-from bifurcbox import cli, pdeverify
+from bifurcbox import cli, critpoints, pdeverify
 from bifurcbox.errors import (
     ConvergedToWrongBranch,
     GridTooCoarse,
@@ -854,6 +854,32 @@ class TestContinuation:
         pred = bb.predict_branches(cube_g6, bb.find_critical_points(f_cube6), p=7.0)
         with pytest.raises(SupercriticalP):
             bb.continuation_run(dp, pred, [0.05])
+
+    @pytest.mark.parametrize("domain, lam, grid, aliased", [
+        ("square", 5, 32, False), ("cube", 6, 12, False),
+        ("square", 82, 18, True), ("cube", 44, 12, True)])
+    def test_grid_quartic_is_the_grid_sum(self, domain, lam, grid, aliased):
+        # T from one sum per axis equals sum_x w E x E x E x E; with modes
+        # (1, 9) on 18 intervals, or (2, 2, 6) on 12, four indices reach 2N
+        # and the grid sum aliases away from the continuum tensor
+        dom = getattr(bb.DomainSpec, domain)()
+        group = bb.find_group(dom, eigenvalue=lam)
+        dp = bb.build_laplacian(dom, grid, group)
+        E = dp.eigvecs
+        grid_sum = dp.weight * np.einsum("xi,xh,xl,xm->ihlm", E, E, E, E)
+        T = dp.grid_quartic.entries
+        assert np.max(np.abs(T - grid_sum)) <= 1e-13 * np.max(np.abs(grid_sum))
+        continuum = bb.build_quartic_tensor(group, dom).entries
+        assert (np.max(np.abs(T - continuum)) > 1e-3) == aliased
+        if aliased:  # square lambda=82 aliases to alpha = 3 beta: a circle of roots
+            return
+        # the reference point is the grid-sum quadrature functional's root
+        a = bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom))[0].a
+        quadrature = bb.ReducedFunctional(group.k, 3.0, "quadrature", quad_points=E,
+                                          quad_weights=np.full(dp.n, dp.weight))
+        expected = critpoints._newton_refine(
+            quadrature, a, critpoints.SearchConfig(newton_tol=1e-13, max_iter=40))[0][0]
+        assert discrete_reference_point(dp, a) == pytest.approx(expected, rel=0, abs=1e-12)
 
     def test_reference_point_matches_prediction(self, dp_sq1, pred_sq1):
         # aliasing-free grid sums reproduce the continuum critical point

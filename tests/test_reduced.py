@@ -291,6 +291,17 @@ class TestQuadratureBackend:
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(ref)))
 
+    @pytest.mark.parametrize("backend", ["exact-quartic", "quadrature"])
+    def test_gradient_sq_grid_takes_one_array_per_axis(self, backend, cube, cube_g6):
+        # grid axis d indexes coordinate d, each on its own axis
+        f = bb.ReducedFunctional.for_group(cube_g6, cube, backend=backend)
+        axes = [np.linspace(-1.0, 0.5, 4), np.linspace(-0.3, 1.2, 3), np.linspace(0.1, 0.9, 5)]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        ref = np.sum(f.gradient_many(points) ** 2, axis=1).reshape(4, 3, 5)
+        got = f.gradient_sq_grid(axes)
+        assert got.shape == (4, 3, 5)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(ref)))
+
     def test_quadrature_gradient_sq_grid_is_the_row_scan(self, square, sq_g5):
         # one row block: the same gradient_many call, bit for bit
         f = bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")
