@@ -13,12 +13,12 @@ established: an uncertified root count at p = 3, or an unsaturated
 multistart; or a ``predict --oracle`` whose grid oracle disagrees).
 
 Every report's ``search`` block says how complete the critical set is.
-At p = 3 (the exact-quartic backend) the search counts the gradient's
-roots against the Bezout number 3^k, and the block carries a
-``certificate`` (method, distinct roots, Bezout number) with completeness
-``"certified"`` or ``"uncertified"``; the quadrature backend's multistart
-reports ``"oracle-checkable"``, ``"conjectured exact"`` or
-``"unsaturated"`` and no certificate.
+At p = 3, on either backend, the search counts the gradient's roots
+against the Bezout number 3^k, and the block carries a ``certificate``
+(method, distinct roots, Bezout number) with completeness ``"certified"``
+or ``"uncertified"``; at any other p the multistart reports
+``"oracle-checkable"``, ``"conjectured exact"`` or ``"unsaturated"`` and
+no certificate.
 
 Every key and column of every report file is defined in this module, and
 the numerical modules return data classes only.  Each command renders all
@@ -749,12 +749,11 @@ def _add_common(parser):
                         help="comma-separated squared sides, e.g. 'pi^2,4pi^2'")
     parser.add_argument("--out", help="output directory (or set BIFURCBOX_OUT)")
     parser.add_argument("--seed", type=int,
-                        help="seed of the search: at p = 3 (exact-quartic) it draws "
-                             "the homotopy constant gamma, which moves the reported "
-                             "points only by rounding; the quadrature multistart "
-                             "draws from it the random starts that top its 4(3^k-1) "
-                             "structured seeds up to search.seed_budget (none for "
-                             "k >= 4 at the default 200)")
+                        help="seed of the search: at p = 3 it draws the homotopy "
+                             "constant gamma, which moves the reported points only by "
+                             "rounding; at other p the multistart draws from it the "
+                             "random starts that top its 4(3^k-1) structured seeds up "
+                             "to search.seed_budget (none for k >= 4 at the default 200)")
     parser.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -764,11 +763,10 @@ def _add_target(parser):
     parser.add_argument("--p", type=float, help="nonlinearity exponent (default 3)")
     parser.add_argument("--backend", choices=["exact-quartic", "quadrature"])
     parser.add_argument("--seed-budget", dest="search.seed_budget", type=int,
-                        help="minimum total seed count of the quadrature multistart, "
-                             "not a cap: random seeds top its 4(3^k-1) structured "
-                             "seeds up to it; the certified search at p = 3 "
-                             "(exact-quartic) tracks one homotopy path per symmetry "
-                             "orbit instead and ignores it")
+                        help="minimum total seed count of the multistart at p != 3, "
+                             "not a cap: random seeds top its 4(3^k-1) structured seeds "
+                             "up to it; the certified search at p = 3 tracks one "
+                             "homotopy path per symmetry orbit instead and ignores it")
     parser.add_argument("--oracle", action="store_const", const=True, default=None,
                         help="cross-check against the grid oracle (predict, k <= 3)")
 

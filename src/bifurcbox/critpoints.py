@@ -5,12 +5,12 @@ pair with Morse index m (of the k-dimensional Hessian) predicts one pair of
 PDE solution branches bifurcating from the group's eigenvalue, with
 solution Morse index m + j - 1.  Three independent routes to the same set:
 
-* :func:`find_critical_points` - at p = 3 (exact-quartic) a certified
+* :func:`find_critical_points` - at p = 3, on either backend, a certified
   search: the gradient is k cubics, so it has at most 3^k isolated complex
   roots (Bezout), and 3^k distinct nonsingular roots in hand are all of
   them.  The closed forms of a pattern tensor give them directly; any other
   tensor gets a total-degree homotopy tracked once per symmetry orbit of
-  its start roots.  The quadrature backend runs a multistart damped Newton.
+  its start roots.  At any other p a multistart damped Newton.
 * :func:`brute_force_oracle` - dense grid scan of |grad|^2 minima (k <= 3).
 * :func:`gamma_family_solutions` - closed forms for pattern tensors.
 
@@ -68,12 +68,12 @@ class CriticalPoint:
 class SearchConfig:
     """Search knobs.
 
-    The certified search (exact-quartic backend, p = 3) uses
-    ``newton_tol``, ``max_iter``, ``dedup_radius`` and ``degeneracy_rtol``,
-    and ``rng_seed`` draws its homotopy constant gamma; it ignores
-    ``radii``, ``seed_budget`` and ``scale``.
+    The certified search (p = 3, either backend) uses ``newton_tol``,
+    ``max_iter``, ``dedup_radius`` and ``degeneracy_rtol``, and
+    ``rng_seed`` draws its homotopy constant gamma; it ignores ``radii``,
+    ``seed_budget`` and ``scale``.
 
-    The multistart (quadrature backend) places every sign/support pattern
+    The multistart (p != 3) places every sign/support pattern
     at each radius (times ``scale``, by default the functional's mode
     scale), 4 (3^k - 1) seeds at the default radii, and always runs them.
     ``seed_budget`` is the minimum total seed count, not a cap: random
@@ -285,7 +285,7 @@ class Certificate:
 class SearchDiagnostics:
     """Bookkeeping behind a completeness claim.
 
-    Certified search (exact-quartic, p = 3): ``completeness`` is
+    Certified search (p = 3, either backend): ``completeness`` is
     ``"certified"`` when ``certificate`` meets its Bezout number and
     ``"uncertified"`` otherwise; ``n_seeds`` counts the closed-form points
     polished and the homotopy paths tracked, ``n_failed`` the paths that
@@ -293,7 +293,7 @@ class SearchDiagnostics:
     polish, ``n_converged`` the polished nonzero real roots (one per
     distinct canonical image), and ``saturated`` is ``certificate.certified``.
 
-    Multistart (quadrature): completeness is ``"oracle-checkable"`` for
+    Multistart (p != 3): completeness is ``"oracle-checkable"`` for
     k <= 3, where the grid oracle applies; above that it is heuristic, and
     the search is called saturated (``"conjectured exact"``, else
     ``"unsaturated"``) when the whole second half of the seed list produced
@@ -312,9 +312,10 @@ class SearchDiagnostics:
 def find_critical_points(f: ReducedFunctional, cfg: SearchConfig | None = None):
     """All nontrivial critical points, one representative per sign pair.
 
-    Exact-quartic (p = 3): the closed form of a pattern tensor, else the
-    real roots of a total-degree homotopy, either counted against the
-    Bezout number 3^k.  Quadrature: multistart damped Newton from every
+    At p = 3, through the functional's quartic tensor on either backend:
+    the closed form of a pattern tensor, else the real roots of a
+    total-degree homotopy, either counted against the Bezout number 3^k.
+    At any other p: multistart damped Newton from every
     sign/support pattern in {-1, 0, 1}^k at radii ``cfg.radii`` times the
     mode scale, plus random directions up to the seed budget; completeness
     is checkable against the grid oracle for k <= 3 and heuristic (seed
@@ -331,7 +332,7 @@ def find_critical_points_with_diagnostics(
     """:func:`find_critical_points` plus the :class:`SearchDiagnostics`."""
     cfg = cfg or SearchConfig()
     certificate = None
-    if f.backend == "exact-quartic":
+    if f.tensor is not None:
         A, ok, n_seeds, n_failed, certificate = _certified_roots(f, cfg)
     else:
         A, ok = _newton_refine(f, _multistart_seeds(f, cfg), cfg)
@@ -583,9 +584,9 @@ def _track(f: ReducedFunctional, scale: float, starts: np.ndarray, gamma: comple
     gives NaN, which rejects the step.  Each endpoint is polished by Newton
     at t = 1.  Returns the endpoints, the mask of paths that reached t = 1
     at a finite root whose Jacobian condition number is at most
-    ``_COND_LIMIT``, and the mask of paths that reached t = 1 at a root that
-    fails this test where the path arrived or after the polish: Newton at
-    a singular root drifts, so the polished point alone can pass."""
+    ``_COND_LIMIT`` both where the path arrived and after the polish
+    (Newton at a singular root drifts, so the polished point alone can
+    pass), and the mask of the other paths that reached t = 1."""
     n, k = starts.shape
     eye = np.eye(k)
     unsolvable = lambda H, R: np.full_like(R, np.nan)  # noqa: E731
@@ -642,17 +643,17 @@ def _track(f: ReducedFunctional, scale: float, starts: np.ndarray, gamma: comple
         reached[done] = True
         live[done] = False
         live[rej[(h[rej] < _H_MIN) | (size[~ok] > 1e6)]] = False
-    conditioned = np.ones(n, dtype=bool)
+    ok = reached.copy()
     for i in range(3):
         Y = f._pair_contraction(scale * X)
         J = eye - 3.0 * Y
-        if i == 0 and reached.any():  # where each path arrived
-            conditioned[reached] = np.linalg.cond(J[reached]) <= _COND_LIMIT
+        if i == 0 and ok.any():  # where each path arrived
+            ok[ok] = np.linalg.cond(J[ok]) <= _COND_LIMIT
         X = X + _solve_rows(J, (Y @ X[:, :, None])[:, :, 0] - X, unsolvable)
-    ok = reached & np.all(np.isfinite(X), axis=1)
+    ok &= np.all(np.isfinite(X), axis=1)
     if ok.any():
         ok[ok] = np.linalg.cond(J[ok]) <= _COND_LIMIT
-    return X, ok, reached & ~(ok & conditioned)
+    return X, ok, reached & ~ok
 
 
 _SLAB = 2**17  # grid points per slab of the oracle's scan, its two halo planes aside

@@ -403,8 +403,9 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
     columns, the exact and orthonormal discrete eigenvectors of the group's
     modes, and the neighbour gap is read off the whole discrete spectrum.
 
-    Raises :class:`GridTooCoarse` when the discrete multiplet splitting
-    exceeds half the gap to the nearest non-group discrete eigenvalue.
+    Raises :class:`GridTooCoarse` when a non-group discrete eigenvalue
+    equals lambda_h to rounding (1e-12 lambda_h), or when the discrete
+    multiplet splitting exceeds half the gap to the nearest one.
     """
     dim = domain.dimension
     if isinstance(grid, int):
@@ -441,6 +442,11 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
     dist = np.abs(D - lambda_h)
     dist[positions] = np.inf
     neighbor_gap = float(dist.min())
+    if neighbor_gap <= 1e-12 * lambda_h:  # the discrete eigenspace outgrows the group
+        mode = tuple((np.argwhere(dist == neighbor_gap)[0] + 1).tolist())
+        raise GridTooCoarse(f"FD mode {mode}, outside the group, coincides with lambda_h = "
+                            f"{lambda_h:.6g} to rounding (gap {neighbor_gap:.3e}); "
+                            "change the grid")
     if splitting > 0.5 * neighbor_gap:
         raise GridTooCoarse(
             f"discrete multiplet splits by {splitting:.3e} against a "

@@ -6,27 +6,26 @@ functional is
     F(a) = |a|^2 / 2 - (1/(p+1)) * integral |a .  e|^(p+1)
 
 Its nontrivial critical points are what the branch predictor counts and
-classifies.  Two interchangeable evaluation backends are provided:
-
-* ``exact-quartic`` (p = 3 only): the integral term is a fully symmetric
-  4-index tensor T of eigenfunction products, each entry a closed-form
-  sine-product integral.  Authoritative for p = 3.  The batched gradient
-  and Hessian are one matrix product: the pair products a_l a_m of a block
-  of rows times T read as a k^2 x k^2 matrix give Y[n, i, h] =
-  sum_lm T_ihlm a_l a_m, so the Hessian is I - 3Y and the gradient
-  a - Y a.  Index roles follow the tensor contraction exactly, so the
-  evaluators do not rely on the symmetry of T.  On a tensor grid each
-  gradient component is a cubic whose monomial table is contracted with
-  the powers of the grid axis, one axis at a time (an n-mode product).
-* ``quadrature`` (any p > 1): composite Gauss-Legendre panels per axis,
-  aligned to the nodal lines of the highest mode.  General-p fallback and
-  the cross-check oracle for the tensor.
+classifies.  At p = 3 the integral term is a fully symmetric 4-index
+tensor T of eigenfunction products, each entry a product over the axes of
+1-D four-sine integrals; the backend decides only how those are integrated:
+in closed form (``exact-quartic``, p = 3 only, authoritative), or on
+composite Gauss-Legendre panels per axis aligned to the nodal lines of the
+highest mode (``quadrature``, any p > 1; at p != 3 the functional is summed
+over the tensor grid of their nodes).  Through T the batched gradient and
+Hessian are one matrix product: the pair products a_l a_m of a block of
+rows times T read as a k^2 x k^2 matrix give Y[n, i, h] =
+sum_lm T_ihlm a_l a_m, so the Hessian is I - 3Y and the gradient a - Y a,
+index roles exactly those of the contraction.  On a tensor grid each
+gradient component is a cubic whose monomial table is contracted with the
+powers of the grid axis, one axis at a time (an n-mode product).
 
 Functionals are immutable after construction and their evaluators are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import warnings
@@ -38,7 +37,14 @@ import numpy as np
 from .errors import PatternMismatch, SupercriticalExponentWarning
 from .spectrum import DomainSpec, EigenGroup, eigenfunction_eval
 
-_SIGNS4 = [s for s in itertools.product((1, -1), repeat=4)]
+_SIGNS4 = list(itertools.product((1, -1), repeat=4))
+
+
+def _signed_zero_sum(f0, f1, f2, f3):
+    """Sum of prod(s) over the sign vectors s with s . f = 0, for integer
+    frequencies or integer arrays of them broadcast together."""
+    return sum(np.prod(s) * (s[0] * f0 + s[1] * f1 + s[2] * f2 + s[3] * f3 == 0)
+               for s in _SIGNS4)
 
 
 def sine_product_zero_coefficient(freqs) -> Fraction:
@@ -50,11 +56,7 @@ def sine_product_zero_coefficient(freqs) -> Fraction:
     f = tuple(int(x) for x in freqs)
     if len(f) != 4 or any(x < 1 for x in f):
         raise ValueError("need four positive integer frequencies")
-    total = 0
-    for s in _SIGNS4:
-        if s[0] * f[0] + s[1] * f[1] + s[2] * f[2] + s[3] * f[3] == 0:
-            total += s[0] * s[1] * s[2] * s[3]
-    return Fraction(total, 16)
+    return Fraction(int(_signed_zero_sum(*f)), 16)
 
 
 def sine_product_integral(freqs, length: float) -> float:
@@ -126,32 +128,25 @@ def build_quartic_tensor(group: EigenGroup, domain: DomainSpec) -> QuarticTensor
 
     Each entry factorizes over axes into 1D sine-product integrals times
     the normalization (2/L_d)^2 per axis, i.e. prod_d 4 c0_d / L_d with
-    c0_d the exact zero coefficient.  No sparsity pattern is assumed: every
-    entry is computed, because index coincidences across modes can make
-    nominally "odd" entries survive.
+    c0_d the exact zero coefficient, all index combinations at once.  No
+    sparsity pattern is assumed: every entry is computed, because index
+    coincidences across modes can make nominally "odd" entries survive.
     """
-    k = group.k
-    sides = domain.sides
-    idx = [m.indices for m in group.modes]
-    cache: dict[tuple[int, ...], float] = {}
+    factors = [4.0 * (_signed_zero_sum(*np.ix_(n, n, n, n)) / 16.0) / L
+               for n, L in zip(np.array([m.indices for m in group.modes]).T, domain.sides)]
+    return QuarticTensor(group.k, functools.reduce(np.multiply, factors) + 0.0)  # no -0.0
 
-    def entry(combo):
-        key = tuple(sorted(combo))
-        if key not in cache:
-            val = 1.0
-            for d, L in enumerate(sides):
-                c0 = sine_product_zero_coefficient([idx[i][d] for i in key])
-                if c0 == 0:
-                    val = 0.0
-                    break
-                val *= 4.0 * float(c0) / L
-            cache[key] = val
-        return cache[key]
 
-    T = np.empty((k,) * 4)
-    for combo in itertools.product(range(k), repeat=4):
-        T[combo] = entry(combo)
-    return QuarticTensor(k, T)
+def _quadrature_quartic_tensor(group: EigenGroup, domain: DomainSpec, nodes_per_panel: int,
+                               panels_per_halfwave: int) -> QuarticTensor:
+    """:func:`build_quartic_tensor` with each axis's factor sum_x w_x s_i s_h
+    s_l s_m, s_i = sqrt(2/L) sin(n_i pi x / L), on that axis's nodes."""
+    factors = []
+    for n, L, (x, w) in zip(np.array([m.indices for m in group.modes]).T, domain.sides,
+                            _axis_panels(group, domain, nodes_per_panel, panels_per_halfwave)):
+        S = np.sqrt(2.0 / L) * np.sin(np.pi / L * np.outer(x, n))
+        factors.append(np.einsum("x,xi,xh,xl,xm->ihlm", w, S, S, S, S, optimize=True))
+    return QuarticTensor(group.k, functools.reduce(np.multiply, factors) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -186,15 +181,19 @@ def extract_rect_coefficients(tensor: QuarticTensor, rtol: float = 1e-10) -> Rec
     return RectCoefficients(alpha, beta)
 
 
-def _gauss_panels(length: float, n_panels: int, nodes: int):
-    """Composite Gauss-Legendre nodes/weights on [0, length]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(0.0, length, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    xs = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
-    return xs, ws
+def _axis_panels(group: EigenGroup, domain: DomainSpec, nodes_per_panel: int,
+                 panels_per_halfwave: int):
+    """Per axis, composite Gauss-Legendre nodes and weights on [0, L_d]
+    (see :meth:`ReducedFunctional.for_group`)."""
+    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    axes = []
+    for d, L in enumerate(domain.sides):
+        n_panels = panels_per_halfwave * max(m.indices[d] for m in group.modes)
+        edges = np.linspace(0.0, L, n_panels + 1)
+        mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        axes.append(((mid[:, None] + half[:, None] * x[None, :]).ravel(),
+                     (half[:, None] * w[None, :]).ravel()))
+    return axes
 
 
 class ReducedFunctional:
@@ -219,14 +218,14 @@ class ReducedFunctional:
             raise ValueError("exponent p must exceed 1")
         if backend not in ("exact-quartic", "quadrature"):
             raise ValueError(f"unknown backend {backend!r}")
-        if backend == "exact-quartic" and self.p != 3.0:
-            raise ValueError("exact-quartic backend requires p = 3")
+        if tensor is not None and self.p != 3.0:
+            raise ValueError("a quartic tensor only represents p = 3")
         if backend == "exact-quartic" and tensor is None:
-            raise ValueError("exact-quartic backend needs a quartic tensor")
-        if backend == "quadrature" and (quad_points is None or quad_weights is None):
-            raise ValueError("quadrature backend needs nodes and weights")
+            raise ValueError("exact-quartic backend requires p = 3 and a quartic tensor")
+        if tensor is None and (quad_points is None or quad_weights is None):
+            raise ValueError("quadrature backend needs a quartic tensor or nodes and weights")
         # T[i, h, l, m] as the (ih, lm) matrix of the batched derivatives
-        self._M = tensor.entries.reshape(k * k, k * k) if backend == "exact-quartic" else None
+        self._M = tensor.entries.reshape(k * k, k * k) if tensor is not None else None
 
     @classmethod
     def for_group(cls, group: EigenGroup, domain: DomainSpec, p: float = 3.0,
@@ -235,10 +234,10 @@ class ReducedFunctional:
         """Build the functional for a group's eigenbasis.
 
         ``backend`` defaults to exact-quartic at p = 3 and quadrature
-        otherwise.  Quadrature panels per axis cover one half-wavelength of
-        the highest mode each (times ``panels_per_halfwave``), so the
-        integrand is smooth on every panel for odd integer p and nearly so
-        in general.
+        otherwise; at p = 3 both build the quartic tensor.  Quadrature
+        panels per axis cover one half-wavelength of the highest mode each
+        (times ``panels_per_halfwave``), so the integrand is smooth on every
+        panel for odd integer p and nearly so in general.
         """
         p = float(p)
         if domain.dimension == 3 and p > 5.0:
@@ -251,21 +250,15 @@ class ReducedFunctional:
             )
         if backend is None:
             backend = "exact-quartic" if p == 3.0 else "quadrature"
-        tensor = build_quartic_tensor(group, domain) if p == 3.0 else None
-        E = w = None
-        if backend == "quadrature":
-            sides = domain.sides
-            axes = []
-            for d, L in enumerate(sides):
-                n_half = max(m.indices[d] for m in group.modes)
-                axes.append(_gauss_panels(L, panels_per_halfwave * n_half, nodes_per_panel))
-            grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-            pts = [g.ravel() for g in grids]
-            wgrid = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-            w = np.ones_like(wgrid[0])
-            for g in wgrid:
-                w = w * g
-            w = w.ravel()
+        tensor = E = w = None
+        if p == 3.0:
+            tensor = (build_quartic_tensor(group, domain) if backend == "exact-quartic" else
+                      _quadrature_quartic_tensor(group, domain, nodes_per_panel,
+                                                 panels_per_halfwave))
+        elif backend == "quadrature":
+            axes = _axis_panels(group, domain, nodes_per_panel, panels_per_halfwave)
+            pts = [g.ravel() for g in np.meshgrid(*[a[0] for a in axes], indexing="ij")]
+            w = functools.reduce(np.multiply.outer, [a[1] for a in axes]).ravel()
             E = np.column_stack(
                 [eigenfunction_eval(m, domain, pts) for m in group.modes]
             )
@@ -274,15 +267,13 @@ class ReducedFunctional:
 
     @classmethod
     def from_tensor(cls, tensor: QuarticTensor, p: float = 3.0) -> "ReducedFunctional":
-        if float(p) != 3.0:
-            raise ValueError("a quartic tensor only represents p = 3")
-        return cls(tensor.k, 3.0, "exact-quartic", tensor=tensor)
+        return cls(tensor.k, p, "exact-quartic", tensor=tensor)
 
     # -- evaluation ------------------------------------------------------
 
     def _nonlinear_integral(self, a):
         """integral of |a . e|^(p+1)."""
-        if self.backend == "exact-quartic":
+        if self.tensor is not None:
             return float(np.einsum("ihlm,i,h,l,m->", self.tensor.entries, a, a, a, a))
         W = self._E @ a
         return float(np.sum(self._w * np.abs(W) ** (self.p + 1)))
@@ -300,8 +291,8 @@ class ReducedFunctional:
     def _row_blocks(self, n_rows: int):
         """Row slices whose intermediates stay bounded: the pair products and
         their product with the tensor, 2 k^2 numbers per row, take about 2^21
-        numbers a block; quadrature, k per node and row, about 2^22."""
-        if self.backend == "exact-quartic":
+        numbers a block; on the nodes, k per node and row, about 2^22."""
+        if self.tensor is not None:
             step = max(1, 2**20 // self.k**2)
         else:
             step = max(1, 2**22 // (self.k * len(self._E)))
@@ -318,7 +309,7 @@ class ReducedFunctional:
         out = np.empty_like(A)
         for rows in self._row_blocks(len(A)):
             B = A[rows]
-            if self.backend == "exact-quartic":
+            if self.tensor is not None:
                 out[rows] = B - (self._pair_contraction(B) @ B[:, :, None])[:, :, 0]
             else:
                 W = B @ self._E.T
@@ -330,17 +321,17 @@ class ReducedFunctional:
         coordinate d: ``axis`` is one coordinate array per grid axis, or a
         single array for all k of them.
 
-        Exact-quartic: gradient component i is a cubic whose (4,)^k table of
+        Through the tensor: gradient component i is a cubic whose (4,)^k table of
         monomial coefficients (:meth:`_gradient_monomials`) is contracted
         with x_d^0..x_d^3 along every grid axis d, an n-mode (Tucker)
         product; the squared components are summed into the result one at a
-        time, so two grid-sized arrays are held.  Quadrature: the gradient
-        of each row block (:meth:`gradient_many`) at points built from their
+        time, so two grid-sized arrays are held.  On the nodes (p != 3): the
+        gradient of each row block (:meth:`gradient_many`) at points built from their
         flat grid indices.  Neither holds an (n_points, k) array.
         """
         axes = [np.asarray(x, float) for x in ([axis] * self.k if np.ndim(axis[0]) == 0 else axis)]
         G = np.zeros([len(x) for x in axes])
-        if self.backend == "exact-quartic":
+        if self.tensor is not None:
             powers = [x[:, None] ** np.arange(4) for x in axes]
             for g in self._gradient_monomials():
                 for V in powers:  # contracts the leading table axis,
@@ -358,7 +349,7 @@ class ReducedFunctional:
     def _gradient_monomials(self) -> np.ndarray:
         """(k,) + (4,)^k coefficients of the gradient's components
         a_i - sum_hlm T_ihlm a_h a_l a_m: entry [i, e_1, ..., e_k] multiplies
-        prod_d a_d^e_d in component i (exact-quartic only)."""
+        prod_d a_d^e_d in component i (p = 3 only)."""
         k, T = self.k, self.tensor.entries
         P = np.zeros((k,) + (4,) * k)
         for h, l, m in itertools.product(range(k), repeat=3):
@@ -373,7 +364,7 @@ class ReducedFunctional:
         out = np.empty((len(A), self.k, self.k))
         for rows in self._row_blocks(len(A)):
             B = A[rows]
-            if self.backend == "exact-quartic":
+            if self.tensor is not None:
                 out[rows] = np.eye(self.k) - 3.0 * self._pair_contraction(B)
             else:
                 d = self._w * self.p * np.abs(B @ self._E.T) ** (self.p - 1.0)

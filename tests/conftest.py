@@ -49,6 +49,16 @@ def f_cube6(cube_g6, cube):
     return bb.ReducedFunctional.for_group(cube_g6, cube)
 
 
+def node_functional(group, domain, p=3.0):
+    """The quadrature functional summed over its Gauss-Legendre nodes at
+    exponent ``p``.  At p = 3 ``for_group`` integrates the quartic tensor's
+    axis factors on those nodes instead, so this keeps the node evaluators
+    checked against the tensor there.  The nodes do not depend on p."""
+    nodes = bb.ReducedFunctional.for_group(group, domain, p=2.0, backend="quadrature")
+    return bb.ReducedFunctional(group.k, p, "quadrature", group=group, domain=domain,
+                                quad_points=nodes._E, quad_weights=nodes._w)
+
+
 # --- independent quadrature oracle (kept free of package quadrature code) --
 
 def gauss_axis(length, n=96):

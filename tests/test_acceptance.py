@@ -17,7 +17,7 @@ from bifurcbox.cli import main as cli_main
 from bifurcbox.critpoints import pair_set_distance
 from bifurcbox.reduced import QuarticTensor, extract_rect_coefficients
 
-from conftest import fd_gradient, fd_jacobian, integrate_box
+from conftest import fd_gradient, fd_jacobian, integrate_box, node_functional
 
 PI = math.pi
 
@@ -139,12 +139,11 @@ def test_criterion_3_rectangle_k3(square, sq_g50):
 def test_criterion_4_cube(cube, cube_g6):
     t0 = time.perf_counter()
     checks = []
+    # at p = 3 the quadrature backend integrates the tensor's axis factors
     quadr = bb.ReducedFunctional.for_group(cube_g6, cube, backend="quadrature")
-    alpha = quadr._nonlinear_integral(np.array([1.0, 0.0, 0.0]))
+    alpha = float(quadr.tensor.entries[0, 0, 0, 0])
     T = bb.build_quartic_tensor(cube_g6, cube)
-    beta_quad = float(
-        np.sum(quadr._w * (quadr._E[:, 0] * quadr._E[:, 1]) ** 2)
-    )
+    beta_quad = float(quadr.tensor.entries[0, 0, 1, 1])
     checks.append((abs(alpha - 27 / (8 * PI**3)) <= 1e-10,
                    f"quadrature alpha {alpha!r} != 27/(8 pi^3)"))
     checks.append((abs(beta_quad - 3 / (2 * PI**3)) <= 1e-10,
@@ -229,7 +228,7 @@ def test_criterion_7_property_suites(f_sq5, square, sq_g5):
     checks.append((grad_ok, "gradient vs finite differences beyond 1e-6"))
     checks.append((hess_ok, "Hessian symmetry/FD beyond 1e-5"))
 
-    quadr = bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")
+    quadr = node_functional(sq_g5, square)  # the node evaluators against the tensor
     agree = True
     for _ in range(20):
         a = rng.uniform(-1.5, 1.5, 2)

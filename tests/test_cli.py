@@ -156,6 +156,22 @@ class TestPredict:
         assert pair_set_distance([p["a"] for p in payload["pairs"]], stored["pairs"]) <= 1e-6
         assert "172 pairs of branches (exact)" in capsys.readouterr().out
 
+    def test_cube_14_quadrature_is_certified(self, tmp_path, capsys):
+        # at p = 3 the quadrature backend searches its own quartic tensor
+        # with the same certified homotopy
+        code, out = run(tmp_path, "predict", "--domain", "cube", "--lam", "14",
+                        "--backend", "quadrature")
+        assert code == 0
+        payload = json.loads((out / "prediction.json").read_text())
+        assert payload["pair_count_h"] == 172 and payload["exact"] is True
+        assert payload["search"]["completeness"] == "certified"
+        assert payload["search"]["certificate"] == {
+            "method": "homotopy", "distinct_roots": 729, "bezout_number": 729}
+        stored = next(c for c in json.loads(REFS.read_text())["cases"]
+                      if c["domain"] == "cube" and c["lambda"] == 14)
+        assert pair_set_distance([p["a"] for p in payload["pairs"]], stored["pairs"]) <= 1e-6
+        assert "172 pairs of branches (exact)" in capsys.readouterr().out
+
     def test_ill_conditioned_endpoints_leave_the_search_uncertified(
             self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(bifurcbox.critpoints, "_COND_LIMIT", 0.0)  # no endpoint counts
@@ -207,6 +223,15 @@ class TestVerify:
         assert code == 2
         payload = json.loads((out / "verdicts.json").read_text())
         assert payload["all_passed"] is False
+
+    def test_rounding_level_neighbor_gap_is_refused(self, tmp_path, capsys):
+        # at 18 intervals the FD modes (5, 7) and (7, 5) coincide with the
+        # group's (1, 9) and (9, 1) to rounding: nothing could be checked
+        code, out = run(tmp_path, "verify", "--domain", "square", "--lam", "82",
+                        "--grid", "18")
+        assert code == 2
+        assert "GridTooCoarse" in capsys.readouterr().err
+        assert not (out / "verdicts.json").exists()
 
     def test_no_morse_skips_eigen_checks(self, tmp_path):
         code, out = run(tmp_path, "verify", "--domain", "square", "--j", "1",

@@ -34,6 +34,8 @@ from bifurcbox.errors import (
 )
 from bifurcbox.reduced import QuarticTensor, extract_rect_coefficients
 
+from conftest import node_functional
+
 PI = math.pi
 
 
@@ -165,10 +167,13 @@ class TestOracle:
         assert dist <= 1e-6
 
     def test_quadrature_oracle_agrees_with_exact(self, f_sq5, square, sq_g5):
-        quadr = bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")
-        exact, approx = bb.brute_force_oracle(f_sq5), bb.brute_force_oracle(quadr)
-        assert len(approx) == len(exact) == 4
-        assert pair_set_distance([p.a for p in exact], [p.a for p in approx]) <= 1e-6
+        # the row scan of the node evaluators, and the quadrature tensor
+        exact = bb.brute_force_oracle(f_sq5)
+        for quadr in (node_functional(sq_g5, square),
+                      bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")):
+            approx = bb.brute_force_oracle(quadr)
+            assert len(approx) == len(exact) == 4
+            assert pair_set_distance([p.a for p in exact], [p.a for p in approx]) <= 1e-6
 
     @pytest.mark.parametrize("shape", [(7,), (6, 5), (5, 4, 6)])
     def test_neighbourhood_min_matches_loop(self, shape):
@@ -190,11 +195,13 @@ class TestOracle:
                                                       square, cube, monkeypatch):
         # the oracle's Newton starts, in order, against one scan of the whole
         # grid and an edge-padded 3^k shifted minimum; a 16-point slab puts
-        # every k in several slabs, one plane each at k = 2 and 3
+        # every k in several slabs, one plane each at k = 2 and 3; the
+        # quadrature rows scan the node evaluators
         domain, lam = {"sq1": (square, 2), "sq5": (square, 5),
                        "cube6": (cube, 6), "sq50": (square, 50)}[case]
-        f = bb.ReducedFunctional.for_group(bb.find_group(domain, eigenvalue=lam), domain,
-                                           backend=backend)
+        group = bb.find_group(domain, eigenvalue=lam)
+        f = (bb.ReducedFunctional.for_group(group, domain) if backend == "exact-quartic" else
+             node_functional(group, domain))
         R = 2.5 * f.mode_scale()
         axis = np.linspace(-R, R, int(np.ceil(2.0 / step)) + 1)
         G = f.gradient_sq_grid(axis)
@@ -297,16 +304,18 @@ class TestCountLaw:
 
 class TestSearchDiagnostics:
     def test_oracle_checkable_at_low_k(self, f_sq5, sq_g5, square):
-        # exact-quartic counts roots; "oracle-checkable" is left to the
-        # quadrature multistart
-        pts, diag = bb.find_critical_points_with_diagnostics(f_sq5)
-        assert len(pts) == 4
-        assert diag.completeness == "certified"
-        assert diag.certificate == Certificate("closed form", 9, 9)
-        assert diag.n_converged + diag.n_failed <= diag.n_seeds
-        assert diag.saturated
+        # p = 3 counts roots on either backend; "oracle-checkable" is left
+        # to the multistart at p != 3
         quadr = bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")
-        pts, diag = bb.find_critical_points_with_diagnostics(quadr)
+        for f in (f_sq5, quadr):
+            pts, diag = bb.find_critical_points_with_diagnostics(f)
+            assert len(pts) == 4
+            assert diag.completeness == "certified"
+            assert diag.certificate == Certificate("closed form", 9, 9)
+            assert diag.n_converged + diag.n_failed <= diag.n_seeds
+            assert diag.saturated
+        multistart = bb.ReducedFunctional.for_group(sq_g5, square, p=2.5)
+        pts, diag = bb.find_critical_points_with_diagnostics(multistart)
         assert len(pts) == 4
         assert diag.completeness == "oracle-checkable" and diag.certificate is None
         assert diag.n_converged + diag.n_failed <= diag.n_seeds
@@ -319,11 +328,15 @@ class TestSearchDiagnostics:
         assert diag.saturated
         assert diag.completeness == "certified"
         assert diag.certificate == Certificate("closed form", 81, 81)
-        # the quadrature multistart still calls a saturated k = 4 search
-        # "conjectured exact"
-        quadr = bb.ReducedFunctional.for_group(bb.find_group(square, eigenvalue=65), square,
-                                               backend="quadrature")
+        # the quadrature backend certifies the k = 4 group at p = 3, and its
+        # multistart at p != 3 calls a saturated search "conjectured exact"
+        group = bb.find_group(square, eigenvalue=65)
+        quadr = bb.ReducedFunctional.for_group(group, square, backend="quadrature")
         pts, diag = bb.find_critical_points_with_diagnostics(quadr)
+        assert len(pts) == 40 and diag.completeness == "certified"
+        assert diag.certificate == Certificate("closed form", 81, 81)
+        multistart = bb.ReducedFunctional.for_group(group, square, p=2.5)
+        pts, diag = bb.find_critical_points_with_diagnostics(multistart)
         assert len(pts) == 40
         assert diag.saturated
         assert diag.completeness == "conjectured exact"
@@ -410,13 +423,15 @@ class TestCertifiedSearch:
         assert diag.n_seeds == 30 and diag.n_failed == 15
 
     @pytest.mark.parametrize("pattern, paths, retracked, distinct, pairs", [
-        ((3, 0.9, 0.3), 26, 39, 13, 13), ((2, 3.0, 1.0), 8, 12, 5, 4)])
+        ((3, 0.9, 0.3), 26, 39, 1, 13), ((2, 3.0, 1.0), 8, 12, 1, 4)])
     def test_continuum_is_tracked_once(self, pattern, paths, retracked, distinct, pairs,
                                        monkeypatch):
         # alpha = 3 beta: a path reaches t = 1 on the sphere of critical
         # points, a root no track counts, so the orbits are not tracked again
         # (n_seeds counts the closed-form points and the paths); forcing the
-        # retrack finds the same pairs and the same count
+        # retrack finds the same pairs and the same count, the origin alone:
+        # every other root lies on the sphere and is ill conditioned where
+        # its path arrives
         f = bb.ReducedFunctional.from_tensor(QuarticTensor.from_pattern(*pattern))
         track, calls = critpoints._track, []
         monkeypatch.setattr(critpoints, "_track",

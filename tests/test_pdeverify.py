@@ -243,6 +243,17 @@ class TestBuildLaplacian:
         dp = bb.build_laplacian(dom, 48, g)
         assert dp.splitting <= 0.5 * dp.neighbor_gap
 
+    def test_grid_too_coarse_on_a_coincident_eigenvalue(self, square):
+        # at 18 intervals sin^2 x + sin^2 y = 1 - cos(x + y) cos(x - y) and
+        # cos 50 cos 40 = cos 60 cos 10 (degrees) make the FD modes (5, 7)
+        # and (7, 5) equal to (1, 9) and (9, 1) to 1.1e-16: the discrete
+        # eigenspace has four dimensions, not two
+        g = bb.find_group(square, eigenvalue=82)
+        assert [m.indices for m in g.modes] == [(1, 9), (9, 1)]
+        with pytest.raises(GridTooCoarse, match=r"mode \(5, 7\).*to rounding"):
+            bb.build_laplacian(square, 18, g)
+        assert bb.build_laplacian(square, 20, g).neighbor_gap > 0.1
+
     def test_minimum_interior_points(self, square, sq_g1, cube, cube_g6):
         with pytest.raises(ValueError):
             bb.build_laplacian(square, 12, sq_g1)
@@ -857,10 +868,10 @@ class TestContinuation:
 
     @pytest.mark.parametrize("domain, lam, grid, aliased", [
         ("square", 5, 32, False), ("cube", 6, 12, False),
-        ("square", 82, 18, True), ("cube", 44, 12, True)])
+        ("square", 90, 18, True), ("cube", 44, 12, True)])
     def test_grid_quartic_is_the_grid_sum(self, domain, lam, grid, aliased):
         # T from one sum per axis equals sum_x w E x E x E x E; with modes
-        # (1, 9) on 18 intervals, or (2, 2, 6) on 12, four indices reach 2N
+        # (3, 9) on 18 intervals, or (2, 2, 6) on 12, four indices reach 2N
         # and the grid sum aliases away from the continuum tensor
         dom = getattr(bb.DomainSpec, domain)()
         group = bb.find_group(dom, eigenvalue=lam)
@@ -871,7 +882,7 @@ class TestContinuation:
         assert np.max(np.abs(T - grid_sum)) <= 1e-13 * np.max(np.abs(grid_sum))
         continuum = bb.build_quartic_tensor(group, dom).entries
         assert (np.max(np.abs(T - continuum)) > 1e-3) == aliased
-        if aliased:  # square lambda=82 aliases to alpha = 3 beta: a circle of roots
+        if aliased:  # the continuum root need not start a converging Newton here
             return
         # the reference point is the grid-sum quadrature functional's root
         a = bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom))[0].a

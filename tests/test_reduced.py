@@ -9,14 +9,16 @@ from scipy.integrate import quad
 
 import bifurcbox as bb
 from bifurcbox.errors import PatternMismatch, SupercriticalExponentWarning
+from bifurcbox.critpoints import _box_group
 from bifurcbox.reduced import (
     QuarticTensor,
     build_quartic_tensor,
     extract_rect_coefficients,
     sine_product_integral,
+    sine_product_zero_coefficient,
 )
 
-from conftest import fd_gradient, fd_jacobian
+from conftest import fd_gradient, fd_jacobian, node_functional
 
 PI = math.pi
 
@@ -100,6 +102,47 @@ class TestQuarticTensor:
             counts = [combo.count(i) % 2 for i in range(3)]
             if any(counts):
                 assert abs(T.entries[combo]) <= 1e-10 * alpha
+
+    @pytest.mark.parametrize("sides", [("pi^2", "pi^2"), ("pi^2", "pi^2", "pi^2"),
+                                       ("pi^2", "4pi^2"), ("pi^2", "pi^2", "4pi^2")])
+    def test_build_is_the_per_entry_loop(self, sides):
+        # bit for bit, the sign of zero included, against one exact zero
+        # coefficient per entry and axis, a zero factor ending the product;
+        # groups up to k = 12 of the first 120
+        domain = bb.DomainSpec.from_strings(sides)
+        for group in (g for g in bb.enumerate_groups(domain, 120) if g.k <= 12):
+            idx, cache = [m.indices for m in group.modes], {}
+            ref = np.empty((group.k,) * 4)
+            for combo in itertools.product(range(group.k), repeat=4):
+                key = tuple(sorted(combo))
+                if key not in cache:
+                    val = 1.0
+                    for d, L in enumerate(domain.sides):
+                        c0 = sine_product_zero_coefficient([idx[i][d] for i in key])
+                        if c0 == 0:
+                            val = 0.0
+                            break
+                        val *= 4.0 * float(c0) / L
+                    cache[key] = val
+                ref[combo] = cache[key]
+            T = build_quartic_tensor(group, domain).entries
+            assert np.array_equal(T, ref) and np.array_equal(np.signbit(T), np.signbit(ref))
+
+    @pytest.mark.parametrize("domain, lam", [
+        ("square", 5), ("square", 50), ("square", 65), ("square", 325),
+        ("cube", 3), ("cube", 6), ("cube", 14), ("cube", 27)])
+    def test_quadrature_tensor_is_the_closed_form(self, domain, lam):
+        dom = getattr(bb.DomainSpec, domain)()
+        group = bb.find_group(dom, eigenvalue=lam)
+        exact = bb.ReducedFunctional.for_group(group, dom)
+        quadr = bb.ReducedFunctional.for_group(group, dom, backend="quadrature")
+        # 12 nodes a panel give each axis factor to 4.8e-13 relative, so
+        # the product of d factors is within about d times that
+        T = exact.tensor.entries
+        bound = 5e-13 * dom.dimension * np.max(np.abs(T))
+        assert np.max(np.abs(quadr.tensor.entries - T)) <= bound
+        assert quadr._E is None  # no node grid at p = 3
+        assert len(_box_group(quadr)[0]) == len(_box_group(exact)[0])
 
     def test_json_roundtrip(self, square, sq_g5):
         T = build_quartic_tensor(sq_g5, square)
@@ -205,18 +248,20 @@ class TestEvaluators:
 
 class TestQuadratureBackend:
     def test_backend_agreement_p3(self, square, sq_g5):
+        # the node evaluators and the quadrature tensor against the closed form
         exact = bb.ReducedFunctional.for_group(sq_g5, square, backend="exact-quartic")
-        quadr = bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            a = rng.uniform(-1.5, 1.5, 2)
-            assert quadr.value(a) == pytest.approx(exact.value(a), abs=1e-9, rel=1e-9)
-            assert np.max(np.abs(quadr.gradient(a) - exact.gradient(a))) <= 1e-9
-            assert np.max(np.abs(quadr.hessian(a) - exact.hessian(a))) <= 1e-9
+        for quadr in (node_functional(sq_g5, square),
+                      bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")):
+            rng = np.random.default_rng(8)
+            for _ in range(25):
+                a = rng.uniform(-1.5, 1.5, 2)
+                assert quadr.value(a) == pytest.approx(exact.value(a), abs=1e-9, rel=1e-9)
+                assert np.max(np.abs(quadr.gradient(a) - exact.gradient(a))) <= 1e-9
+                assert np.max(np.abs(quadr.hessian(a) - exact.hessian(a))) <= 1e-9
 
     def test_backend_agreement_high_frequency_group(self, square, sq_g50):
         exact = bb.ReducedFunctional.for_group(sq_g50, square, backend="exact-quartic")
-        quadr = bb.ReducedFunctional.for_group(sq_g50, square, backend="quadrature")
+        quadr = node_functional(sq_g50, square)
         rng = np.random.default_rng(9)
         for _ in range(5):
             a = rng.uniform(-1.0, 1.0, 3)
@@ -239,8 +284,8 @@ class TestQuadratureBackend:
     def test_gradient_many_matches_single(self, f_sq5, square, sq_g5):
         """Batched derivatives against one-point formulas that share no code
         with them: the tensor contractions, and central differences of
-        ``value`` for the quadrature backend."""
-        quadr = bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")
+        ``value`` for the node evaluators."""
+        quadr = node_functional(sq_g5, square)
         T = f_sq5.tensor.entries
         rng = np.random.default_rng(11)
         A = rng.uniform(-2, 2, (40, 2))
@@ -293,8 +338,10 @@ class TestQuadratureBackend:
 
     @pytest.mark.parametrize("backend", ["exact-quartic", "quadrature"])
     def test_gradient_sq_grid_takes_one_array_per_axis(self, backend, cube, cube_g6):
-        # grid axis d indexes coordinate d, each on its own axis
-        f = bb.ReducedFunctional.for_group(cube_g6, cube, backend=backend)
+        # grid axis d indexes coordinate d, each on its own axis; the
+        # quadrature row scans the node evaluators
+        f = (bb.ReducedFunctional.for_group(cube_g6, cube) if backend == "exact-quartic" else
+             node_functional(cube_g6, cube))
         axes = [np.linspace(-1.0, 0.5, 4), np.linspace(-0.3, 1.2, 3), np.linspace(0.1, 0.9, 5)]
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         ref = np.sum(f.gradient_many(points) ** 2, axis=1).reshape(4, 3, 5)
@@ -303,8 +350,9 @@ class TestQuadratureBackend:
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(ref)))
 
     def test_quadrature_gradient_sq_grid_is_the_row_scan(self, square, sq_g5):
-        # one row block: the same gradient_many call, bit for bit
-        f = bb.ReducedFunctional.for_group(sq_g5, square, backend="quadrature")
+        # one row block: the same gradient_many call, bit for bit, on the
+        # nodes (p != 3)
+        f = bb.ReducedFunctional.for_group(sq_g5, square, p=2.5, backend="quadrature")
         axis = np.linspace(-2.0, 2.0, 31)
         points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         g = f.gradient_many(points)
@@ -322,7 +370,7 @@ class TestQuadratureBackend:
 
     def test_batched_evaluation_memory_is_bounded(self, cube, cube_g6):
         # 2000 rows x 13824 nodes would be a 221 MB array in one piece
-        f = bb.ReducedFunctional.for_group(cube_g6, cube, backend="quadrature")
+        f = node_functional(cube_g6, cube)
         A = np.random.default_rng(12).uniform(-1, 1, (2000, 3))
         for method in (f.gradient_many, f.hessian_many):
             tracemalloc.start()
