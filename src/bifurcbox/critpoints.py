@@ -468,46 +468,41 @@ def _images(X: np.ndarray, src: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return (X[:, src] * sign).reshape(-1, X.shape[1])
 
 
-def _axis_isometries(kinds) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(perm, flips) of each isometry of a box whose axes have the given
+def _box_isometries(modes, kinds):
+    """The (perm, flips) of each isometry of a box whose axes have the given
     kinds, identity first: every permutation of axes of equal kind, composed
-    with every set of reversed axes."""
+    with every set of reversed axes.  And each one's action on the
+    coefficients of ``modes`` (index tuples) as gather maps, (|G|, k) each,
+    (P a)_i = sign[g, i] a[src[g, i]]: reversing axis d signs mode m by
+    (-1)^(m_d + 1), then mode m goes to (m[perm[0]], m[perm[1]], ...)."""
     dim = len(kinds)
     perms = [q for q in itertools.permutations(range(dim))
              if all(kinds[q[d]] == kinds[d] for d in range(dim))]
     flips = [tuple(d for d in range(dim) if bits[d])
              for bits in itertools.product((False, True), repeat=dim)]
-    return [(q, fl) for q in perms for fl in flips]
-
-
-def _signed_permutation(modes, perm, flips) -> np.ndarray:
-    """The box isometry "reverse the axes in ``flips``, then permute the axes
-    by ``perm``" on the coefficients of a group's modes: the signed
-    permutation P that sends mode m to (m[perm[0]], m[perm[1]], ...),
-    signed by (-1)^(m_d + 1) per reversed axis d."""
+    isometries = [(q, fl) for q in perms for fl in flips]
     column = {m: c for c, m in enumerate(modes)}
-    P = np.zeros((len(modes), len(modes)))
-    for c, m in enumerate(modes):
-        P[column[tuple(m[d] for d in perm)], c] = (-1.0) ** sum(m[d] + 1 for d in flips)
-    return P
+    src = np.empty((len(isometries), len(modes)), dtype=int)
+    # a scatter, not an argsort: an integer argsort here maps numpy's SIMD
+    # sort code, which raised a predict run's peak RSS by about 0.25 MB
+    for g, (q, _) in enumerate(isometries):
+        src[g, [column[tuple(m[d] for d in q)] for m in modes]] = range(len(modes))
+    sign = np.array([[(-1.0) ** sum(modes[c][d] + 1 for d in fl) for c in row]
+                     for row, (_, fl) in zip(src, isometries)])
+    return isometries, src, sign
 
 
 def _box_group(f: ReducedFunctional):
-    """G x {+-1} as gather maps, (P a)_i = sign[g, i] a[src[g, i]].
-
-    G holds the isometries of the box, every set of reversed axes composed
-    with every permutation of axes of equal side, on the group's modes; a
-    functional built from a bare tensor has G = {I}.  Only the elements
-    that leave the tensor invariant are kept."""
-    k = f.k
-    mats = [np.eye(k)]
+    """G x {+-1} as gather maps, (P a)_i = sign[g, i] a[src[g, i]], each
+    element once.  G holds the ``_box_isometries`` of the axes' squared
+    sides on the group's modes; a functional built from a bare tensor has
+    G = {I}.  Only the elements that leave the tensor invariant are kept."""
+    src, sign = np.arange(f.k)[None], np.ones((1, f.k))
     if f.group is not None:
-        modes = [m.indices for m in f.group.modes]
-        mats = [_signed_permutation(modes, perm, flips)
-                for perm, flips in _axis_isometries(f.domain.side_sq)]
-    mats = np.unique(np.concatenate([mats, np.negative(mats)]).reshape(-1, k * k), axis=0)
-    src = np.argmax(np.abs(mats.reshape(-1, k, k)), axis=2)
-    sign = np.take_along_axis(mats.reshape(-1, k, k), src[..., None], axis=2)[..., 0]
+        _, src, sign = _box_isometries([m.indices for m in f.group.modes], f.domain.side_sq)
+    codes = sign * (src + 1)  # +-(i + 1): an element as one row, kept in floats
+    codes = np.unique(np.concatenate([codes, -codes]), axis=0)
+    src, sign = (np.abs(codes) - 1).astype(int), np.sign(codes)
     T = f.tensor.entries
     at = [(slice(None),) + tuple(slice(None) if e == d else None for e in range(4))
           for d in range(4)]  # index d of four, broadcast over the other three

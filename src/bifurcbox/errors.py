@@ -57,7 +57,8 @@ class ConvergedToWrongBranch(BifurcBoxError):
 
 class SpectrumTooClose(BifurcBoxError):
     """A transported eigenvalue sits within rounding distance of zero, or
-    the Schur-complement solve behind the Morse index stalled, so a
+    the Schur-complement solve behind the Morse index stalled, or a
+    Rayleigh-Ritz Gram matrix lost definiteness to rounding, so a
     Morse-index verdict would be meaningless at this continuation step."""
 
 

@@ -48,7 +48,9 @@ inertia.  One transform serves every case.
 
 The grid's symmetries (axis reversals, and swaps of axes with equal N and
 side) map discrete solutions onto discrete solutions and act on the group
-coefficients as signed permutations.  A pair whose orbit representative
+coefficients as signed permutations: ``DiscreteProblem.symmetries``, the
+certified search's ``critpoints._box_isometries`` table, whose reversals
+also give each solve's sector.  A pair whose orbit representative
 was solved at an eps starts its own solve there from the representative's
 mapped solution; when that start already meets the tolerance, the Morse
 index and mu are copied instead of recounted.  A representative's landing
@@ -69,9 +71,8 @@ from .critpoints import (
     BranchPrediction,
     CriticalPoint,
     SearchConfig,
-    _axis_isometries,
+    _box_isometries,
     _newton_refine,
-    _signed_permutation,
 )
 from .errors import (
     ConvergedToWrongBranch,
@@ -337,8 +338,8 @@ class DiscreteProblem:
     neighbor_gap: float            # distance to nearest non-group eigenvalue
     eigenvalues: np.ndarray = field(repr=False)  # D, per sine index
     tables: list[_AxisTables] = field(repr=False)  # per axis, shared by the sectors
-    # row h: P_h on the group coefficients, diagonal, bit d of h reversing axis d
-    reversal_signs: np.ndarray = field(repr=False)
+    # the grid's isometries and their gather maps, ``_box_isometries``
+    symmetries: tuple = field(repr=False)
     _sectors: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -466,8 +467,8 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
         eigvecs=E, lambda_h=lambda_h, splitting=splitting,
         neighbor_gap=neighbor_gap, eigenvalues=D,
         tables=_grid_tables(shape, freq_1d),
-        reversal_signs=np.array([np.diag(_signed_permutation(
-            [m.indices for m in group.modes], range(dim), _axes(h))) for h in range(2**dim)]),
+        symmetries=_box_isometries([m.indices for m in group.modes],
+                                   list(zip(grid, domain.side_sq))),
     )
 
 
@@ -627,8 +628,12 @@ def _cg(A, b: np.ndarray, M: np.ndarray, rtol: float,
 def _pencil_eigh(S: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and G-orthonormal eigenvectors of the
     symmetric-definite pencil S w = theta G w: with G = L L^T Cholesky,
-    the eigenpairs of L^(-1) S L^(-T), mapped back by L^(-T)."""
-    Linv = np.linalg.inv(np.linalg.cholesky(G))
+    the eigenpairs of L^(-1) S L^(-T), mapped back by L^(-T); G not positive
+    definite to rounding raises :class:`SpectrumTooClose`."""
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(G))
+    except np.linalg.LinAlgError:
+        raise SpectrumTooClose("the Rayleigh-Ritz Gram matrix is not positive definite")
     theta, V = np.linalg.eigh(Linv @ S @ Linv.T)
     return theta, Linv.T @ V
 
@@ -656,10 +661,12 @@ def _stabiliser(dp: DiscreteProblem, a: np.ndarray) -> tuple:
     ``_pair_tol(a)``, as the pairs (h, chi(h)) ascending in h, identity
     first: P_h is h on the group coefficients, bit d of h reversing axis d.
     They form a subgroup and chi a character on it, the sector of a."""
-    images, tol = dp.reversal_signs * a, _pair_tol(a)
+    isometries, _, sign = dp.symmetries
+    images, tol = sign[:2 ** len(dp.shape)] * a, _pair_tol(a)  # the reversals lead
     plus = np.linalg.norm(images - a, axis=1) <= tol
     minus = np.linalg.norm(images + a, axis=1) <= tol
-    return tuple((h, 1 if p else -1) for h, (p, m) in enumerate(zip(plus, minus)) if p or m)
+    return tuple(sorted((sum(1 << d for d in flips), 1 if p else -1)
+                        for (_, flips), p, m in zip(isometries, plus, minus) if p or m))
 
 
 def solve_branch(
@@ -975,14 +982,19 @@ def discrete_reference_point(dp: DiscreteProblem, a, p: float = 3.0,
     fitting convergence orders against it separates the eps asymptotics
     from the O(h^2) discretization bias.  At p = 3 the grid-sum functional
     is the quartic ``dp.grid_quartic``; at any other p it is a quadrature
-    functional with the grid points as nodes.
+    functional with the grid points as nodes.  Raises
+    :class:`NewtonDiverged` when Newton from ``a`` does not converge.
     """
     if p == 3.0:
         f = ReducedFunctional.from_tensor(dp.grid_quartic)
     else:
         f = ReducedFunctional(dp.group.k, p, "quadrature", quad_points=dp.eigvecs,
                               quad_weights=np.full(dp.n, dp.weight))
-    return _newton_refine(f, a, SearchConfig(newton_tol=tol, max_iter=max_iter))[0][0]
+    A, ok = _newton_refine(f, a, SearchConfig(newton_tol=tol, max_iter=max_iter))
+    if not ok[0]:
+        raise NewtonDiverged(f"Newton found no grid-sum critical point near the pair "
+                             f"in {max_iter} iterations")
+    return A[0]
 
 
 def fit_order(eps, vals, floor: float = 1e-13) -> float | None:
@@ -1021,41 +1033,18 @@ def geometric_schedule(eps0: float, steps: int, ratio: float = 0.5) -> list[floa
     return [eps0 * ratio**t for t in range(steps)]
 
 
-class _GridSymmetry:
-    """One element g of the grid's symmetry group: reverse the axes in
-    ``flips``, then permute the axes by ``perm``.
-
-    Reversing axis d (i -> N_d - i) maps DST-I column m to (-1)^(m+1)
-    times itself, and a permutation of axes with equal N and equal side
-    permutes the columns, so g E = E P with ``P`` a signed permutation,
-    read off the mode indices.  The stencil, the nonlinearity, the
-    projection and both norms commute with g, so g v solves the discrete
-    problem of the pair P a whenever v solves that of a, with the same
-    norms and the same linearization spectrum.
-    """
-
-    def __init__(self, dp: DiscreteProblem, perm: tuple[int, ...], flips: tuple[int, ...]):
-        self.dp, self.perm, self.flips = dp, perm, flips
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """g applied to a grid function, or to each column of an (n, m) array."""
-        X = np.flip(x.reshape(*self.dp.shape, -1), self.flips)
-        return np.transpose(X, (*self.perm, len(self.perm))).reshape(x.shape)
-
-    @property
-    def P(self) -> np.ndarray:
-        """g on the group coefficients, g (E a) = E (P a): mode m goes to
-        (m[perm[0]], m[perm[1]], ...), signed by (-1)^(m_d+1) per reversed d."""
-        return _signed_permutation([m.indices for m in self.dp.group.modes],
-                                    self.perm, self.flips)
-
-
-def _grid_symmetries(dp: DiscreteProblem) -> list[_GridSymmetry]:
-    """The symmetry group of the grid, identity first: each set of reversed
-    axes, composed with each permutation of axes that share N and side.
-    An anisotropic grid gives a smaller group, never a wrong one."""
-    return [_GridSymmetry(dp, perm, flips)
-            for perm, flips in _axis_isometries(list(zip(dp.grid, dp.domain.side_sq)))]
+def _grid_map(dp: DiscreteProblem, perm: tuple[int, ...], flips: tuple[int, ...],
+              x: np.ndarray) -> np.ndarray:
+    """The grid isometry g, "reverse the axes in ``flips``, then permute the
+    axes by ``perm``", applied to a grid function, or to each column of an
+    (n, m) array.  Reversing axis d (i -> N_d - i) maps DST-I column m to
+    (-1)^(m+1) times itself, and a permutation of axes with equal N and
+    side permutes the columns, so g E = E P, P its map in ``dp.symmetries``.
+    The stencil, the nonlinearity, the projection and both norms commute
+    with g, so g v solves the discrete problem of the pair P a whenever v
+    solves that of a, with the same norms and linearization spectrum."""
+    X = np.flip(x.reshape(*dp.shape, -1), flips)
+    return np.transpose(X, (*perm, len(perm))).reshape(x.shape)
 
 
 def _pair_tol(a: np.ndarray) -> float:
@@ -1063,18 +1052,19 @@ def _pair_tol(a: np.ndarray) -> float:
     return 1e-8 * max(1.0, float(np.linalg.norm(a)))
 
 
-def _pair_orbits(group: list[_GridSymmetry], pairs) -> list[tuple | None]:
+def _pair_orbits(dp: DiscreteProblem, pairs) -> list[tuple | None]:
     """For each pair, None when it is the lowest index of its orbit, else
-    (representative, g, sign) with sign P_g a_rep = a to ``_pair_tol(a)``."""
-    P = np.stack([g.P for g in group])
+    (representative, (perm, flips), sign) with sign P a_rep = a to
+    ``_pair_tol(a)``, P the first such isometry of ``dp.symmetries``."""
+    isometries, src, sign = dp.symmetries
     images, sources = {}, []
     for j, a in enumerate(pairs):
         tol = _pair_tol(a)
-        source = next(((i, group[n], s) for i, img in images.items() for s in (1.0, -1.0)
+        source = next(((i, isometries[n], s) for i, img in images.items() for s in (1.0, -1.0)
                        for n in np.flatnonzero(np.linalg.norm(s * img - a, axis=1) <= tol)),
                       None)
         if source is None:
-            images[j] = P @ a
+            images[j] = np.asarray(a)[src] * sign
         sources.append(source)
     return sources
 
@@ -1116,9 +1106,8 @@ def continuation_run(
     if not schedule:
         raise ValueError("empty eps schedule")
     all_pairs = [cp.a for cp in prediction.pairs]
-    group = _grid_symmetries(dp)
     verdicts = []
-    sources = _pair_orbits(group, all_pairs)
+    sources = _pair_orbits(dp, all_pairs)
     last_member = {src[0]: j for j, src in enumerate(sources) if src is not None}
     landings = {}  # {rep: {eps: solution}}, kept until the rep's last member
 
@@ -1127,7 +1116,7 @@ def continuation_run(
         verdict = BranchVerdict(
             pair_index=i, predicted=cp, target_morse=target, records=[],
         )
-        rep, g, sign = source or (None, None, None)
+        rep, isometry, sign = source or (None, None, None)
         rep_records = {} if rep is None else {r.epsilon: r for r in verdicts[rep].records}
         rep_landings = landings.get(rep, {})
         v0 = None
@@ -1138,7 +1127,8 @@ def continuation_run(
                 verdict.transported_from = rep
             try:
                 rec = solve_branch(
-                    dp, cp.a, eps, p, v0=v0 if start is None else sign * g(start),
+                    dp, cp.a, eps, p,
+                    v0=v0 if start is None else sign * _grid_map(dp, *isometry, start),
                     tol=cfg.newton_tol, max_iter=cfg.max_newton,
                     linear_rtol=cfg.linear_rtol, all_pairs=all_pairs, expected_index=i,
                 )
@@ -1169,10 +1159,13 @@ def continuation_run(
             verdict.inconclusive = True
             continue
 
-        a_ref = discrete_reference_point(dp, cp.a, p)
         eps_done = [r.epsilon for r in verdict.records]
-        err_a = [float(np.linalg.norm(r.a_lambda - a_ref)) for r in verdict.records]
-        verdict.order_a = fit_order(eps_done, err_a)
+        try:
+            a_ref = discrete_reference_point(dp, cp.a, p)
+            verdict.order_a = fit_order(
+                eps_done, [float(np.linalg.norm(r.a_lambda - a_ref)) for r in verdict.records])
+        except NewtonDiverged as exc:
+            verdict.notes.append(f"order(a) not fitted: {exc}")
         verdict.order_phi = fit_order(eps_done, [r.phi_norm for r in verdict.records])
 
         last = verdict.records[-1]
@@ -1206,7 +1199,7 @@ def continuation_run(
             verdict.eig_ok = rel <= cfg.mu_rtol
 
     logger.info("grid symmetry group of order %d: %d pairs started from a mapped solution",
-                len(group), sum(v.transported_from is not None for v in verdicts))
+                len(dp.symmetries[0]), sum(v.transported_from is not None for v in verdicts))
     _check_distinctness(dp, verdicts, cfg.dedup_radius)
     return verdicts
 

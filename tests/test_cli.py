@@ -233,6 +233,21 @@ class TestVerify:
         assert "GridTooCoarse" in capsys.readouterr().err
         assert not (out / "verdicts.json").exists()
 
+    def test_indefinite_ritz_gram_matrix_ends_in_a_verdict(self, tmp_path):
+        # square lambda=90 at 18 intervals: the refined Ritz span of pair 1
+        # loses definiteness, and the Morse count defers instead of raising;
+        # every pair FAILs on the FD spectrum's reordering (58 FD eigenvalues
+        # below lambda_h against j - 1 = 62), not on a traceback
+        code, out = run(tmp_path, "verify", "--domain", "square", "--lam", "90",
+                        "--grid", "18")
+        assert code == 2
+        verdicts = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        assert [v["passed"] for v in verdicts] == [False] * 4
+        assert [v["target_morse"] for v in verdicts] == [64, 63, 63, 64]
+        assert [v["records"][0]["discrete_morse_index"] for v in verdicts] == [60, 60, 59, 60]
+        assert "Gram matrix is not positive definite" in verdicts[1]["notes"][0]
+        assert [v["order_a"] is None for v in verdicts] == [True, False, False, True]
+
     def test_no_morse_skips_eigen_checks(self, tmp_path):
         code, out = run(tmp_path, "verify", "--domain", "square", "--j", "1",
                         "--grid", "32", "--eps-steps", "2", "--no-morse")

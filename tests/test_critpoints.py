@@ -14,6 +14,7 @@ from bifurcbox.critpoints import (
     Certificate,
     SearchConfig,
     _box_group,
+    _box_isometries,
     _closed_form_points,
     _homotopy_roots,
     _images,
@@ -406,6 +407,39 @@ class TestCertifiedSearch:
             moved = T[np.ix_(P_src, P_src, P_src, P_src)] * np.einsum(
                 "i,j,l,m->ijlm", P_sign, P_sign, P_sign, P_sign)
             assert np.max(np.abs(moved - T)) <= 1e-12 * np.max(np.abs(T))
+
+    @pytest.mark.parametrize("side_sq, grid", [
+        (["pi^2", "pi^2"], None),
+        (["pi^2", "pi^2", "pi^2"], None),
+        (["pi^2", "4pi^2"], None),
+        (["pi^2", "pi^2", "4pi^2"], None),
+        (["pi^2", "pi^2"], (64, 48)),  # the grid's kinds: no swap of unequal N
+        (["pi^2", "pi^2", "pi^2"], (17, 17, 13)),
+    ])
+    def test_box_isometries_match_dense_signed_permutations(self, side_sq, grid):
+        # the reference builds each P from the definition: reversing axis d
+        # multiplies sin(m_d x_d) by (-1)^(m_d + 1), and the permutation
+        # sends mode m to (m[perm[0]], m[perm[1]], ...)
+        dom = bb.DomainSpec.from_strings(side_sq)
+        kinds = list(dom.side_sq if grid is None else zip(grid, dom.side_sq))
+        dim = len(kinds)
+        expected = [(perm, tuple(d for d in range(dim) if bits[d]))
+                    for perm in itertools.permutations(range(dim))
+                    if all(kinds[perm[d]] == kinds[d] for d in range(dim))
+                    for bits in itertools.product((0, 1), repeat=dim)]
+        for group in bb.enumerate_groups(dom, 40):
+            modes = [m.indices for m in group.modes]
+            where = {m: i for i, m in enumerate(modes)}
+            isometries, src, sign = _box_isometries(modes, kinds)
+            assert isometries == expected and isometries[0] == (tuple(range(dim)), ())
+            for (perm, flips), g_src, g_sign in zip(isometries, src, sign, strict=True):
+                P = np.zeros((group.k, group.k))
+                for i, m in enumerate(modes):
+                    image = tuple(m[perm[d]] for d in range(dim))
+                    P[where[image], i] = (-1) ** sum(m[d] + 1 for d in flips)
+                gathered = np.zeros_like(P)
+                gathered[np.arange(group.k), g_src] = g_sign
+                assert np.array_equal(gathered, P)
 
     def test_failed_paths_are_tracked_again(self, cube, monkeypatch):
         f = bb.ReducedFunctional.for_group(bb.find_group(cube, eigenvalue=27), cube)

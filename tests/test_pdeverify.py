@@ -23,9 +23,8 @@ from bifurcbox.errors import (
 )
 from bifurcbox.pdeverify import (
     VerifyConfig,
-    _grid_symmetries,
+    _grid_map,
     _grid_tables,
-    _GridSymmetry,
     _linear_solve,
     _pair_orbits,
     _axes,
@@ -70,7 +69,7 @@ def orbit_representatives(domain, eigenvalue, grid):
     pred = bb.predict_branches(
         group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom))
     )
-    sources = _pair_orbits(_grid_symmetries(dp), [cp.a for cp in pred.pairs])
+    sources = _pair_orbits(dp, [cp.a for cp in pred.pairs])
     return dp, [cp for cp, src in zip(pred.pairs, sources) if src is None]
 
 
@@ -221,11 +220,18 @@ class TestBuildLaplacian:
         assert len({dp_sq5, other}) == 2
 
     def test_reversal_signs_match_grid_symmetries(self, dp_sq5, cube, cube_g6):
+        # the pure reversals lead the grid's table, each a diagonal map
         for dp in (dp_sq5, bb.build_laplacian(cube, 12, cube_g6)):
             axes = tuple(range(len(dp.shape)))
-            assert len(dp.reversal_signs) == 2 ** len(axes)
-            for h, signs in enumerate(dp.reversal_signs):
-                assert np.array_equal(signs, np.diag(_GridSymmetry(dp, axes, _axes(h)).P))
+            isometries, src, sign = dp.symmetries
+            modes = np.array([m.indices for m in dp.group.modes])
+            reversals = [flips for perm, flips in isometries if perm == axes]
+            assert sorted(reversals) == sorted(_axes(h) for h in range(2 ** len(axes)))
+            for g, flips in enumerate(reversals):
+                assert isometries[g] == (axes, flips)
+                assert np.array_equal(src[g], np.arange(dp.group.k))
+                assert np.array_equal(
+                    sign[g], (-1.0) ** np.sum(modes[:, list(flips)] + 1, axis=1))
 
     def test_multiplet_splitting_zero_on_symmetric_grid(self, dp_sq5, cube, cube_g6):
         assert dp_sq5.splitting <= 1e-12
@@ -494,6 +500,12 @@ class TestKrylovKernels:
         np.testing.assert_allclose(theta, ref, rtol=1e-12, atol=0.0)
         assert np.max(np.abs(W.T @ G @ W - np.eye(12))) <= 1e-12
         assert np.max(np.abs(S @ W - G @ W * theta)) <= 1e-12 * np.max(np.abs(S))
+
+    def test_pencil_of_an_indefinite_gram_matrix_is_refused(self):
+        # a Gram matrix of dependent directions, rounded below definiteness
+        S, G = self.symmetric(4, 0.0, 8), np.diag([1.0, 1.0, 1.0, -1e-17])
+        with pytest.raises(SpectrumTooClose, match="not positive definite"):
+            pdeverify._pencil_eigh(S, G)
 
 
 class TestSolveBranch:
@@ -897,6 +909,27 @@ class TestContinuation:
         ref = discrete_reference_point(dp_sq1, pred_sq1.pairs[0].a)
         assert ref == pytest.approx(pred_sq1.pairs[0].a, abs=1e-10)
 
+    def test_unconverged_reference_point_raises(self, square):
+        # square lambda=90 at 18 intervals: the grid quartic aliases, and
+        # Newton from the continuum pairs (0, t) and (t, 0) finds no root
+        group = bb.find_group(square, eigenvalue=90)
+        dp = bb.build_laplacian(square, 18, group)
+        pred = bb.predict_branches(
+            group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, square)))
+        failed = []
+        for i, cp in enumerate(pred.pairs):
+            try:
+                discrete_reference_point(dp, cp.a)
+            except NewtonDiverged as exc:
+                assert "no grid-sum critical point" in str(exc)
+                failed.append(i)
+        assert failed == [0, 3]
+        # the run leaves order(a) unfitted for those two and says why
+        verdicts = bb.continuation_run(dp, pred, [0.1, 0.05], VerifyConfig(morse=False))
+        assert [v.order_a is None for v in verdicts] == [True, False, False, True]
+        for v in (verdicts[0], verdicts[3]):
+            assert v.records and v.notes[-1].startswith("order(a) not fitted: ")
+
 
 class TestReporting:
     def test_geometric_schedule(self):
@@ -933,7 +966,7 @@ class TestGridSymmetry:
     def test_group_order(self, side_sq, eigenvalue, grid, order):
         dom = bb.DomainSpec.from_strings(side_sq)
         dp = bb.build_laplacian(dom, grid, bb.find_group(dom, eigenvalue=eigenvalue))
-        assert len(_grid_symmetries(dp)) == order
+        assert len(dp.symmetries[0]) == order
 
     @pytest.mark.parametrize("n", [16, 63, 127])
     def test_sine_matrix_reflects_exactly(self, n):
@@ -964,8 +997,10 @@ class TestGridSymmetry:
             return Q.extend(Q.dst(r, inverse=True))
 
         r = residual(v)
-        for g in _grid_symmetries(dp):
-            P = g.P
+        for (perm, flips), src, sign in zip(*dp.symmetries):
+            P = np.zeros((dp.group.k, dp.group.k))
+            P[np.arange(dp.group.k), src] = sign
+            g = functools.partial(_grid_map, dp, perm, flips)
             assert np.array_equal(np.abs(P).sum(axis=0), np.ones(dp.group.k))
             assert np.array_equal(np.abs(P).sum(axis=1), np.ones(dp.group.k))
             assert set(np.unique(P)) <= {-1.0, 0.0, 1.0}
@@ -1028,7 +1063,7 @@ class TestGridSymmetry:
         steps = {index: len(calls) for index, *calls in log}  # Newton steps per solve
         landed = {v.pair_index for v in verdicts
                   if not v.records and "landed at" in " ".join(v.notes)}
-        sources = _pair_orbits(_grid_symmetries(dp), all_pairs)
+        sources = _pair_orbits(dp, all_pairs)
         members = [v for v, src in zip(verdicts, sources) if src is not None and src[0] in landed]
         assert [v.pair_index for v in members] == [6, 8, 11, 12]
         for v in members:
@@ -1044,9 +1079,8 @@ class TestGridSymmetry:
                                                               monkeypatch):
         # mapped solutions off by 1e-6 miss newton_tol: Newton finishes them,
         # and their Morse index is counted rather than copied
-        call = _GridSymmetry.__call__
-        monkeypatch.setattr(_GridSymmetry, "__call__",
-                            lambda g, x: call(g, x) + (1e-6 if x.ndim == 1 else 0.0))
+        monkeypatch.setattr(pdeverify, "_grid_map", lambda dp, perm, flips, x: _grid_map(
+            dp, perm, flips, x) + (1e-6 if x.ndim == 1 else 0.0))
         morse = pdeverify.discrete_morse_index
         calls = []
         monkeypatch.setattr(pdeverify, "discrete_morse_index",
