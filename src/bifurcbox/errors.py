@@ -59,7 +59,14 @@ class SpectrumTooClose(BifurcBoxError):
     """A transported eigenvalue sits within rounding distance of zero, or
     the Schur-complement solve behind the Morse index stalled, or a
     Rayleigh-Ritz Gram matrix lost definiteness to rounding, so a
-    Morse-index verdict would be meaningless at this continuation step."""
+    Morse-index verdict would be meaningless at this continuation step.
+
+    ``morse_index`` is the exact inertia count when only the Ritz
+    refinement of the transported eigenvalues failed, else None."""
+
+    def __init__(self, message, morse_index=None):
+        super().__init__(message)
+        self.morse_index = morse_index
 
 
 class ConfigError(BifurcBoxError):

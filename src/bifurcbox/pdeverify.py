@@ -19,16 +19,22 @@ shift; grid bias is checked separately by grid refinement.
 
 The discrete Laplacian is never assembled: the type-I sine transform,
 applied as dense matrix products along each axis, diagonalizes it
-exactly.  The Newton residual and the H1 norm apply its eigenvalues in
-sine coordinates, and the MINRES Newton steps and the CG solves of the
-Morse index run on operators of one shape there: pointwise, transform,
-pointwise, transform, pointwise.  The Morse index is an exact inertia
-count: the modes below a window around lambda form a block that is
-negative definite by construction and count as they are, the modes above
-the kept ones a positive definite block, and a small Schur complement on
-the window gives the rest; no eigensolver runs, and CG runs for the window
-only.  MINRES, CG and the Cholesky-reduced pencil solves of Rayleigh-Ritz
-are written here in numpy, on grid-shaped arrays, so numpy is the only
+exactly.  Its eigenvalues are kept as the 1-D symbols of the axes, and the
+group basis as the group modes' positions among the sine coefficients,
+where the start, the projection and the remainder of each solve are read
+and written; the dense basis and the full grid of eigenvalues are built
+only when a caller asks for them (``DiscreteProblem.eigvecs`` and
+``.eigenvalues``).  The Newton residual and the H1 norm apply the
+eigenvalues in sine coordinates, and the MINRES Newton steps and the CG
+solves of the Morse index run on operators of one shape there: pointwise,
+transform, pointwise, transform, pointwise.  The Morse index is an exact
+inertia count: the modes below a window around lambda form a block that
+is negative definite by construction and count as they are, the modes
+above the kept ones a positive definite block, and a small Schur
+complement on the window gives the rest; the window comes from the 1-D
+symbols too, no eigensolver runs, and CG runs for the window only.
+MINRES, CG and the Cholesky-reduced pencil solves of Rayleigh-Ritz are
+written here in numpy, on grid-shaped arrays, so numpy is the only
 run-time dependency; MINRES and CG keep SciPy's recurrences and stopping
 tests.
 
@@ -321,10 +327,16 @@ class _SineTransform:
 @dataclass(frozen=True, eq=False)
 class DiscreteProblem:
     """Immutable discretization of a domain around one eigenvalue group;
-    the stencil A = -lap_h is kept only as its eigenvalues D on the grid of
-    sine indices and the axis tables that every sector of its sine
-    transform shares (see ``_SineTransform``).  Two problems are equal
-    only when they are the same object, and hash by identity."""
+    the stencil A = -lap_h is kept only as its 1-D symbols, the stencil
+    eigenvalues along each axis, and the axis tables that every sector of
+    its sine transform shares (see ``_SineTransform``).  Its eigenvalue at
+    sine index (i_1, ..., i_dim) is the sum of the axes' symbols there, and
+    the group basis is the group modes' positions among the sine
+    coefficients (``_sector_slots``): the verifier never holds either on
+    the full grid.  ``eigvecs`` and ``eigenvalues``, the dense group basis
+    and the full grid of stencil eigenvalues, are built on first use only.
+    Two problems are equal only when they are the same object, and hash by
+    identity."""
 
     domain: DomainSpec
     group: EigenGroup
@@ -332,11 +344,10 @@ class DiscreteProblem:
     shape: tuple[int, ...]         # interior points per axis
     h: tuple[float, ...]
     weight: float                  # volume element prod(h)
-    eigvecs: np.ndarray            # (n, k) group DST-I columns / sqrt(weight)
     lambda_h: float                # discrete group eigenvalue
     splitting: float               # spread of the discrete multiplet
     neighbor_gap: float            # distance to nearest non-group eigenvalue
-    eigenvalues: np.ndarray = field(repr=False)  # D, per sine index
+    freq_1d: tuple = field(repr=False)  # per axis, the ascending 1-D symbol
     tables: list[_AxisTables] = field(repr=False)  # per axis, shared by the sectors
     # the grid's isometries and their gather maps, ``_box_isometries``
     symmetries: tuple = field(repr=False)
@@ -345,6 +356,21 @@ class DiscreteProblem:
     @property
     def n(self) -> int:
         return math.prod(self.shape)
+
+    @functools.cached_property
+    def eigvecs(self) -> np.ndarray:
+        """The (n, k) group basis: each mode's DST-I columns over sqrt(weight)."""
+        return np.column_stack([
+            functools.reduce(np.multiply.outer,
+                             [_sine_matrix(n, np.arange(1, n + 1), [i])[:, 0]
+                              for n, i in zip(self.shape, m.indices)]).ravel()
+            for m in self.group.modes
+        ]) / math.sqrt(self.weight)
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """D, the stencil eigenvalue at every sine index."""
+        return _line_sums(self.freq_1d)[..., None] + self.freq_1d[-1]
 
     def inner(self, u, v) -> float:
         return self.weight * float(u @ v)
@@ -398,11 +424,74 @@ def _discrete_mode_value(freq_1d, indices) -> float:
     return math.fsum(sorted(freq_1d[d][i - 1] for d, i in enumerate(indices)))
 
 
+def _line_sums(freq_1d) -> np.ndarray:
+    """The stencil eigenvalues less the last axis's symbol: one entry per
+    grid line along the last axis, shaped like the other axes.  D at a sine
+    index is this entry plus the last symbol there, summed in axis order."""
+    return functools.reduce(np.add.outer, freq_1d[:-1])
+
+
+def _count_at_most(freq_1d, t: float) -> int:
+    """#{D <= t} over every sine index.  D is ascending along each grid
+    line, so one search of the last symbol per line finds its count; the
+    entry at each cut is then compared as D itself sums it, so that the
+    rounding of t minus the line's sum cannot move the count."""
+    base, f = _line_sums(freq_1d).ravel(), freq_1d[-1]
+    cut = np.searchsorted(f, t - base, side="right")
+    cut -= (cut > 0) & (base + f[np.maximum(cut - 1, 0)] > t)
+    cut += (cut < f.size) & (base + f[np.minimum(cut, f.size - 1)] <= t)
+    return int(cut.sum())
+
+
+def _lowest_entries(freq_1d, ell: int) -> tuple[tuple, np.ndarray]:
+    """The sine indices of the ell lowest stencil eigenvalues, ascending in
+    D and, among equal D, in C order, as index arrays, and D there.  Every
+    entry below
+    index i along each axis has a lower D, so an entry among the ell lowest
+    has prod_d (i_d + 1) <= ell: the choice runs over that hyperbolic cross,
+    O(ell log^(dim-1) ell) entries, built axis by axis."""
+    idx, room = np.zeros((1, 0), dtype=np.intp), np.array([ell])
+    for f in freq_1d:  # room: the largest i_d + 1 the axes so far leave
+        counts = np.minimum(room, f.size)
+        rows = np.repeat(np.arange(room.size), counts)
+        i = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        idx, room = np.column_stack([idx[rows], i]), room[rows] // (i + 1)
+    D = functools.reduce(np.add, [f[i] for f, i in zip(freq_1d, idx.T)])
+    lowest = np.argsort(D, kind="stable")[:ell]
+    return tuple(idx[lowest].T), D[lowest]
+
+
+def _neighbor_gap(freq_1d, lambda_h: float, positions: tuple) -> tuple[float, tuple]:
+    """The distance from lambda_h to the nearest stencil eigenvalue off the
+    group's ``positions`` (0-based sine indices), and the first sine index
+    in C order at that distance.  Along each grid line D is ascending, so
+    the line's nearest entries off the group lie within k + 1 places of the
+    cut where D passes lambda_h, on either side, k the number of group
+    entries; one place more covers the rounding of the cut.  Each line
+    keeps that window only."""
+    base, f = _line_sums(freq_1d).ravel(), freq_1d[-1]
+    shape, reach = tuple(g.size for g in freq_1d), len(positions[0]) + 2
+    width = min(2 * reach, f.size)
+    start = np.clip(np.searchsorted(f, lambda_h - base) - reach, 0, f.size - width)
+    dist = np.lib.stride_tricks.sliding_window_view(f, width)[start]  # a copy
+    dist += base[:, None]
+    dist -= lambda_h
+    np.abs(dist, out=dist)
+    line = np.ravel_multi_index(positions[:-1], shape[:-1])
+    offset = positions[-1] - start[line]
+    mine = (offset >= 0) & (offset < width)
+    dist[line[mine], offset[mine]] = np.inf
+    gap = float(dist.min())
+    first, at = np.argwhere(dist == gap)[0]
+    return gap, np.unravel_index(first * f.size + start[first] + at, shape)
+
+
 def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProblem:
     """Standard second-order stencil with Dirichlet elimination, held as
     its sine transform.  The group basis is the transform's own DST-I
     columns, the exact and orthonormal discrete eigenvectors of the group's
-    modes, and the neighbour gap is read off the whole discrete spectrum.
+    modes, kept as their positions among the sine coefficients, and the
+    neighbour gap is read off the 1-D symbols, one grid line at a time.
 
     Raises :class:`GridTooCoarse` when a non-group discrete eigenvalue
     equals lambda_h to rounding (1e-12 lambda_h), or when the discrete
@@ -429,22 +518,17 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
     sides = domain.sides
     hs = tuple(L / g for L, g in zip(sides, grid))
     shape = tuple(g - 1 for g in grid)
-    freq_1d = [_sine_eigenvalues_1d(g, L) for g, L in zip(grid, sides)]
+    freq_1d = tuple(_sine_eigenvalues_1d(g, L) for g, L in zip(grid, sides))
 
     group_vals = [_discrete_mode_value(freq_1d, m.indices) for m in group.modes]
     lambda_h = float(np.mean(group_vals))
     splitting = float(max(group_vals) - min(group_vals))
 
-    # every discrete eigenvalue is in D; the group's own sit at indices - 1
+    # the group's own eigenvalues sit at its indices - 1
     positions = tuple(np.array([m.indices for m in group.modes]).T - 1)
-    D = np.zeros(shape)
-    for d, f in enumerate(freq_1d):
-        D = D + f.reshape([-1 if e == d else 1 for e in range(dim)])
-    dist = np.abs(D - lambda_h)
-    dist[positions] = np.inf
-    neighbor_gap = float(dist.min())
+    neighbor_gap, nearest = _neighbor_gap(freq_1d, lambda_h, positions)
     if neighbor_gap <= 1e-12 * lambda_h:  # the discrete eigenspace outgrows the group
-        mode = tuple((np.argwhere(dist == neighbor_gap)[0] + 1).tolist())
+        mode = tuple(int(i) + 1 for i in nearest)
         raise GridTooCoarse(f"FD mode {mode}, outside the group, coincides with lambda_h = "
                             f"{lambda_h:.6g} to rounding (gap {neighbor_gap:.3e}); "
                             "change the grid")
@@ -454,18 +538,10 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
             f"neighbor gap of {neighbor_gap:.3e}; refine or symmetrize the grid"
         )
 
-    weight = float(np.prod(hs))
-    E = np.column_stack([
-        functools.reduce(np.multiply.outer,
-                         [_sine_matrix(n, np.arange(1, n + 1), [i])[:, 0]
-                          for n, i in zip(shape, m.indices)]).ravel()
-        for m in group.modes
-    ]) / math.sqrt(weight)
-
     return DiscreteProblem(
-        domain=domain, group=group, grid=grid, shape=shape, h=hs, weight=weight,
-        eigvecs=E, lambda_h=lambda_h, splitting=splitting,
-        neighbor_gap=neighbor_gap, eigenvalues=D,
+        domain=domain, group=group, grid=grid, shape=shape, h=hs,
+        weight=float(np.prod(hs)), lambda_h=lambda_h, splitting=splitting,
+        neighbor_gap=neighbor_gap, freq_1d=freq_1d,
         tables=_grid_tables(shape, freq_1d),
         symmetries=_box_isometries([m.indices for m in group.modes],
                                    list(zip(grid, domain.side_sq))),
@@ -669,6 +745,19 @@ def _stabiliser(dp: DiscreteProblem, a: np.ndarray) -> tuple:
                         for (_, flips), p, m in zip(isometries, plus, minus) if p or m))
 
 
+def _sector_slots(Q: _SineTransform, index: tuple) -> tuple[np.ndarray, tuple]:
+    """Where the 0-based sine indices ``index`` (one array per axis) sit
+    among the sine coefficients of ``Q``'s sector: the mask of those whose
+    class lies in the sector, and their (class, i_1 // 2, ..., i_dim // 2)
+    index arrays.  Index i along an axis is mode i + 1, odd along the axis
+    when i is odd (see ``_axis_tables``)."""
+    slot = {sigma: c for c, sigma in enumerate(Q.classes)}
+    classes = np.array([slot.get(int(sigma), -1)
+                        for sigma in sum((i % 2) << d for d, i in enumerate(index))])
+    inside = classes >= 0
+    return inside, (classes[inside], *(i[inside] // 2 for i in index))
+
+
 def solve_branch(
     dp: DiscreteProblem,
     a,
@@ -690,8 +779,10 @@ def solve_branch(
     coefficients of the sector's classes: the residual evaluates the
     nonlinearity on the sector's images, MINRES steps and line search stay
     in coefficients, and residual norms are taken there (Parseval).  The
-    start is cut to the images, and the solution is mirrored back to the
-    full grid once.
+    start a . e is placed at the group modes' coefficients, a ``v0`` is cut
+    to the images, and the solution is mirrored back to the full grid once.
+    The projection a_lambda and the remainder phi are read off the
+    solution's coefficients: the group modes' own, and all the others.
 
     Convergence is to discrete-L2 residual ``tol``.  When ``all_pairs`` is
     given, the converged projection must be nearest the launched pair, of
@@ -704,7 +795,13 @@ def solve_branch(
     a = np.asarray(a, dtype=float)
     lam = dp.lambda_h - epsilon
     Q = dp.sector(_stabiliser(dp, a))
-    coef = Q.dst(Q.restrict(dp.eigvecs @ a if v0 is None else v0))
+    # E_m is the unit coefficient at mode m's slot over sqrt(weight)
+    inside, slots = _sector_slots(Q, tuple(np.array([m.indices for m in dp.group.modes]).T - 1))
+    if v0 is None:
+        coef = np.zeros(Q.shape)
+        coef[slots] = a[inside] / math.sqrt(dp.weight)
+    else:
+        coef = Q.dst(Q.restrict(v0))
     residual = functools.partial(_residual, Q, lam, epsilon, p)
 
     def norm(r):
@@ -747,8 +844,10 @@ def solve_branch(
         )
 
     v = Q.extend(v)
-    a_lam = dp.project(v)
-    phi = Q.dst(Q.restrict(v - dp.eigvecs @ a_lam))
+    a_lam = np.zeros_like(a)
+    a_lam[inside] = math.sqrt(dp.weight) * coef[slots]
+    phi = coef  # the remainder: every coefficient but the group's
+    phi[slots] = 0.0
     record = ContinuationRecord(
         lam=lam,
         epsilon=epsilon,
@@ -901,9 +1000,13 @@ def discrete_morse_index(
     In sine coordinates the linearization is L = D - Q c Q, with Q the sine
     transform, D the stencil eigenvalues and c = lambda + eps F >= lambda
     pointwise.  P holds the ell lowest entries of D, every D <= max(c)
-    among them.  It splits into N, the entries with D < lambda - eta,
-    eta = max(c) - lambda, and the window M, the rest of P.  The eliminated
-    set is E = N + R, R the entries beyond P.  Since Q c Q >= lambda,
+    among them; the count of those is one search of the last axis's symbol
+    per grid line (``_count_at_most``), and P comes from a hyperbolic cross
+    of indices (``_lowest_entries``), so D is never formed on the full
+    grid, and c is freed once each sector holds its images.  P splits
+    into N, the entries with D < lambda - eta, eta = max(c) - lambda, and
+    the window M, the rest of P.  The eliminated set is E = N + R, R the
+    entries beyond P.  Since Q c Q >= lambda,
     L_NN <= D_N - lambda < 0, and L_RR >= min(D_R) - max(c) > 0, so the
     Schur complement C = L_RR - L_RN L_NN^(-1) L_NR >= L_RR > 0 too.  By
     inertia additivity (Haynsworth) L_EE has |N| negative eigenvalues, and
@@ -936,35 +1039,44 @@ def discrete_morse_index(
     mu about its square.  L [I; -X] vanishes on E, so every projected block
     is an inner product of arrays already held.  Both pencils are taken
     sector by sector, and the k Ritz values nearest zero are chosen over
-    all of them.  A mu within ``zero_tol`` of zero defers the verdict.
+    all of them.  A mu within ``zero_tol`` of zero defers the verdict.  A
+    failed refinement defers only the mu: the sectors' counts are complete,
+    and the :class:`SpectrumTooClose` it raises carries their sum as
+    ``morse_index``.
     """
     j, k = dp.group.j, dp.group.k
-    D = dp.eigenvalues
-    c = (record.lam + record.epsilon * p * np.abs(record.v) ** (p - 1.0)).reshape(dp.shape)
-    ell = min(max(j - 1 + k + n_extra, int(np.sum(D <= c.max())) + 1), dp.n)
-    P = np.unravel_index(np.argpartition(D, ell - 1, axis=None)[:ell], dp.shape)
+    c = np.abs(record.v).reshape(dp.shape)  # c = lam + eps p |v|^(p-1), in place
+    c **= p - 1.0
+    c *= record.epsilon * p
+    c += record.lam
+    c_max = c.max()
+    ell = min(max(j - 1 + k + n_extra, _count_at_most(dp.freq_1d, c_max) + 1), dp.n)
+    P, D_P = _lowest_entries(dp.freq_1d, ell)
     even = [0] + [h for h in range(1, 2**c.ndim) if np.array_equal(c, np.flip(c, _axes(h)))]
-    # index i along an axis is mode i + 1: the class of an entry is odd
-    # along the axes where i is odd, and it sits at i // 2 of the class
-    sigma = sum((i % 2) << d for d, i in enumerate(P))
+    sigma = sum((i % 2) << d for d, i in enumerate(P))  # each entry's class
     keys = [tuple((h, (-1) ** (int(s) & h).bit_count()) for h in even) for s in sigma]
-    below = D[P] < 2.0 * record.lam - c.max()  # N: D < lam - eta, eta = max(c) - lam
+    images = {key: dp.sector(key).restrict(c) for key in dict.fromkeys(keys)}
+    del c  # each sector holds its own images of c now
+    below = D_P < 2.0 * record.lam - c_max  # N: D < lam - eta, eta = max(c) - lam
     blocks = []
-    for key in dict.fromkeys(keys):
+    for key in list(images):
         Q = dp.sector(key)
         mine = [a for a, other in enumerate(keys) if other == key]
-        P_key = (np.array([Q.classes.index(int(s)) for s in sigma[mine]]),
-                 *(i[mine] // 2 for i in P))
-        blocks.append(_SchurBlock(Q, Q.restrict(c), P_key, below[mine], record.lam))
+        _, P_key = _sector_slots(Q, tuple(i[mine] for i in P))
+        blocks.append(_SchurBlock(Q, images.pop(key), P_key, below[mine], record.lam))
     morse = sum(b.count for b in blocks)
 
     near = np.sort(np.argsort(np.abs(np.concatenate([b.theta for b in blocks])))[:k])
     start = np.cumsum([0] + [len(b.theta) for b in blocks])
     refined = []
-    for b, lo, hi in zip(blocks, start, start[1:]):
-        mine = near[(near >= lo) & (near < hi)] - lo
-        if mine.size:
-            refined.append(b.refine(mine))
+    try:
+        for b, lo, hi in zip(blocks, start, start[1:]):
+            mine = near[(near >= lo) & (near < hi)] - lo
+            if mine.size:
+                refined.append(b.refine(mine))
+    except SpectrumTooClose as exc:  # the sectors' inertia is complete: keep the count
+        exc.morse_index = morse
+        raise
     near_zero = np.sort(np.concatenate(refined))
     if np.any(np.abs(near_zero) < zero_tol):
         raise SpectrumTooClose(
@@ -1139,7 +1251,7 @@ def continuation_run(
                 verdict.inconclusive = True
                 continue
             v0 = rec.v
-            if (cfg.morse and mapped is not None and mapped.discrete_morse_index is not None
+            if (cfg.morse and mapped is not None and mapped.near_zero_mu is not None
                     and len(rec.residual_history) == 1):
                 # no Newton step: rec.v is +-g mapped.v, and g carries the
                 # linearization there onto the one here, spectrum and all
@@ -1150,6 +1262,7 @@ def continuation_run(
                     rec.discrete_morse_index, rec.near_zero_mu = discrete_morse_index(dp, rec, p)
                 except SpectrumTooClose as exc:
                     verdict.notes.append(f"eps={eps:g}: {exc}")
+                    rec.discrete_morse_index = exc.morse_index
             verdict.records.append(rec)
         verdicts.append(verdict)
         if rep is not None and last_member[rep] == i:

@@ -246,6 +246,16 @@ class TestVerify:
         assert [v["target_morse"] for v in verdicts] == [64, 63, 63, 64]
         assert [v["records"][0]["discrete_morse_index"] for v in verdicts] == [60, 60, 59, 60]
         assert "Gram matrix is not positive definite" in verdicts[1]["notes"][0]
+        # only the Ritz refinement failed: the inertia count is kept at
+        # every eps, and the transported eigenvalues are left out
+        records = verdicts[1]["records"]
+        assert [r["epsilon"] for r in records] == [0.1, 0.05, 0.025, 0.0125]
+        assert [r["discrete_morse_index"] for r in records] == [60] * 4
+        assert [r["near_zero_mu"] is None for r in records] == [False, True, True, True]
+        assert verdicts[1]["notes"] == [
+            f"eps={eps}: the Rayleigh-Ritz Gram matrix is not positive definite"
+            for eps in ("0.05", "0.025", "0.0125")]
+        assert verdicts[1]["morse_ok"] is False and verdicts[1]["eig_ok"] is None
         assert [v["order_a"] is None for v in verdicts] == [True, False, False, True]
 
     def test_no_morse_skips_eigen_checks(self, tmp_path):

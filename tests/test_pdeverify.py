@@ -23,12 +23,15 @@ from bifurcbox.errors import (
 )
 from bifurcbox.pdeverify import (
     VerifyConfig,
+    _count_at_most,
     _grid_map,
     _grid_tables,
     _linear_solve,
+    _lowest_entries,
     _pair_orbits,
     _axes,
     _residual,
+    _sector_slots,
     _sine_eigenvalues_1d,
     _sine_matrix,
     _SineTransform,
@@ -201,8 +204,9 @@ class TestBuildLaplacian:
         assert np.max(np.abs(T - T.T)) <= 1e-13 * np.max(np.abs(T))
 
     def test_build_peak_memory(self, cube, cube_g6):
-        # the sine-transform form needs no Kronecker intermediates: about
-        # 3.4 MB at 33^3, against 6.9 MB with an assembled sparse stencil
+        # the sine-transform form needs no Kronecker intermediates (6.9 MB
+        # at 33^3 with an assembled sparse stencil), and with neither the
+        # dense basis nor the full-grid spectrum it peaks at about 0.2 MB
         bb.build_laplacian(cube, 33, cube_g6)
         tracemalloc.start()
         try:
@@ -211,6 +215,65 @@ class TestBuildLaplacian:
         finally:
             tracemalloc.stop()
         assert peak <= 5e6
+
+    def test_build_peak_memory_at_the_grid_limit(self, cube):
+        # cube lambda=54 (k = 12) at 65^3: with the dense group basis and the
+        # full-grid spectrum the build peaked at 52 MB; from the 1-D symbols,
+        # one window of each grid line, at about 1.1 MB
+        group = bb.find_group(cube, eigenvalue=54)
+        assert group.k == 12
+        bb.build_laplacian(cube, 65, group)
+        tracemalloc.start()
+        try:
+            dp = bb.build_laplacian(cube, 65, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        assert not {"eigvecs", "eigenvalues"} & vars(dp).keys()
+
+    def test_dense_basis_and_spectrum_are_built_on_first_use(self, square, sq_g5):
+        dp = bb.build_laplacian(square, 32, sq_g5)
+        assert not {"eigvecs", "eigenvalues"} & vars(dp).keys()
+        assert dp.eigvecs is dp.eigvecs and dp.eigvecs.shape == (dp.n, 2)
+        assert dp.eigenvalues is dp.eigenvalues and dp.eigenvalues.shape == dp.shape
+        A = reference_stencil(dp)
+        assert np.max(np.abs(A @ dp.eigvecs - dp.eigvecs * dp.lambda_h)) <= 1e-10 * dp.lambda_h
+        freq = [_sine_eigenvalues_1d(g, L) for g, L in zip(dp.grid, dp.domain.sides)]
+        assert np.array_equal(dp.eigenvalues, freq[0][:, None] + freq[1])
+
+    @pytest.mark.parametrize("side_sq, eigenvalue, grid", [
+        (["pi^2", "pi^2"], 5, 64), (["pi^2", "pi^2"], 50, 33), (["pi^2", "pi^2"], 82, 20),
+        (["pi^2", "pi^2", "pi^2"], 6, 13), (["pi^2", "pi^2", "pi^2"], 54, 65),
+        (["pi^2", "4pi^2"], 10, 48),
+    ])
+    def test_neighbor_gap_matches_the_full_spectrum(self, side_sq, eigenvalue, grid):
+        # the window of each grid line finds the full grid's nearest
+        # non-group eigenvalue, bit for bit
+        dom = bb.DomainSpec.from_strings(side_sq)
+        group = bb.find_group(dom, eigenvalue=eigenvalue)
+        dp = bb.build_laplacian(dom, grid, group)
+        dist = np.abs(dp.eigenvalues - dp.lambda_h)
+        dist[tuple(np.array([m.indices for m in group.modes]).T - 1)] = np.inf
+        assert dp.neighbor_gap == dist.min()
+
+    @pytest.mark.parametrize("domain, eigenvalue, grid, mode, gap", [
+        ("square", 82, 18, (5, 7), "1.421e-14"), ("cube", 26, 15, (1, 1, 5), "0.000e+00"),
+    ])
+    def test_coincident_mode_refusal_names_the_first_nearest_mode(
+            self, domain, eigenvalue, grid, mode, gap):
+        # the first mode in C order at the rounding-level gap, as on the full grid
+        dom = getattr(bb.DomainSpec, domain)()
+        group = bb.find_group(dom, eigenvalue=eigenvalue)
+        with pytest.raises(GridTooCoarse) as err:
+            bb.build_laplacian(dom, grid, group)
+        assert str(err.value).startswith(f"FD mode {mode}, outside the group, coincides")
+        assert f"(gap {gap})" in str(err.value)
+        freq = [_sine_eigenvalues_1d(grid, L) for L in dom.sides]
+        D = functools.reduce(np.add.outer, freq)
+        dist = np.abs(D - np.mean([D[tuple(i - 1 for i in m.indices)] for m in group.modes]))
+        dist[tuple(np.array([m.indices for m in group.modes]).T - 1)] = np.inf
+        assert tuple(np.argwhere(dist <= 1e-12 * D.max())[0] + 1) == mode
 
     def test_problems_compare_by_identity(self, square, sq_g5, dp_sq5):
         # comparing the ndarray fields would raise; a problem equals itself only
@@ -244,7 +307,8 @@ class TestBuildLaplacian:
         dom = bb.DomainSpec.from_strings(["pi^2", "4pi^2"])
         g = bb.find_group(dom, eigenvalue=10)
         assert g.k == 2
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(GridTooCoarse, match=r"splits by 5\.817e-01 against a neighbor "
+                                                r"gap of 3\.275e-01"):
             bb.build_laplacian(dom, 18, g)
         dp = bb.build_laplacian(dom, 48, g)
         assert dp.splitting <= 0.5 * dp.neighbor_gap
@@ -608,6 +672,34 @@ class TestSolveBranch:
             checked += 1
         assert checked == {"square": 2, "cube": 3}[domain]
 
+    @pytest.mark.parametrize("side_sq, eigenvalue, grid", [
+        (["pi^2", "pi^2"], 5, 64), (["pi^2", "pi^2", "pi^2"], 6, 33),
+        (["pi^2", "4pi^2"], 10, 48),
+    ])
+    def test_coefficient_projection_matches_the_group_basis(self, side_sq, eigenvalue,
+                                                            grid):
+        # the start, a_lambda and phi read at the group modes' sine
+        # coefficients agree with the dense basis E on the full grid
+        dom = bb.DomainSpec.from_strings(side_sq)
+        group = bb.find_group(dom, eigenvalue=eigenvalue)
+        dp = bb.build_laplacian(dom, grid, group)
+        pred = bb.predict_branches(
+            group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom)))
+        for cp in pred.pairs:
+            Q = dp.sector(_stabiliser(dp, cp.a))
+            inside, slots = _sector_slots(
+                Q, tuple(np.array([m.indices for m in group.modes]).T - 1))
+            start = np.zeros(Q.shape)
+            start[slots] = cp.a[inside] / math.sqrt(dp.weight)
+            ref = Q.dst(Q.restrict(dp.eigvecs @ cp.a))
+            assert np.max(np.abs(start - ref)) <= 1e-13 * np.max(np.abs(ref))
+            rec = bb.solve_branch(dp, cp.a, 0.05)
+            a_ref = dp.project(rec.v)
+            assert np.max(np.abs(rec.a_lambda - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
+            assert np.all(rec.a_lambda[~inside] == 0.0)
+            phi_ref = dp.norm_h1(rec.v - dp.eigvecs @ a_ref)
+            assert abs(rec.phi_norm - phi_ref) <= 1e-13 * dp.norm_h1(rec.v)
+
     def test_supercritical_exponent_refused(self, cube, cube_g6):
         dp = bb.build_laplacian(cube, 12, cube_g6)
         with pytest.raises(SupercriticalP):
@@ -647,8 +739,21 @@ class TestMorseIndex:
         assert np.max(np.abs(scaled - target) / np.abs(target)) <= 0.05
 
     def test_spectrum_too_close_guard(self, dp_sq1, rec_sq1):
-        with pytest.raises(SpectrumTooClose):
+        # a mu at zero makes the count itself doubtful: none is carried
+        with pytest.raises(SpectrumTooClose) as err:
             bb.discrete_morse_index(dp_sq1, rec_sq1, zero_tol=1.0)
+        assert err.value.morse_index is None
+
+    def test_failed_refinement_keeps_the_inertia_count(self, dp_sq5, rec_sq5, monkeypatch):
+        morse, _ = bb.discrete_morse_index(dp_sq5, rec_sq5)
+
+        def failing(self, near):
+            raise SpectrumTooClose("the Rayleigh-Ritz Gram matrix is not positive definite")
+
+        monkeypatch.setattr(pdeverify._SchurBlock, "refine", failing)
+        with pytest.raises(SpectrumTooClose) as err:
+            bb.discrete_morse_index(dp_sq5, rec_sq5)
+        assert err.value.morse_index == morse
 
     def test_window_holds_every_negative_mu(self, square, sq_g1, pred_sq1):
         # eight times the solution makes c = lambda + 3 eps v^2 exceed six
@@ -674,6 +779,28 @@ class TestMorseIndex:
         mu = np.linalg.eigvalsh(reference_stencil(dp).toarray() - np.diag(c))
         morse, _ = bb.discrete_morse_index(dp, rec)
         assert morse == int(np.sum(mu < 0.0)) == 10
+
+    @pytest.mark.parametrize("side_sq, grid", [
+        (["pi^2", "pi^2"], 32), (["pi^2", "pi^2"], 33), (["pi^2", "4pi^2"], (48, 31)),
+        (["pi^2", "pi^2", "pi^2"], 16), (["pi^2", "pi^2", "pi^2"], 17),
+    ])
+    def test_window_count_and_entries_match_the_full_spectrum(self, side_sq, grid):
+        # ell from a search of each grid line's symbol, P from the hyperbolic
+        # cross: the count of the full grid and the argpartition set, the
+        # latter up to ties at its last value
+        dom = bb.DomainSpec.from_strings(side_sq)
+        dp = bb.build_laplacian(dom, grid, bb.find_group(dom, eigenvalue=len(side_sq)))
+        D = dp.eigenvalues
+        flat = np.sort(D, axis=None)
+        for t in [flat[0] - 1.0, *flat[[0, 7, 100, 531]], 0.5 * (flat[40] + flat[41]),
+                  flat[-1], 2.0 * flat[-1]]:
+            assert _count_at_most(dp.freq_1d, t) == int(np.sum(D <= t))
+        for ell in (1, 5, 6, 24, 97, 300):
+            P, D_P = _lowest_entries(dp.freq_1d, ell)
+            assert np.array_equal(D[P], flat[:ell]) and np.array_equal(D_P, D[P])
+            ref = np.unravel_index(np.argpartition(D, ell - 1, axis=None)[:ell], dp.shape)
+            if flat[ell - 1] < flat[ell]:
+                assert set(zip(*P)) == set(zip(*ref))
 
     def test_morse_runs_without_an_eigensolver(self, dp_sq5, pred_sq5, monkeypatch):
         def no_eigsh(*args, **kwargs):
@@ -729,6 +856,30 @@ class TestMorseIndex:
         capsys.readouterr()
         assert code == 0
         assert peak <= 5_500_000
+
+    def test_verify_holds_no_dense_basis(self, tmp_path, monkeypatch, capsys):
+        # cube lambda=3 at the 65^3 grid limit: the run solves and counts in
+        # sine coefficients and leaves no (n, k) array on its problem
+        problems, build = [], cli.build_laplacian
+        monkeypatch.setattr(cli, "build_laplacian",
+                            lambda *args: problems.append(build(*args)) or problems[-1])
+        argv = ["verify", "--domain", "cube", "--lam", "3", "--grid", "65", "--eps-steps", "1"]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        (dp,) = problems
+        assert not {"eigvecs", "eigenvalues"} & vars(dp).keys()
+        held, todo = [], list(vars(dp).values())
+        while todo:
+            x = todo.pop()
+            if isinstance(x, np.ndarray):
+                held.append(x)
+            elif isinstance(x, (tuple, list)):
+                todo.extend(x)
+            elif isinstance(x, dict):
+                todo.extend(x.values())
+            elif isinstance(x, _SineTransform):
+                todo.extend(vars(x).values())
+        assert held and max(x.size for x in held) < dp.n * dp.group.k
 
     @pytest.mark.parametrize("domain, eigenvalue, grid", [
         ("square", 5, 32), ("square", 5, 33), ("cube", 6, 12), ("cube", 6, 13),
