@@ -458,9 +458,35 @@ def _homotopy_roots(f: ReducedFunctional, cfg: SearchConfig):
             break
     X = np.concatenate(found)
     real = np.max(np.abs(X.imag), axis=1) <= _ROOT_TOL * (1.0 + np.max(np.abs(X), axis=1))
-    C = np.unique(canonicalize(_images(scale * X[real].real, src, sign)), axis=0)
+    C = _merge_near(np.unique(canonicalize(_images(scale * X[real].real, src, sign)), axis=0))
     A, ok = _newton_refine(f, C, cfg)
     return A, ok, n_paths, failed + int(np.sum(~ok)), distinct
+
+
+def _merge_near(C: np.ndarray) -> np.ndarray:
+    """The rows of ``C`` less each one within ``_ROOT_TOL`` (relative, max
+    norm) of an earlier row that is kept: one row per root, whose images
+    differ by rounding where the root has zero coordinates (about 1e-16 on
+    either backend, more where the quadrature tensor has 1e-18 in place of
+    exact zeros).  Two such rows have keys w . x within |w|_1 times the
+    tolerance, so only rows that close in key order are compared."""
+    tol = _ROOT_TOL * (1.0 + np.max(np.abs(C), axis=1))
+    w = 1.0 / np.arange(1, C.shape[1] + 1)
+    key = C @ w
+    order = np.argsort(key, kind="stable")
+    key, reach = key[order], np.sum(w) * tol.max(initial=0.0)
+    close = []
+    for d in range(1, len(C)):
+        near = np.flatnonzero(key[d:] - key[:-d] <= reach)
+        if not near.size:
+            break
+        i, j = np.sort([order[near], order[near + d]], axis=0)
+        hit = np.max(np.abs(C[i] - C[j]), axis=1) <= np.maximum(tol[i], tol[j])
+        close += zip(j[hit].tolist(), i[hit].tolist())
+    keep = np.ones(len(C), dtype=bool)
+    for j, i in sorted(close):  # i < j, whose own merge is settled by then
+        keep[j] &= not keep[i]
+    return C[keep]
 
 
 def _images(X: np.ndarray, src: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -665,12 +691,14 @@ def brute_force_oracle(
     exactly like :func:`find_critical_points`.
 
     The grid is walked in slabs of whole planes along its first axis, about
-    ``_SLAB`` points plus one halo plane on either side, each slab's
-    |grad|^2 (:meth:`ReducedFunctional.gradient_sq_grid`) and 3^k
+    ``_SLAB`` points plus one halo plane on either side, each slab's 3^k
     neighbourhood minimum taken on the slab alone; Newton starts at every
-    grid point no larger than its neighbours, in C order of the grid.  The
-    tensor product rounds differently from the row-wise gradient of the
-    same points, so ties among the grid minima on flat stretches can break
+    grid point no larger than its neighbours, in C order of the grid.
+    |grad|^2 (:meth:`ReducedFunctional.gradient_sq_grid`) is evaluated once
+    per plane: a slab's first two planes, its lower halo and its first own
+    plane, are the last two of the slab before, carried over.  The tensor
+    product rounds differently from the row-wise gradient of the same
+    points, so ties among the grid minima on flat stretches can break
     differently and the number of starts can move; the pairs are Newton
     limits, so they move only by rounding."""
     cfg = cfg or SearchConfig()
@@ -683,12 +711,15 @@ def brute_force_oracle(
     npts = int(np.ceil(2.0 / grid_step_frac)) + 1
     axis = np.linspace(-R, R, npts)
     step = max(1, _SLAB // npts ** (k - 1))  # planes per slab
-    starts = []
+    starts, carry = [], None
     for lo in range(0, npts, step):
         halo = max(lo - 1, 0)
-        G = f.gradient_sq_grid([axis[halo:lo + step + 1]] + [axis] * (k - 1))
+        G = f.gradient_sq_grid([axis[lo + 1 if lo else 0:lo + step + 1]] + [axis] * (k - 1))
+        if lo:  # planes lo - 1 and lo, from the slab before
+            G = np.concatenate([carry, G])
         idx = np.nonzero((G <= _neighbourhood_min(G))[lo - halo:lo - halo + step])
         starts.append(np.column_stack([axis[lo + idx[0]]] + [axis[i] for i in idx[1:]]))
+        carry = G[-2:].copy()
         del G  # so the next slab's scan does not hold this one
     A, ok = _newton_refine(f, np.concatenate(starts), cfg)
     converged = A[ok & (np.max(np.abs(A), axis=1) > cfg.dedup_radius)]

@@ -44,15 +44,15 @@ class ConvergedToWrongBranch(BifurcBoxError):
     """A PDE solve landed on a solution whose eigenspace projection is
     closer to a different predicted pair, or to the trivial solution
     (``nearest_index`` None), than to the one it started from.  Carries the
-    converged full-grid solution in ``solution``."""
+    converged solve's ``ContinuationRecord`` in ``record``."""
 
     def __init__(self, message, got=None, expected=None, nearest_index=None,
-                 solution=None):
+                 record=None):
         super().__init__(message)
         self.got = got
         self.expected = expected
         self.nearest_index = nearest_index
-        self.solution = solution
+        self.record = record
 
 
 class SpectrumTooClose(BifurcBoxError):

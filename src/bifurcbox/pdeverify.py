@@ -47,7 +47,7 @@ reversals h with P_h a = chi(h) a, and lives in the classes that agree
 with chi: half of them for square lambda=5's diagonal pairs, a quarter
 for the cube's (t, t, 0), one when every single reversal fixes the pair,
 all of them when none does.  Newton runs on the sine coefficients of
-those classes and mirrors the solution back to the full grid once.  The
+those classes, and the record keeps the solution on their images.  The
 Morse count splits the linearization over the characters of the
 reversals that leave the solution's potential even, and sums their
 inertia.  One transform serves every case.
@@ -283,17 +283,15 @@ class _SineTransform:
             X = np.matmul(self.hadamard, X.reshape(C, -1)).reshape(self.shape)
         return X
 
-    def operator(self, outer: np.ndarray, inner: np.ndarray,
-                 diag: np.ndarray | None = None):
-        """The map y -> diag y + outer Q(inner Q(outer y)) on sector-shaped
+    def operator(self, outer: np.ndarray, inner: np.ndarray, diag: np.ndarray):
+        """The map y -> diag y - outer Q(inner Q(outer y)) on sector-shaped
         arrays, every factor pointwise and ``inner`` on the images: an
         operator on sine coordinates, as the callable that ``_minres`` and
         ``_cg`` take."""
 
         def apply(y):
-            out = outer * self.dst(inner * self.dst(outer * y, inverse=True))
-            if diag is not None:
-                out += diag * y
+            out = diag * y
+            out -= outer * self.dst(inner * self.dst(outer * y, inverse=True))
             return out
 
         return apply
@@ -550,11 +548,18 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
 
 @dataclass
 class ContinuationRecord:
-    """Diagnostics of one converged PDE solve at one lambda."""
+    """Diagnostics of one converged PDE solve at one lambda.
+
+    The solution lives on the sector of its solve (see ``_SineTransform``):
+    ``images`` holds its values on the sector's images, one half grid per
+    coset of the reversals that fix it, so a record holds 2^-rank(H) of the
+    full grid.  ``v``, the solution on the full grid, is mirrored from them
+    on each access, bit for bit as the solve left it, and is not kept."""
 
     lam: float
     epsilon: float
-    v: np.ndarray
+    images: np.ndarray
+    sector: _SineTransform = field(repr=False)
     a_lambda: np.ndarray
     phi_norm: float
     newton_residual: float
@@ -562,6 +567,11 @@ class ContinuationRecord:
     u_l2_norm: float
     discrete_morse_index: int | None = None
     near_zero_mu: np.ndarray | None = None
+
+    @property
+    def v(self) -> np.ndarray:
+        """The flat full-grid solution, a new array on each access."""
+        return self.sector.extend(self.images)
 
 
 @dataclass
@@ -727,7 +737,7 @@ def _linear_solve(Q: _SineTransform, lam: float, extra: np.ndarray,
     ``info``; a nonzero ``info`` is a stall."""
     shift = Q.eigenvalues - lam
     w = np.maximum(np.abs(shift), 1e-10) ** -0.5
-    T = Q.operator(w, -extra, diag=w * shift * w)
+    T = Q.operator(w, extra, diag=w * shift * w)
     y, info = _minres(T, w * rhs, rtol=rtol, maxiter=2000)
     return w * y, info
 
@@ -779,15 +789,16 @@ def solve_branch(
     coefficients of the sector's classes: the residual evaluates the
     nonlinearity on the sector's images, MINRES steps and line search stay
     in coefficients, and residual norms are taken there (Parseval).  The
-    start a . e is placed at the group modes' coefficients, a ``v0`` is cut
-    to the images, and the solution is mirrored back to the full grid once.
-    The projection a_lambda and the remainder phi are read off the
-    solution's coefficients: the group modes' own, and all the others.
+    start a . e is placed at the group modes' coefficients, and a full-grid
+    ``v0`` is cut to the images.  The record keeps the solution on those
+    images (``ContinuationRecord.images``).  The projection a_lambda and the
+    remainder phi are read off the solution's coefficients: the group modes'
+    own, and all the others.
 
     Convergence is to discrete-L2 residual ``tol``.  When ``all_pairs`` is
     given, the converged projection must be nearest the launched pair, of
     every pair and the trivial solution, or :class:`ConvergedToWrongBranch`
-    is raised.
+    is raised, carrying the record of the landing.
     """
     _check_exponent(dp.domain, p)
     if epsilon <= 0:
@@ -843,7 +854,6 @@ def solve_branch(
             history,
         )
 
-    v = Q.extend(v)
     a_lam = np.zeros_like(a)
     a_lam[inside] = math.sqrt(dp.weight) * coef[slots]
     phi = coef  # the remainder: every coefficient but the group's
@@ -851,12 +861,14 @@ def solve_branch(
     record = ContinuationRecord(
         lam=lam,
         epsilon=epsilon,
-        v=v,
+        images=v,
+        sector=Q,
         a_lambda=a_lam,
         phi_norm=math.sqrt(dp.weight * np.vdot(Q.eigenvalues * phi, phi)),
         newton_residual=rn,
         residual_history=history,
-        u_l2_norm=epsilon ** (1.0 / (p - 1.0)) * dp.norm_l2(v),
+        # summed over a transient full grid, so the reports keep their bits
+        u_l2_norm=epsilon ** (1.0 / (p - 1.0)) * dp.norm_l2(Q.extend(v)),
     )
 
     if all_pairs is not None and expected_index is not None and np.any(a != 0.0):
@@ -870,7 +882,7 @@ def solve_branch(
                 f"solve launched at pair {expected_index} landed at "
                 + ("the trivial solution" if trivial else f"pair {nearest}"),
                 got=a_lam, expected=a, nearest_index=None if trivial else nearest,
-                solution=v,
+                record=record,
             )
     return record
 
@@ -889,8 +901,9 @@ class _SchurBlock:
     entries M of the kept set that lie in it and in the window, eliminating
     the rest E = N + R, with N the kept entries below the window (``P``
     indexes the sector's coefficients, ``below`` marks N among them, ``c``
-    is on its images); the count of negative eigenvalues of L, and the Ritz
-    values ``theta`` and vectors ``W`` of S's first pencil."""
+    is on its images, read and never copied, as every sector of one Morse
+    count has the same images); the count of negative eigenvalues of L, and
+    the Ritz values ``theta`` and vectors ``W`` of S's first pencil."""
 
     def __init__(self, Q: _SineTransform, c: np.ndarray, P: tuple, below: np.ndarray,
                  lam: float):
@@ -901,7 +914,7 @@ class _SchurBlock:
         self.elim[M] = False
         rest = self.elim.copy()
         rest[N] = False
-        self.rest, self.minus_c = rest, -c
+        self.rest, self.c = rest, c
         self.precond = np.divide(self.elim, D - lam, out=np.zeros(Q.shape), where=self.elim)
         self.d = D.ravel()  # flat, like the rows of the flat views Xf, Zf and Rf
         ell, nN, n = len(M[0]), len(N[0]), D.size
@@ -917,7 +930,8 @@ class _SchurBlock:
         except np.linalg.LinAlgError:
             raise SpectrumTooClose("the modes below the window are not negative definite")
         self.B = B = self.Finv @ K.reshape(nN, n)
-        L_rr = Q.operator(rest, self.minus_c, diag=rest * D)
+        # every vector of the CG solves on C lies on R, where D = rest D
+        L_rr = Q.operator(rest, c, diag=D)
 
         def schur(p):
             out = L_rr(p)
@@ -964,7 +978,7 @@ class _SchurBlock:
         Zf, Rf = Z.reshape(2 * k, d.size), R.reshape(2 * k, d.size)
         Rf[:k] = d * (self.W[:, near].T @ Xf)
         D = self.Q.eigenvalues
-        L_ee = self.Q.operator(self.elim, self.minus_c, diag=D)  # on the U x, zero off E
+        L_ee = self.Q.operator(self.elim, self.c, diag=D)  # on the U x, zero off E
         for i in range(k):
             Z[i] = self.solve(R[i])
             Z[k + i] = self.precond * D * Z[i]
@@ -1003,7 +1017,8 @@ def discrete_morse_index(
     among them; the count of those is one search of the last axis's symbol
     per grid line (``_count_at_most``), and P comes from a hyperbolic cross
     of indices (``_lowest_entries``), so D is never formed on the full
-    grid, and c is freed once each sector holds its images.  P splits
+    grid.  c is formed on the full grid from the record's mirrored
+    solution, and freed once it is cut to the sectors' images.  P splits
     into N, the entries with D < lambda - eta, eta = max(c) - lambda, and
     the window M, the rest of P.  The eliminated set is E = N + R, R the
     entries beyond P.  Since Q c Q >= lambda,
@@ -1045,7 +1060,8 @@ def discrete_morse_index(
     ``morse_index``.
     """
     j, k = dp.group.j, dp.group.k
-    c = np.abs(record.v).reshape(dp.shape)  # c = lam + eps p |v|^(p-1), in place
+    c = record.v.reshape(dp.shape)  # a new array: c = lam + eps p |v|^(p-1) in place
+    np.abs(c, out=c)
     c **= p - 1.0
     c *= record.epsilon * p
     c += record.lam
@@ -1055,15 +1071,15 @@ def discrete_morse_index(
     even = [0] + [h for h in range(1, 2**c.ndim) if np.array_equal(c, np.flip(c, _axes(h)))]
     sigma = sum((i % 2) << d for d, i in enumerate(P))  # each entry's class
     keys = [tuple((h, (-1) ** (int(s) & h).bit_count()) for h in even) for s in sigma]
-    images = {key: dp.sector(key).restrict(c) for key in dict.fromkeys(keys)}
-    del c  # each sector holds its own images of c now
+    # the sectors differ in chi only, so they share their images and c there
+    c = dp.sector(keys[0]).restrict(c)
     below = D_P < 2.0 * record.lam - c_max  # N: D < lam - eta, eta = max(c) - lam
     blocks = []
-    for key in list(images):
+    for key in dict.fromkeys(keys):
         Q = dp.sector(key)
         mine = [a for a, other in enumerate(keys) if other == key]
         _, P_key = _sector_slots(Q, tuple(i[mine] for i in P))
-        blocks.append(_SchurBlock(Q, images.pop(key), P_key, below[mine], record.lam))
+        blocks.append(_SchurBlock(Q, c, P_key, below[mine], record.lam))
     morse = sum(b.count for b in blocks)
 
     near = np.sort(np.argsort(np.abs(np.concatenate([b.theta for b in blocks])))[:k])
@@ -1221,7 +1237,7 @@ def continuation_run(
     verdicts = []
     sources = _pair_orbits(dp, all_pairs)
     last_member = {src[0]: j for j, src in enumerate(sources) if src is not None}
-    landings = {}  # {rep: {eps: solution}}, kept until the rep's last member
+    landings = {}  # {rep: {eps: record of the landing}}, kept until the rep's last member
 
     for i, (cp, source) in enumerate(zip(prediction.pairs, sources)):
         target = cp.morse_index + dp.group.j - 1
@@ -1231,26 +1247,30 @@ def continuation_run(
         rep, isometry, sign = source or (None, None, None)
         rep_records = {} if rep is None else {r.epsilon: r for r in verdicts[rep].records}
         rep_landings = landings.get(rep, {})
-        v0 = None
+        previous = None
         for eps in schedule:
             mapped = rep_records.get(eps)
-            start = mapped.v if mapped is not None else rep_landings.get(eps)
-            if start is not None:
+            start = mapped if mapped is not None else rep_landings.get(eps)
+            if start is not None:  # mirrored and mapped: a transient full grid
                 verdict.transported_from = rep
+                v0 = _grid_map(dp, *isometry, start.sector.extend(sign * start.images))
+            else:
+                v0 = None if previous is None else previous.v
             try:
                 rec = solve_branch(
-                    dp, cp.a, eps, p,
-                    v0=v0 if start is None else sign * _grid_map(dp, *isometry, start),
+                    dp, cp.a, eps, p, v0=v0,
                     tol=cfg.newton_tol, max_iter=cfg.max_newton,
                     linear_rtol=cfg.linear_rtol, all_pairs=all_pairs, expected_index=i,
                 )
             except (NewtonDiverged, ConvergedToWrongBranch) as exc:
                 if isinstance(exc, ConvergedToWrongBranch) and i in last_member:
-                    landings.setdefault(i, {})[eps] = exc.solution
+                    landings.setdefault(i, {})[eps] = exc.record
                 verdict.notes.append(f"eps={eps:g}: {exc}")
                 verdict.inconclusive = True
                 continue
-            v0 = rec.v
+            finally:
+                del v0  # a full grid: not held through the Morse count
+            previous = rec
             if (cfg.morse and mapped is not None and mapped.near_zero_mu is not None
                     and len(rec.residual_history) == 1):
                 # no Newton step: rec.v is +-g mapped.v, and g carries the
@@ -1319,7 +1339,13 @@ def continuation_run(
 
 def _check_distinctness(dp: DiscreteProblem, verdicts, radius: float) -> None:
     """Distinct predicted pairs must never land on the same discrete
-    solution (modulo sign) at the finest common continuation step."""
+    solution (modulo sign) at the finest common continuation step.
+
+    a_lambda is sqrt(w) times a solution's sine coefficients at the group
+    modes, so by Parseval |v_1 -+ v_2|_L2 >= |a_1 -+ a_2|: a pair whose
+    projections lie more than twice the radius apart, either sign, is
+    cleared without its solutions; only the others are mirrored to the full
+    grid and compared there."""
     final = [(v, v.records[-1]) for v in verdicts if v.records]
     if len(final) < 2:
         for v, _ in final:
@@ -1329,15 +1355,15 @@ def _check_distinctness(dp: DiscreteProblem, verdicts, radius: float) -> None:
     at_min = [(v, rec) for v, rec in final if rec.epsilon == eps_min]
     for v, _ in at_min:
         v.distinct_ok = True
-    for (v1, r1), (v2, r2) in ((a, b) for ai, a in enumerate(at_min)
-                               for b in at_min[ai + 1:]):
-        d = min(dp.norm_l2(r1.v - r2.v), dp.norm_l2(r1.v + r2.v))
-        if d <= radius:
-            v1.distinct_ok = False
-            v2.distinct_ok = False
-            v1.notes.append(
-                f"coincides with pair {v2.pair_index} at eps={eps_min:g}"
-            )
-            v2.notes.append(
-                f"coincides with pair {v1.pair_index} at eps={eps_min:g}"
-            )
+    A = np.array([rec.a_lambda for _, rec in at_min])
+    for i, (v1, r1) in enumerate(at_min):
+        bound = np.minimum(np.linalg.norm(A[i + 1:] - A[i], axis=1),
+                           np.linalg.norm(A[i + 1:] + A[i], axis=1))
+        for j in np.flatnonzero(bound <= 2.0 * radius) + i + 1:
+            v2, r2 = at_min[j]
+            x1, x2 = r1.v, r2.v
+            if min(dp.norm_l2(x1 - x2), dp.norm_l2(x1 + x2)) <= radius:
+                v1.distinct_ok = False
+                v2.distinct_ok = False
+                v1.notes.append(f"coincides with pair {v2.pair_index} at eps={eps_min:g}")
+                v2.notes.append(f"coincides with pair {v1.pair_index} at eps={eps_min:g}")

@@ -305,6 +305,21 @@ class TestVerify:
         assert [r.getMessage() for r in caplog.records if r.name == "bifurcbox.pdeverify"] == [
             "grid symmetry group of order 8: 2 pairs started from a mapped solution"]
 
+    def test_verify_peak_memory_at_the_grid_limit(self, tmp_path, capsys):
+        # cube lambda=3 at 65^3: the record keeps one eighth of the grid, the
+        # pair's sector, and the three Morse sectors share one array of c;
+        # the traced peak is about 7.1 MB, 9.9 MB with full-grid records
+        args = ["verify", "--domain", "cube", "--lam", "3", "--grid", "65", "--eps-steps", "1"]
+        tracemalloc.start()
+        try:
+            code, _ = run(tmp_path, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 8_000_000
+
     def test_byte_identical_verify_reports(self, tmp_path):
         args = ["verify", "--domain", "square", "--j", "1", "--grid", "32",
                 "--eps-steps", "2"]

@@ -219,6 +219,17 @@ class TestOracle:
         bb.brute_force_oracle(f, grid_step_frac=step)
         assert np.array_equal(starts[0], expected)
 
+    def test_each_plane_is_scanned_once(self, square, sq_g50, monkeypatch):
+        # 101 planes at k = 3 in slabs of 12: each slab's lower halo and
+        # first plane are carried over from the slab before, not evaluated
+        # again (117 evaluations when they were)
+        f = bb.ReducedFunctional.for_group(sq_g50, square)
+        scan, planes = f.gradient_sq_grid, []
+        monkeypatch.setattr(f, "gradient_sq_grid",
+                            lambda axes: planes.append(len(axes[0])) or scan(axes))
+        bb.brute_force_oracle(f)
+        assert sum(planes) == 101 and len(planes) == 9
+
     def test_oracle_peak_memory(self, square, sq_g50):
         # the scan walks slabs of 12 planes of the 101^3 grid plus two halo
         # planes (1,142,512 bytes); the oracle peaks at about 3.63 MB on this
@@ -365,6 +376,25 @@ class TestCertifiedSearch:
         assert diag.completeness == "certified" and diag.n_failed == 0
         assert len(pts) == pairs and all(p.nondegenerate for p in pts)
         assert max(p.grad_norm for p in pts) <= 1e-12
+
+    @pytest.mark.parametrize("lam, pairs", [(27, 22), (14, 172)])
+    def test_each_root_is_polished_once_on_either_backend(self, cube, lam, pairs):
+        # the endpoints' canonical images differ by rounding where a root
+        # has zero coordinates: about 1e-16 on the exact tensor, more where
+        # the quadrature tensor has 1e-18 entries (merged on exact bits: 40
+        # and 54 rows at lambda=27, 294 and 456 at lambda=14); merged within
+        # _ROOT_TOL, every real root mod sign is polished once
+        group = bb.find_group(cube, eigenvalue=lam)
+        for backend in ("exact-quartic", "quadrature"):
+            f = bb.ReducedFunctional.for_group(group, cube, backend=backend)
+            pts, diag = bb.find_critical_points_with_diagnostics(f)
+            assert diag.n_converged == len(pts) == pairs
+
+    def test_merge_near_keeps_the_first_row_of_each_root(self):
+        C = np.array([[-1e-18, 1.0], [0.0, 1.0], [0.0, 1.0 + 1e-15], [1e-18, 1.0],
+                      [0.5, 1.0], [0.5 + 1e-6, 1.0]])
+        assert np.array_equal(critpoints._merge_near(C), C[[0, 4, 5]])
+        assert critpoints._merge_near(np.empty((0, 3))).shape == (0, 3)
 
     def test_homotopy_agrees_with_closed_form(self, square, sq_g50):
         # stage B run on a pattern tensor finds stage A's set and count

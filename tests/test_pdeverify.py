@@ -199,7 +199,7 @@ class TestBuildLaplacian:
         shift = Q.eigenvalues - rec_sq5.lam
         w = np.abs(shift) ** -0.5
         f = 3.0 * rec_sq5.epsilon * Q.restrict(rec_sq5.v) ** 2
-        op = Q.operator(w, -f, diag=w * shift * w)
+        op = Q.operator(w, f, diag=w * shift * w)
         T = np.column_stack([op(e.reshape(Q.shape)).ravel() for e in np.eye(w.size)])
         assert np.max(np.abs(T - T.T)) <= 1e-13 * np.max(np.abs(T))
 
@@ -472,7 +472,7 @@ class TestBuildLaplacian:
         calls = []
         dst = T.dst
         monkeypatch.setattr(T, "dst", lambda *args, **kw: calls.append(1) or dst(*args, **kw))
-        op = T.operator(T.eigenvalues ** -0.5, np.ones(T.shape))
+        op = T.operator(T.eigenvalues ** -0.5, np.ones(T.shape), T.eigenvalues)
         assert calls == []
         op(np.ones(T.shape))
         assert len(calls) == 2
@@ -760,7 +760,7 @@ class TestMorseIndex:
         # stencil eigenvalues, far more negatives than the j - 1 + k expected
         dp = bb.build_laplacian(square, 24, sq_g1)
         rec = bb.solve_branch(dp, pred_sq1.pairs[0].a, 0.1)
-        rec = dataclasses.replace(rec, v=8.0 * rec.v)
+        rec = dataclasses.replace(rec, images=8.0 * rec.images)
         A = reference_stencil(dp).toarray()
         mu = np.linalg.eigvalsh(A - np.diag(rec.lam + 3.0 * rec.epsilon * rec.v**2))
         morse, _ = bb.discrete_morse_index(dp, rec)
@@ -772,7 +772,7 @@ class TestMorseIndex:
         dp = bb.build_laplacian(cube, 12, cube_g6)
         pred = bb.predict_branches(cube_g6, bb.find_critical_points(f_cube6))
         rec = bb.solve_branch(dp, pred.pairs[0].a, 0.05)
-        rec = dataclasses.replace(rec, v=8.0 * rec.v)
+        rec = dataclasses.replace(rec, images=8.0 * rec.images)
         c = rec.lam + 3.0 * rec.epsilon * rec.v**2
         window = cube_g6.j - 1 + cube_g6.k + 2
         assert int(np.sum(dp.eigenvalues <= c.max())) > window
@@ -936,7 +936,7 @@ class TestMorseIndex:
         cp = next(cp for cp in reps  # n_parities single reversals fix the pair
                   if sum(h.bit_count() == 1 for h, _ in _stabiliser(dp, cp.a)) == n_parities)
         rec = bb.solve_branch(dp, cp.a, 0.05)
-        rec = dataclasses.replace(rec, v=8.0 * rec.v)
+        rec = dataclasses.replace(rec, images=8.0 * rec.images)
         c = rec.lam + 3.0 * rec.epsilon * rec.v**2
         assert int(np.sum(dp.eigenvalues <= c.max())) > dp.group.j + dp.group.k + 1
         mu = np.linalg.eigvalsh(reference_stencil(dp).toarray() - np.diag(c))
@@ -964,6 +964,53 @@ class TestContinuation:
         assert [v.target_morse for v in verdicts] == [
             cp.morse_index + 1 for cp in pred_sq5.pairs
         ]
+
+    def test_coinciding_solutions_fail_distinctness(self, dp_sq5, pred_sq5):
+        # two verdicts whose final solutions agree, the second up to sign
+        rec = bb.solve_branch(dp_sq5, pred_sq5.pairs[0].a, 0.05)
+        flipped = dataclasses.replace(rec, images=-rec.images, a_lambda=-rec.a_lambda)
+        verdicts = [bb.BranchVerdict(pair_index=i, predicted=pred_sq5.pairs[i],
+                                     target_morse=0, records=[r])
+                    for i, r in ((0, rec), (2, flipped))]
+        pdeverify._check_distinctness(dp_sq5, verdicts, VerifyConfig().dedup_radius)
+        assert [v.distinct_ok for v in verdicts] == [False, False]
+        assert verdicts[0].notes == ["coincides with pair 2 at eps=0.05"]
+        assert verdicts[1].notes == ["coincides with pair 0 at eps=0.05"]
+        assert not any(v.passed for v in verdicts)
+
+    def test_separated_solutions_are_cleared_by_their_projections(self, dp_sq5, pred_sq5,
+                                                                  monkeypatch):
+        # |v_1 -+ v_2|_L2 >= |a_1 -+ a_2| clears every pair of square lambda=5
+        # without mirroring a solution to the full grid
+        verdicts = [bb.BranchVerdict(pair_index=i, predicted=cp, target_morse=0,
+                                     records=[bb.solve_branch(dp_sq5, cp.a, 0.05)])
+                    for i, cp in enumerate(pred_sq5.pairs)]
+
+        def refused(*args):
+            raise AssertionError("a full-grid solution was built")
+
+        monkeypatch.setattr(pdeverify._SineTransform, "extend", refused)
+        pdeverify._check_distinctness(dp_sq5, verdicts, VerifyConfig().dedup_radius)
+        assert all(v.distinct_ok for v in verdicts) and not any(v.notes for v in verdicts)
+
+    def test_records_hold_their_sector_only(self, cube, cube_g6, f_cube6):
+        # each solution is kept as the images of its solve's sector: a
+        # quarter of the 32^3 grid for (t, t, 0), half for (t, t, t), an
+        # eighth for the pairs every reversal fixes; v mirrors it back
+        dp = bb.build_laplacian(cube, 33, cube_g6)
+        pred = bb.predict_branches(cube_g6, bb.find_critical_points(f_cube6))
+        verdicts = bb.continuation_run(dp, pred, [0.05])
+        sizes = []
+        for v in verdicts:
+            (rec,) = v.records
+            Q = dp.sector(_stabiliser(dp, v.predicted.a))
+            assert rec.sector is Q and rec.images.shape == Q.shape
+            arrays = [x for x in vars(rec).values() if isinstance(x, np.ndarray)]
+            assert max(x.size for x in arrays) == Q.shape[0] * 16**3
+            assert np.array_equal(Q.restrict(rec.v), rec.images)
+            sizes.append(rec.images.size)
+        assert sorted(set(sizes)) == [16**3, 2 * 16**3, 4 * 16**3]
+        assert sum(sizes) * 8 <= 1_100_000  # 3.4 MB as full grids
 
     def test_morse_stable_on_schedule_tail(self, dp_sq5, pred_sq5):
         verdicts = bb.continuation_run(dp_sq5, pred_sq5, geometric_schedule(0.1, 3))
