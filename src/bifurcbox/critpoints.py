@@ -123,7 +123,7 @@ def _newton_refine(f: ReducedFunctional, A0, cfg: SearchConfig):
         rows = np.flatnonzero(live)
         if not rows.size:
             break
-        step = _newton_steps(f.hessian_many(A[rows]), G[rows])
+        step = _solve_rows(f.hessian_many(A[rows]), -G[rows])
         finite = np.all(np.isfinite(step), axis=1)
         live[rows[~finite]] = False
         rows, step = rows[finite], step[finite]
@@ -159,11 +159,6 @@ def _solve_rows(H: np.ndarray, R: np.ndarray, singular=_ridge_solve) -> np.ndarr
         half = len(H) // 2
         return np.concatenate([_solve_rows(H[:half], R[:half], singular),
                                _solve_rows(H[half:], R[half:], singular)])
-
-
-def _newton_steps(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Rows of -H^(-1) g; a singular H gets the ridge 1e-8 max(1, max|H|)."""
-    return _solve_rows(H, -G)
 
 
 def _classify_many(f: ReducedFunctional, A, cfg: SearchConfig) -> list[CriticalPoint]:

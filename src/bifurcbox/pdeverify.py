@@ -48,9 +48,9 @@ with chi: half of them for square lambda=5's diagonal pairs, a quarter
 for the cube's (t, t, 0), one when every single reversal fixes the pair,
 all of them when none does.  Newton runs on the sine coefficients of
 those classes, and the record keeps the solution on their images.  The
-Morse count splits the linearization over the characters of the
-reversals that leave the solution's potential even, and sums their
-inertia.  One transform serves every case.
+Morse count splits the linearization over the characters of the same
+reversals, the record's stabiliser, and sums their inertia.  One
+transform serves every case.
 
 The grid's symmetries (axis reversals, and swaps of axes with equal N and
 side) map discrete solutions onto discrete solutions and act on the group
@@ -897,13 +897,13 @@ def _residual(Q: _SineTransform, lam: float, epsilon: float, p: float,
 
 
 class _SchurBlock:
-    """The Schur complement S of L = D - Q c Q on one sector onto the
-    entries M of the kept set that lie in it and in the window, eliminating
-    the rest E = N + R, with N the kept entries below the window (``P``
-    indexes the sector's coefficients, ``below`` marks N among them, ``c``
-    is on its images, read and never copied, as every sector of one Morse
-    count has the same images); the count of negative eigenvalues of L, and
-    the Ritz values ``theta`` and vectors ``W`` of S's first pencil."""
+    """The Schur complement S of L = D - Q c Q on one sector, a character of
+    the record's stabiliser, onto the entries M of the kept set that lie in
+    it and in the window, eliminating the rest E = N + R, with N the kept
+    entries below the window (``P`` indexes the sector's coefficients,
+    ``below`` marks N among them, ``c`` is on the record's images, which all
+    sectors share, read and never copied); the count of negative eigenvalues
+    of L, and the Ritz values ``theta`` and vectors ``W`` of S's first pencil."""
 
     def __init__(self, Q: _SineTransform, c: np.ndarray, P: tuple, below: np.ndarray,
                  lam: float):
@@ -1017,8 +1017,7 @@ def discrete_morse_index(
     among them; the count of those is one search of the last axis's symbol
     per grid line (``_count_at_most``), and P comes from a hyperbolic cross
     of indices (``_lowest_entries``), so D is never formed on the full
-    grid.  c is formed on the full grid from the record's mirrored
-    solution, and freed once it is cut to the sectors' images.  P splits
+    grid, and neither is c: it is formed on the record's images.  P splits
     into N, the entries with D < lambda - eta, eta = max(c) - lambda, and
     the window M, the rest of P.  The eliminated set is E = N + R, R the
     entries beyond P.  Since Q c Q >= lambda,
@@ -1035,14 +1034,14 @@ def discrete_morse_index(
     M, including split members that fall below lambda.  Nothing is random:
     ``rng_seed`` is unused and kept for the signature.
 
-    Under each product h of axis reversals that leaves c exactly even, L
-    maps a function with f(h x) = +-f(x) to one of the same sign, so it is
-    block-diagonal over the characters of the subgroup of those h, each
-    character a sector (see ``_SineTransform``).  Each entry of P lies in
-    one sector; each column of X, and every solve and product below, runs
-    on the class stack of its sector, and the Morse index is the sum of the
-    sectors' counts.  The blocks between sectors are zero; when no
-    reversal leaves c even there is one sector, every class.
+    The solve fixed the record's stabiliser H (``ContinuationRecord.sector``),
+    v(h x) = chi(h) v(x) for h in H, so c is exactly even under H and L is
+    block-diagonal over the characters of H, each a sector with the
+    record's images (see ``_SineTransform``).  Each entry of P lies in one
+    sector; each column of X, and every solve and product below, runs on
+    the class stack of its sector, and the Morse index is the sum of the
+    sectors' counts.  The blocks between sectors are zero; when H is the
+    identity alone there is one sector, every class.
 
     The mu come from Rayleigh-Ritz.  On the span of [I; -X] it gives the
     pencil (S, D_M + X^T D_E X), whose mu are off by O(mu^2).  The
@@ -1060,19 +1059,16 @@ def discrete_morse_index(
     ``morse_index``.
     """
     j, k = dp.group.j, dp.group.k
-    c = record.v.reshape(dp.shape)  # a new array: c = lam + eps p |v|^(p-1) in place
-    np.abs(c, out=c)
+    c = np.abs(record.images)  # c = lam + eps p |v|^(p-1), on the record's images
     c **= p - 1.0
     c *= record.epsilon * p
     c += record.lam
     c_max = c.max()
     ell = min(max(j - 1 + k + n_extra, _count_at_most(dp.freq_1d, c_max) + 1), dp.n)
     P, D_P = _lowest_entries(dp.freq_1d, ell)
-    even = [0] + [h for h in range(1, 2**c.ndim) if np.array_equal(c, np.flip(c, _axes(h)))]
     sigma = sum((i % 2) << d for d, i in enumerate(P))  # each entry's class
-    keys = [tuple((h, (-1) ** (int(s) & h).bit_count()) for h in even) for s in sigma]
-    # the sectors differ in chi only, so they share their images and c there
-    c = dp.sector(keys[0]).restrict(c)
+    keys = [tuple((h, (-1) ** (int(s) & h).bit_count()) for h, _ in record.sector.character)
+            for s in sigma]
     below = D_P < 2.0 * record.lam - c_max  # N: D < lam - eta, eta = max(c) - lam
     blocks = []
     for key in dict.fromkeys(keys):

@@ -320,6 +320,19 @@ class TestVerify:
         assert code == 0
         assert peak <= 8_000_000
 
+    @pytest.mark.parametrize("domain, lam, grid, p, pairs", [
+        ("square", "5", "64", "2.5", 4), ("cube", "6", "17", "2", 13),
+    ])
+    def test_verify_off_the_cubic_exponent(self, tmp_path, capsys, domain, lam, grid, p, pairs):
+        # p != 3: the |v|^(p-1) residual and Morse weight, and the grid-sum
+        # reference point on the dense group basis
+        code, out = run(tmp_path, "verify", "--domain", domain, "--lam", lam, "--grid", grid,
+                        "--p", p)
+        assert code == 0
+        verdicts = json.loads((out / "verdicts.json").read_text())["verdicts"]
+        assert [v["passed"] for v in verdicts] == [True] * pairs
+        assert capsys.readouterr().out.count("PASS") == pairs
+
     def test_byte_identical_verify_reports(self, tmp_path):
         args = ["verify", "--domain", "square", "--j", "1", "--grid", "32",
                 "--eps-steps", "2"]

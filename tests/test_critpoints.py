@@ -20,9 +20,9 @@ from bifurcbox.critpoints import (
     _images,
     _neighbourhood_min,
     _newton_refine,
-    _newton_steps,
     _orbit_union_size,
     _pair_representatives,
+    _solve_rows,
     _start_orbits,
     canonicalize,
     dedup_pairs,
@@ -142,10 +142,10 @@ class TestFindCriticalPoints:
         calls = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or solve(*a))
-        steps = _newton_steps(H, G)
+        steps = _solve_rows(H, -G)
         assert len(calls) <= 1 + len(singular) * (2 * math.ceil(math.log2(n)) + 1)
         monkeypatch.undo()
-        rows = np.array([_newton_steps(h[None], g[None])[0] for h, g in zip(H, G)])
+        rows = np.array([_solve_rows(h[None], -g[None])[0] for h, g in zip(H, G)])
         assert np.array_equal(steps, rows)
         assert np.all(np.isfinite(steps))
 

@@ -824,6 +824,54 @@ class TestMorseIndex:
         assert morse0 == morse1
         assert near0.tobytes() == near1.tobytes()
 
+    @pytest.mark.parametrize("domain, eigenvalue, grid, schedule", [
+        ("square", 5, 64, None), ("square", 50, 64, None),
+        ("cube", 6, 33, geometric_schedule(0.05, 1)), ("cube", 21, 13, None),
+    ])
+    def test_stabiliser_is_the_evenness_group_of_c(self, domain, eigenvalue, grid, schedule):
+        # the Morse count splits over the characters of the record's
+        # stabiliser: on every record of a run, the reversals under which
+        # c = lam + eps p |v|^(p-1) on the full grid is exactly even are
+        # that stabiliser, no fewer and no more.  Square lambda=50 keeps the
+        # four records of its one conclusive pair at 64^2, none at 32^2
+        dom = getattr(bb.DomainSpec, domain)()
+        group = bb.find_group(dom, eigenvalue=eigenvalue)
+        dp = bb.build_laplacian(dom, grid, group)
+        pred = bb.predict_branches(
+            group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom)))
+        schedule = schedule or geometric_schedule(min(0.1, 0.1 * dp.neighbor_gap), 4)
+        verdicts = bb.continuation_run(dp, pred, schedule, VerifyConfig(morse=False))
+        records = [rec for v in verdicts for rec in v.records]
+        assert records
+        for rec in records:
+            c = np.abs(rec.v.reshape(dp.shape))
+            c **= 2.0
+            c *= rec.epsilon * 3.0
+            c += rec.lam
+            even = [h for h in range(2**c.ndim) if np.array_equal(c, np.flip(c, _axes(h)))]
+            assert even == [h for h, _ in rec.sector.character]
+
+    @pytest.mark.parametrize("p", [3.0, 2.5])
+    def test_morse_count_holds_no_full_grid(self, square, sq_g5, dp_sq5, p, monkeypatch):
+        # c is formed on the record's images and the sectors are the
+        # characters of its stabiliser: nothing is mirrored to the full
+        # grid, cut from it, or flipped on it
+        f = bb.ReducedFunctional.for_group(sq_g5, square, p=p)
+        pred = bb.predict_branches(sq_g5, bb.find_critical_points(f), p=p)
+        records = [bb.solve_branch(dp_sq5, cp.a, 0.05, p) for cp in pred.pairs]
+        assert sorted({len(rec.sector.character) for rec in records}) == [2, 4]
+        expected = [bb.discrete_morse_index(dp_sq5, rec, p) for rec in records]
+
+        def refused(*args):
+            raise AssertionError("a full grid was built")
+
+        monkeypatch.setattr(pdeverify._SineTransform, "extend", refused)
+        monkeypatch.setattr(pdeverify._SineTransform, "restrict", refused)
+        monkeypatch.setattr(np, "flip", refused)
+        for rec, (morse, near) in zip(records, expected):
+            got, got_near = bb.discrete_morse_index(dp_sq5, rec, p)
+            assert got == morse and got_near.tobytes() == near.tobytes()
+
     def test_morse_peak_memory(self, cube, cube_g6, f_cube6):
         # one call at 33^3 with ARPACK (eigsh) peaked at 12.34 MB, the
         # full-grid Schur solve at 9.8 MB; this pair is even or odd along
