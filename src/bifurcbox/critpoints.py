@@ -189,51 +189,55 @@ def _classify_many(f: ReducedFunctional, A, cfg: SearchConfig) -> list[CriticalP
 def _pair_representatives(candidates, radius: float):
     """Canonical representatives of the sign pairs among ``candidates``,
     two points being one pair when their canonical forms are within
-    ``radius`` in the max norm; the search, the oracle and
-    :func:`predict_branches` all decide pairs here.
+    ``radius`` in the max norm; the homotopy's root images, the search,
+    the oracle and :func:`predict_branches` all decide pairs here.
 
     Greedy in input order: a point opens a pair unless it lies within
-    ``radius`` of an earlier representative.  Blocks of rows are first
-    compared with the representatives found before the block at once; the
-    rows that match none of them all open pairs when no two of them are
-    within ``radius``, and are checked one by one otherwise.
+    ``radius`` of an earlier representative.  Two such points have keys
+    w . x within |w|_1 ``radius``, w = 1/(1, ..., k), so each block of 64
+    rows is compared only with the representatives in its rows' key
+    windows, widened by the keys' rounding, and the rows that match none
+    with each other in the same windows.
 
     Returns (representative, position in ``candidates`` of the pair's
     first point) in deterministic sorted order."""
     if not len(candidates):
         return []
     C = canonicalize(np.array(candidates, dtype=float, ndmin=2), tol=radius) + 0.0  # no -0.0
-    reps = np.empty_like(C)
-    first: list[int] = []
-    start = 0
-    while start < len(C):
-        known = len(first)  # blocks of at most 64 rows and 2^20 distances
-        block = C[start:start + min(64, max(1, 2**20 // max(1, known)))]
-        dist = np.zeros((len(block), known))  # max norm by coordinate: a max over a
-        # trailing axis of length k is the slow path of numpy's reductions
-        for d in range(C.shape[1]):
-            np.maximum(dist, np.abs(block[:, d, None] - reps[:known, d]), out=dist)
-        fresh = start + np.flatnonzero(np.all(dist > radius, axis=1))
-        near = np.max(np.abs(C[fresh, None, :] - C[fresh]), axis=2) <= radius
-        if not np.any(np.tril(near, -1)):  # no two fresh rows are one pair
-            reps[len(first):len(first) + len(fresh)] = C[fresh]
-            first.extend(fresh.tolist())
-            fresh = ()
-        for i in fresh:
-            if np.all(np.max(np.abs(reps[known:len(first)] - C[i]), axis=1) > radius):
-                reps[len(first)] = C[i]
-                first.append(int(i))
-        start += len(block)
+    k = C.shape[1]
+    w = 1.0 / np.arange(1, k + 1)
+    key = C @ w
+    reach = np.sum(w) * radius  # plus each key's and each bound's rounding
+    reach += 4 * (k + 2) * np.finfo(float).eps * (np.max(np.abs(C) @ w) + reach)
+
+    def within(rows, others):
+        """(i, j) of every rows[i] within ``radius`` of others[j], whose
+        keys are sorted."""
+        lo = np.searchsorted(key[others], key[rows] - reach)
+        n = np.searchsorted(key[others], key[rows] + reach, side="right") - lo
+        i = np.repeat(np.arange(len(rows)), n)
+        j = np.arange(len(i)) - np.repeat(np.cumsum(n) - n - lo, n)
+        hit = np.max(np.abs(C[rows[i]] - C[others[j]]), axis=1) <= radius
+        return i[hit], j[hit]
+
+    opens = np.ones(len(C), dtype=bool)
+    kept = np.empty(0, dtype=int)  # the rows that open pairs, by key
+    for start in range(0, len(C), 64):
+        rows = np.arange(start, min(start + 64, len(C)))
+        opens[rows[within(rows, kept)[0]]] = False
+        fresh = rows[opens[rows]]
+        fresh = fresh[np.argsort(key[fresh], kind="stable")]
+        i, j = within(fresh, fresh)
+        for later, earlier in sorted(zip(fresh[i].tolist(), fresh[j].tolist())):
+            if earlier < later:  # in order of the later row: the earlier is settled
+                opens[later] &= not opens[earlier]
+        fresh = fresh[opens[fresh]]
+        kept = np.insert(kept, np.searchsorted(key[kept], key[fresh]), fresh)
+    first = np.flatnonzero(opens)
     # a fixed rounding (``radius`` may be 0): last-bit noise must not order pairs
-    rounded = np.round(reps[:len(first)], 10).tolist()
-    order = sorted(range(len(first)), key=lambda r: rounded[r])
-    return [(reps[r], first[r]) for r in order]
-
-
-def dedup_pairs(candidates, radius: float):
-    """Merge candidate vectors modulo sign into canonical representatives
-    (see :func:`_pair_representatives`), in deterministic sorted order."""
-    return [rep for rep, _ in _pair_representatives(list(candidates), radius)]
+    rounded = np.round(C[first], 10).tolist()
+    order = sorted(range(len(first)), key=rounded.__getitem__)
+    return [(C[first[r]], int(first[r])) for r in order]
 
 
 def pair_set_distance(points_a, points_b) -> float:
@@ -413,7 +417,8 @@ _CORRECTED = 1e-6             # the second corrector step must be this small
 _H_MIN = 1e-8                 # a path whose step falls below it has failed
 _MAX_STEPS = 1000
 _COND_LIMIT = 1e7             # endpoint condition numbers above it are not counted
-_ROOT_TOL = 1e-7              # two roots closer than this, relative, are one
+_ROOT_TOL = 1e-7              # two roots closer than this, relative, are one; the
+                              # root images' pair radius is it times 1 + max |C|
 
 
 def _homotopy_roots(f: ReducedFunctional, cfg: SearchConfig):
@@ -453,35 +458,14 @@ def _homotopy_roots(f: ReducedFunctional, cfg: SearchConfig):
             break
     X = np.concatenate(found)
     real = np.max(np.abs(X.imag), axis=1) <= _ROOT_TOL * (1.0 + np.max(np.abs(X), axis=1))
-    C = _merge_near(np.unique(canonicalize(_images(scale * X[real].real, src, sign)), axis=0))
+    # one row per root: its images differ by rounding where it has zero
+    # coordinates (about 1e-16 on either backend, more where the quadrature
+    # tensor has 1e-18 in place of exact zeros)
+    C = np.unique(canonicalize(_images(scale * X[real].real, src, sign)), axis=0)
+    radius = _ROOT_TOL * (1.0 + np.max(np.abs(C), initial=0.0))
+    C = C[sorted(i for _, i in _pair_representatives(C, radius))]
     A, ok = _newton_refine(f, C, cfg)
     return A, ok, n_paths, failed + int(np.sum(~ok)), distinct
-
-
-def _merge_near(C: np.ndarray) -> np.ndarray:
-    """The rows of ``C`` less each one within ``_ROOT_TOL`` (relative, max
-    norm) of an earlier row that is kept: one row per root, whose images
-    differ by rounding where the root has zero coordinates (about 1e-16 on
-    either backend, more where the quadrature tensor has 1e-18 in place of
-    exact zeros).  Two such rows have keys w . x within |w|_1 times the
-    tolerance, so only rows that close in key order are compared."""
-    tol = _ROOT_TOL * (1.0 + np.max(np.abs(C), axis=1))
-    w = 1.0 / np.arange(1, C.shape[1] + 1)
-    key = C @ w
-    order = np.argsort(key, kind="stable")
-    key, reach = key[order], np.sum(w) * tol.max(initial=0.0)
-    close = []
-    for d in range(1, len(C)):
-        near = np.flatnonzero(key[d:] - key[:-d] <= reach)
-        if not near.size:
-            break
-        i, j = np.sort([order[near], order[near + d]], axis=0)
-        hit = np.max(np.abs(C[i] - C[j]), axis=1) <= np.maximum(tol[i], tol[j])
-        close += zip(j[hit].tolist(), i[hit].tolist())
-    keep = np.ones(len(C), dtype=bool)
-    for j, i in sorted(close):  # i < j, whose own merge is settled by then
-        keep[j] &= not keep[i]
-    return C[keep]
 
 
 def _images(X: np.ndarray, src: np.ndarray, sign: np.ndarray) -> np.ndarray:
@@ -718,7 +702,8 @@ def brute_force_oracle(
         del G  # so the next slab's scan does not hold this one
     A, ok = _newton_refine(f, np.concatenate(starts), cfg)
     converged = A[ok & (np.max(np.abs(A), axis=1) > cfg.dedup_radius)]
-    return _classify_many(f, dedup_pairs(converged, cfg.dedup_radius), cfg)
+    return _classify_many(
+        f, [a for a, _ in _pair_representatives(converged, cfg.dedup_radius)], cfg)
 
 
 def _neighbourhood_min(G: np.ndarray) -> np.ndarray:

@@ -110,10 +110,16 @@ class TestPredict:
         assert first.endswith(
             f"13 pairs of branches (the grid oracle disagrees: 12 pairs at set distance {dist:.3g})")
 
-    def test_byte_identical_reports(self, tmp_path):
-        _, out1 = run(tmp_path, "predict", "--domain", "square", "--j", "2", name="a")
-        _, out2 = run(tmp_path, "predict", "--domain", "square", "--j", "2", name="b")
-        assert (out1 / "prediction.json").read_bytes() == (out2 / "prediction.json").read_bytes()
+    @pytest.mark.parametrize("args", [
+        ("--domain", "square", "--j", "2"),  # the closed form
+        ("--domain", "cube", "--lam", "14"),  # the homotopy, on either backend
+        ("--domain", "cube", "--lam", "14", "--backend", "quadrature"),
+    ])
+    def test_byte_identical_reports(self, args, tmp_path):
+        _, out1 = run(tmp_path, "predict", *args, name="a")
+        _, out2 = run(tmp_path, "predict", *args, name="b")
+        for name in ("prediction.json", "prediction.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_search_diagnostics_embedded(self, tmp_path):
         _, out = run(tmp_path, "predict", "--domain", "square", "--j", "2")

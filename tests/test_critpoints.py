@@ -25,7 +25,6 @@ from bifurcbox.critpoints import (
     _solve_rows,
     _start_orbits,
     canonicalize,
-    dedup_pairs,
     pair_set_distance,
 )
 from bifurcbox.errors import (
@@ -53,6 +52,26 @@ def cube6_points(f_cube6):
 def gamma_magnitudes(f):
     co = extract_rect_coefficients(f.tensor)
     return [(co.alpha + 3 * i * co.beta) ** -0.5 for i in range(f.k)]
+
+
+def sequential_pairs(candidates, radius):
+    """The greedy pair rule one candidate at a time, O(n^2), with the
+    scalar canonical form: (representative, first position), sorted."""
+    reps = np.empty((len(candidates), len(candidates[0]) if len(candidates) else 0))
+    first = []
+    for i, a in enumerate(candidates):
+        c = -a if next((x for x in a if abs(x) > radius), 0.0) < 0 else a.copy()
+        if np.all(np.max(np.abs(reps[:len(first)] - c), axis=1) > radius):
+            reps[len(first)] = c + 0.0  # no -0.0
+            first.append(i)
+    order = sorted(range(len(first)), key=lambda r: tuple(np.round(reps[r], 10)))
+    return [(reps[r], first[r]) for r in order]
+
+
+def assert_same_pairs(got, expected):
+    assert [i for _, i in got] == [i for _, i in expected]
+    for (rep, _), (ref, _) in zip(got, expected):
+        assert np.array_equal(rep, ref) and not np.any(np.signbit(rep) & (rep == 0.0))
 
 
 class TestFindCriticalPoints:
@@ -116,7 +135,8 @@ class TestFindCriticalPoints:
         assert not np.any((reps == 0.0) & np.signbit(reps))
         noise = 1e-15 * np.random.default_rng(0).choice([-1.0, 1.0], reps.shape)
         for shifted in (reps + noise, reps - noise):
-            assert np.max(np.abs(np.array(dedup_pairs(shifted, 1e-6)) - reps)) <= 1e-14
+            got = np.array([rep for rep, _ in _pair_representatives(shifted, 1e-6)])
+            assert np.max(np.abs(got - reps)) <= 1e-14
 
     def test_batched_newton_equals_row_by_row(self, square):
         # square lambda=65's structured seeds include singular Hessian
@@ -377,24 +397,20 @@ class TestCertifiedSearch:
         assert len(pts) == pairs and all(p.nondegenerate for p in pts)
         assert max(p.grad_norm for p in pts) <= 1e-12
 
-    @pytest.mark.parametrize("lam, pairs", [(27, 22), (14, 172)])
+    @pytest.mark.parametrize("lam, pairs", [(27, 22), (14, 172), (26, 364)])
     def test_each_root_is_polished_once_on_either_backend(self, cube, lam, pairs):
         # the endpoints' canonical images differ by rounding where a root
         # has zero coordinates: about 1e-16 on the exact tensor, more where
         # the quadrature tensor has 1e-18 entries (merged on exact bits: 40
-        # and 54 rows at lambda=27, 294 and 456 at lambda=14); merged within
-        # _ROOT_TOL, every real root mod sign is polished once
+        # and 54 rows at lambda=27, 294 and 456 at lambda=14); under the
+        # one pair rule, _pair_representatives at radius _ROOT_TOL (1 +
+        # max |C|), every real root mod sign is polished once
         group = bb.find_group(cube, eigenvalue=lam)
         for backend in ("exact-quartic", "quadrature"):
             f = bb.ReducedFunctional.for_group(group, cube, backend=backend)
             pts, diag = bb.find_critical_points_with_diagnostics(f)
             assert diag.n_converged == len(pts) == pairs
-
-    def test_merge_near_keeps_the_first_row_of_each_root(self):
-        C = np.array([[-1e-18, 1.0], [0.0, 1.0], [0.0, 1.0 + 1e-15], [1e-18, 1.0],
-                      [0.5, 1.0], [0.5 + 1e-6, 1.0]])
-        assert np.array_equal(critpoints._merge_near(C), C[[0, 4, 5]])
-        assert critpoints._merge_near(np.empty((0, 3))).shape == (0, 3)
+            assert diag.certificate == Certificate("homotopy", 3**group.k, 3**group.k)
 
     def test_homotopy_agrees_with_closed_form(self, square, sq_g50):
         # stage B run on a pattern tensor finds stage A's set and count
@@ -601,31 +617,19 @@ class TestHelpers:
         rows = np.array([[-1.0, 2.0], [0.0, -2.0], tiny])
         assert np.array_equal(canonicalize(rows), [[1.0, -2.0], [0.0, 2.0], [-1e-9, 2.0]])
 
-    def test_dedup_pairs_orderless(self):
+    def test_pair_representatives_orderless(self):
         rng = np.random.default_rng(12)
         pts = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
                np.array([1.0 + 1e-9, 1e-9]), np.array([0.0, 1.0])]
         for _ in range(5):
             perm = rng.permutation(len(pts))
-            reps = dedup_pairs([pts[i] for i in perm], 1e-6)
+            reps = [rep for rep, _ in _pair_representatives([pts[i] for i in perm], 1e-6)]
             assert len(reps) == 2
             assert np.allclose(reps[0], [0.0, 1.0])
             assert np.allclose(reps[1], [1.0, 0.0], atol=1e-8)
 
-    @pytest.mark.parametrize("radius", [0.0, 1e-6, 1e-3])
+    @pytest.mark.parametrize("radius", [0.0, 2e-7, 1e-6, 1e-3, 0.125])
     def test_pair_representatives_match_sequential_loop(self, radius):
-        def sequential(candidates, radius):
-            # the one-candidate-at-a-time loop, with the scalar canonical form
-            reps = np.empty((len(candidates), len(candidates[0]) if len(candidates) else 0))
-            first = []
-            for i, a in enumerate(candidates):
-                c = -a if next((x for x in a if abs(x) > radius), 0.0) < 0 else a.copy()
-                if np.all(np.max(np.abs(reps[:len(first)] - c), axis=1) > radius):
-                    reps[len(first)] = c + 0.0  # no -0.0
-                    first.append(i)
-            order = sorted(range(len(first)), key=lambda r: tuple(np.round(reps[r], 10)))
-            return [(reps[r], first[r]) for r in order]
-
         rng = np.random.default_rng(31)
         for _ in range(20):
             k = int(rng.integers(1, 6))
@@ -636,11 +640,33 @@ class TestHelpers:
                          * rng.choice([-1.0, 1.0], pts.shape))  # near duplicates
             pts[rng.random(pts.shape) < 0.1] = 0.0
             pts[rng.random(pts.shape) < 0.05] = -0.0
-            expected = sequential(list(pts), radius)
-            got = _pair_representatives(pts, radius)
-            assert [i for _, i in got] == [i for _, i in expected]
-            for (rep, _), (ref, _) in zip(got, expected):
-                assert np.array_equal(rep, ref) and not np.any(np.signbit(rep) & (rep == 0.0))
+            assert_same_pairs(_pair_representatives(pts, radius), sequential_pairs(pts, radius))
+        # chains of 0.8 r and 1.6 r steps, where the greedy rule and the
+        # connected components of "within r" differ; offsets of exactly r
+        # (dyadic, so the difference is exactly r); +-1e-18 where a
+        # coordinate is zero; a cluster straddling the 64-row blocks
+        r = radius if radius else 2.0**-20
+        for _ in range(40):
+            k = int(rng.integers(1, 7))
+            centres = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (int(rng.integers(1, 30)), k))
+            pts = centres[rng.integers(0, len(centres), int(rng.integers(1, 200)))]
+            step = rng.choice([0.0, 0.8 * r, 1.6 * r, r, 2 * r], pts.shape)
+            pts = pts + step * rng.integers(-2, 3, pts.shape)
+            zero = pts == 0.0
+            pts[zero] = rng.choice([0.0, 1e-18, -1e-18], np.count_nonzero(zero))
+            pts = pts * rng.choice([-1.0, 1.0], (len(pts), 1))
+            if len(pts) > 70:
+                pts[60:68] = pts[60] + 0.8 * r * np.arange(8)[:, None] * (rng.random(k) < 0.5)
+            assert_same_pairs(_pair_representatives(pts, radius), sequential_pairs(pts, radius))
+
+    def test_pair_representatives_keep_the_first_row_of_each_root(self):
+        # the homotopy's canonical images of one root differ by rounding
+        C = np.array([[-1e-18, 1.0], [0.0, 1.0], [0.0, 1.0 + 1e-15], [1e-18, 1.0],
+                      [0.5, 1.0], [0.5 + 1e-6, 1.0]])
+        got = _pair_representatives(C, 2e-7)
+        assert sorted(i for _, i in got) == [0, 4, 5]
+        assert_same_pairs(got, sequential_pairs(C, 2e-7))
+        assert _pair_representatives(np.empty((0, 3)), 2e-7) == []
 
     def test_pair_set_distance(self):
         A = [np.array([1.0, 0.0])]
