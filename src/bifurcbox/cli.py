@@ -650,10 +650,9 @@ def cmd_verify(args, cfg: dict) -> int:
     try:
         if isinstance(grid, str):
             grid = [int(x) for x in grid.split(",")]
-        if isinstance(grid, list) and len(grid) == 1:
-            grid = grid[0]
-        dp = build_laplacian(domain, grid, group)
-    except (TypeError, ValueError) as exc:
+        grid = [_as(int, g, "verify.grid") for g in (grid if isinstance(grid, list) else [grid])]
+        dp = build_laplacian(domain, grid[0] if len(grid) == 1 else grid, group)
+    except ValueError as exc:
         raise ConfigError(f"verify.grid: {exc}")
     if vcfg["eps0"] is None:
         vcfg["eps0"] = min(0.1, 0.1 * dp.neighbor_gap)

@@ -193,47 +193,17 @@ def _pair_representatives(candidates, radius: float):
     the oracle and :func:`predict_branches` all decide pairs here.
 
     Greedy in input order: a point opens a pair unless it lies within
-    ``radius`` of an earlier representative.  Two such points have keys
-    w . x within |w|_1 ``radius``, w = 1/(1, ..., k), so each block of 64
-    rows is compared only with the representatives in its rows' key
-    windows, widened by the keys' rounding, and the rows that match none
-    with each other in the same windows.
+    ``radius`` of an earlier representative, the orbit rule of
+    :func:`_orbits` under the identity alone.
 
     Returns (representative, position in ``candidates`` of the pair's
     first point) in deterministic sorted order."""
     if not len(candidates):
         return []
     C = canonicalize(np.array(candidates, dtype=float, ndmin=2), tol=radius) + 0.0  # no -0.0
-    k = C.shape[1]
-    w = 1.0 / np.arange(1, k + 1)
-    key = C @ w
-    reach = np.sum(w) * radius  # plus each key's and each bound's rounding
-    reach += 4 * (k + 2) * np.finfo(float).eps * (np.max(np.abs(C) @ w) + reach)
-
-    def within(rows, others):
-        """(i, j) of every rows[i] within ``radius`` of others[j], whose
-        keys are sorted."""
-        lo = np.searchsorted(key[others], key[rows] - reach)
-        n = np.searchsorted(key[others], key[rows] + reach, side="right") - lo
-        i = np.repeat(np.arange(len(rows)), n)
-        j = np.arange(len(i)) - np.repeat(np.cumsum(n) - n - lo, n)
-        hit = np.max(np.abs(C[rows[i]] - C[others[j]]), axis=1) <= radius
-        return i[hit], j[hit]
-
-    opens = np.ones(len(C), dtype=bool)
-    kept = np.empty(0, dtype=int)  # the rows that open pairs, by key
-    for start in range(0, len(C), 64):
-        rows = np.arange(start, min(start + 64, len(C)))
-        opens[rows[within(rows, kept)[0]]] = False
-        fresh = rows[opens[rows]]
-        fresh = fresh[np.argsort(key[fresh], kind="stable")]
-        i, j = within(fresh, fresh)
-        for later, earlier in sorted(zip(fresh[i].tolist(), fresh[j].tolist())):
-            if earlier < later:  # in order of the later row: the earlier is settled
-                opens[later] &= not opens[earlier]
-        fresh = fresh[opens[fresh]]
-        kept = np.insert(kept, np.searchsorted(key[kept], key[fresh]), fresh)
-    first = np.flatnonzero(opens)
+    first, _, _ = _orbits(C, np.arange(C.shape[1])[None], np.ones_like(C[:1]),
+                          np.full(len(C), radius))
+    first = np.flatnonzero(first == np.arange(len(C)))
     # a fixed rounding (``radius`` may be 0): last-bit noise must not order pairs
     rounded = np.round(C[first], 10).tolist()
     order = sorted(range(len(first)), key=rounded.__getitem__)
@@ -535,38 +505,82 @@ def _start_orbits(src: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return np.concatenate(reps)
 
 
-def _orbit_union_size(X: np.ndarray, src: np.ndarray, sign: np.ndarray) -> int:
-    """The number of distinct points in the union of the G x {+-1} orbits
-    of the rows of ``X`` (complex roots, scaled coordinates).
+def _orbits(X: np.ndarray, src: np.ndarray, sign: np.ndarray, tol: np.ndarray):
+    """The orbits of the rows of ``X`` under the group whose elements act
+    as the gather maps (P_g x)_i = sign[g, i] x[src[g, i]]: the one rule
+    that decides "P x = y", for the pairs, the homotopy's root count and
+    the verifier's orbit transport alike.
 
-    Each orbit has |G| / |stabilizer| points.  Two rows share an orbit only
-    if their invariant keys, the least of Re(w . P x) over the group for a
-    fixed generic w, agree; only such rows are compared image by image."""
-    if not len(X):
-        return 0
-    k = X.shape[1]
-    tol = _ROOT_TOL * (1.0 + np.max(np.abs(X), axis=1))
+    Rows are visited in index order: a row opens an orbit unless some
+    P_g x of an earlier opening row lies within its ``tol`` entry, in the
+    max norm.  Two such rows have invariant keys, the least of Re(w . P x)
+    over the group for w_j = e^(ij)/j, within |w|_1 ``tol`` of each other,
+    so each block of 64 rows is compared only with the opening rows in its
+    rows' key windows, widened by the keys' rounding, and the rows that
+    match none with each other in the same windows.  Images are built in
+    blocks of about 2^20 entries.
+
+    Returns (first, element, stab), one entry per row: the first row of its
+    orbit, the first g with P_g X[first] within ``tol`` of the row, and the
+    number of g with P_g x within ``tol`` of x."""
+    n, k = X.shape
     w = np.exp(1j * np.arange(1, k + 1)) / np.arange(1, k + 1)
-    stab, keys = np.empty(len(X), dtype=int), np.empty(len(X))
+    w = w if np.iscomplexobj(X) else w.real  # Re(w . x) for real rows, in reals
     block = max(1, 2**20 // (len(src) * k))
-    for lo in range(0, len(X), block):
+    key, stab, element = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=int)
+    for lo in range(0, n, block):
         rows = slice(lo, lo + block)
         images = X[rows][:, src] * sign  # (b, |G|, k)
-        stab[rows] = np.sum(np.max(np.abs(images - X[rows, None, :]), axis=2)
-                            <= tol[rows, None], axis=1)
-        keys[rows] = np.min((images @ w).real, axis=1)
-    order = np.argsort(keys, kind="stable")
-    opens = np.ones(len(X), dtype=bool)
-    reach = np.sum(np.abs(w)) * tol
-    for pos, i in enumerate(order):
-        for o in order[pos - 1::-1] if pos else ():
-            if keys[i] - keys[o] > reach[i]:
-                break
-            if opens[o] and np.min(np.max(np.abs(_images(X[o:o + 1], src, sign) - X[i]),
-                                          axis=1)) <= tol[i]:
-                opens[i] = False
-                break
-    return int(np.sum(len(src) // stab[opens]))
+        fixed = np.max(np.abs(images - X[rows, None, :]), axis=2) <= tol[rows, None]
+        stab[rows], element[rows] = np.sum(fixed, axis=1), np.argmax(fixed, axis=1)
+        key[rows] = np.min((images @ w).real, axis=1)
+    # |w|_1 tol, plus each key's and each bound's rounding
+    rounding = 4 * (k + 2) * np.finfo(float).eps
+    reach = np.sum(np.abs(w)) * (tol + rounding * (np.max(np.abs(X), initial=0.0) + tol))
+
+    def window(rows, others):
+        """(i, j) of every others[j], sorted by key, in rows[i]'s window."""
+        lo = np.searchsorted(key[others], key[rows] - reach[rows])
+        m = np.searchsorted(key[others], key[rows] + reach[rows], side="right") - lo
+        i = np.repeat(np.arange(len(rows)), m)
+        return i, np.arange(len(i)) - np.repeat(np.cumsum(m) - m - lo, m)
+
+    def settle(later, earlier):
+        """Each row of ``later`` joins the orbit of the least row of
+        ``earlier`` that opens one and has an image within its tol."""
+        g = np.empty(len(later), dtype=int)  # the first such image, or -1
+        step = max(1, block // 16)  # 2^16 entries: at 2^20 the heap outgrew the keys' pass
+        for lo in range(0, len(later), step):
+            r, e = later[lo:lo + step], earlier[lo:lo + step]
+            hit = np.max(np.abs(X[e][:, src] * sign - X[r, None, :]), axis=2) <= tol[r, None]
+            g[lo:lo + step] = np.where(np.any(hit, axis=1), np.argmax(hit, axis=1), -1)
+        for r, e, h in sorted(zip(later.tolist(), earlier.tolist(), g.tolist())):
+            if h >= 0 and first[r] == r and first[e] == e:  # e < r is settled
+                first[r], element[r] = e, h
+
+    first = np.arange(n)
+    kept = np.empty(0, dtype=int)  # the opening rows, by key
+    for start in range(0, n, 64):
+        rows = np.arange(start, min(start + 64, n))
+        i, j = window(rows, kept)
+        settle(rows[i], kept[j])
+        fresh = rows[first[rows] == rows]
+        fresh = fresh[np.argsort(key[fresh], kind="stable")]
+        i, j = window(fresh, fresh)
+        earlier = fresh[j] < fresh[i]
+        settle(fresh[i[earlier]], fresh[j[earlier]])
+        fresh = fresh[first[fresh] == fresh]
+        kept = np.insert(kept, np.searchsorted(key[kept], key[fresh]), fresh)
+    return first, element, stab
+
+
+def _orbit_union_size(X: np.ndarray, src: np.ndarray, sign: np.ndarray) -> int:
+    """The number of distinct points in the union of the G x {+-1} orbits
+    of the rows of ``X`` (complex roots, scaled coordinates): |G| / |stab|
+    over the rows that open an orbit, two roots closer than ``_ROOT_TOL``
+    (relative) being one."""
+    first, _, stab = _orbits(X, src, sign, _ROOT_TOL * (1.0 + np.max(np.abs(X), axis=1)))
+    return int(np.sum(len(src) // stab[first == np.arange(len(X))]))
 
 
 def _track(f: ReducedFunctional, scale: float, starts: np.ndarray, gamma: complex,

@@ -22,12 +22,12 @@ applied as dense matrix products along each axis, diagonalizes it
 exactly.  Its eigenvalues are kept as the 1-D symbols of the axes, and the
 group basis as the group modes' positions among the sine coefficients,
 where the start, the projection and the remainder of each solve are read
-and written; the dense basis and the full grid of eigenvalues are built
-only when a caller asks for them (``DiscreteProblem.eigvecs`` and
-``.eigenvalues``).  The Newton residual and the H1 norm apply the
-eigenvalues in sine coordinates, and the MINRES Newton steps and the CG
-solves of the Morse index run on operators of one shape there: pointwise,
-transform, pointwise, transform, pointwise.  The Morse index is an exact
+and written; the dense basis is built only when a caller asks for it
+(``DiscreteProblem.eigvecs``), and the full grid of eigenvalues never.
+The Newton residual and the H1 norm apply the eigenvalues in sine
+coordinates, and the MINRES Newton steps and the CG solves of the Morse
+index run on operators of one shape there: pointwise, transform,
+pointwise, transform, pointwise.  The Morse index is an exact
 inertia count: the modes below a window around lambda form a block that
 is negative definite by construction and count as they are, the modes
 above the kept ones a positive definite block, and a small Schur
@@ -79,6 +79,7 @@ from .critpoints import (
     SearchConfig,
     _box_isometries,
     _newton_refine,
+    _orbits,
 )
 from .errors import (
     ConvergedToWrongBranch,
@@ -331,10 +332,9 @@ class DiscreteProblem:
     sine index (i_1, ..., i_dim) is the sum of the axes' symbols there, and
     the group basis is the group modes' positions among the sine
     coefficients (``_sector_slots``): the verifier never holds either on
-    the full grid.  ``eigvecs`` and ``eigenvalues``, the dense group basis
-    and the full grid of stencil eigenvalues, are built on first use only.
-    Two problems are equal only when they are the same object, and hash by
-    identity."""
+    the full grid.  ``eigvecs``, the dense group basis, is built on first
+    use only.  Two problems are equal only when they are the same object,
+    and hash by identity."""
 
     domain: DomainSpec
     group: EigenGroup
@@ -365,24 +365,11 @@ class DiscreteProblem:
             for m in self.group.modes
         ]) / math.sqrt(self.weight)
 
-    @functools.cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """D, the stencil eigenvalue at every sine index."""
-        return _line_sums(self.freq_1d)[..., None] + self.freq_1d[-1]
-
     def inner(self, u, v) -> float:
         return self.weight * float(u @ v)
 
     def norm_l2(self, u) -> float:
         return math.sqrt(self.inner(u, u))
-
-    def norm_h1(self, u) -> float:
-        Q = self.transform
-        return math.sqrt(self.weight * float(np.sum(Q.eigenvalues * Q.dst(Q.restrict(u)) ** 2)))
-
-    def project(self, v) -> np.ndarray:
-        """Discrete L2 projections of v onto the group basis."""
-        return self.weight * (self.eigvecs.T @ v)
 
     @property
     def transform(self) -> _SineTransform:
@@ -744,13 +731,14 @@ def _linear_solve(Q: _SineTransform, lam: float, extra: np.ndarray,
 
 def _stabiliser(dp: DiscreteProblem, a: np.ndarray) -> tuple:
     """The products h of axis reversals with P_h a = chi(h) a to
-    ``_pair_tol(a)``, as the pairs (h, chi(h)) ascending in h, identity
-    first: P_h is h on the group coefficients, bit d of h reversing axis d.
-    They form a subgroup and chi a character on it, the sector of a."""
+    ``_pair_tol(a)`` in the max norm, as the pairs (h, chi(h)) ascending in
+    h, identity first: P_h is h on the group coefficients, bit d of h
+    reversing axis d.  They form a subgroup and chi a character on it, the
+    sector of a."""
     isometries, _, sign = dp.symmetries
     images, tol = sign[:2 ** len(dp.shape)] * a, _pair_tol(a)  # the reversals lead
-    plus = np.linalg.norm(images - a, axis=1) <= tol
-    minus = np.linalg.norm(images + a, axis=1) <= tol
+    plus = np.max(np.abs(images - a), axis=1) <= tol
+    minus = np.max(np.abs(images + a), axis=1) <= tol
     return tuple(sorted((sum(1 << d for d in flips), 1 if p else -1)
                         for (_, flips), p, m in zip(isometries, plus, minus) if p or m))
 
@@ -1172,25 +1160,23 @@ def _grid_map(dp: DiscreteProblem, perm: tuple[int, ...], flips: tuple[int, ...]
 
 
 def _pair_tol(a: np.ndarray) -> float:
-    """The distance within which a coefficient vector counts as a."""
+    """The distance, in the max norm, within which a coefficient vector
+    counts as a."""
     return 1e-8 * max(1.0, float(np.linalg.norm(a)))
 
 
 def _pair_orbits(dp: DiscreteProblem, pairs) -> list[tuple | None]:
     """For each pair, None when it is the lowest index of its orbit, else
     (representative, (perm, flips), sign) with sign P a_rep = a to
-    ``_pair_tol(a)``, P the first such isometry of ``dp.symmetries``."""
+    ``_pair_tol(a)`` in the max norm, P the first such isometry of
+    ``dp.symmetries`` and + before -: ``critpoints._orbits`` on +G, -G."""
     isometries, src, sign = dp.symmetries
-    images, sources = {}, []
-    for j, a in enumerate(pairs):
-        tol = _pair_tol(a)
-        source = next(((i, isometries[n], s) for i, img in images.items() for s in (1.0, -1.0)
-                       for n in np.flatnonzero(np.linalg.norm(s * img - a, axis=1) <= tol)),
-                      None)
-        if source is None:
-            images[j] = np.asarray(a)[src] * sign
-        sources.append(source)
-    return sources
+    A = np.array(pairs, dtype=float).reshape(len(pairs), dp.group.k)
+    first, element, _ = _orbits(A, np.concatenate([src, src]), np.concatenate([sign, -sign]),
+                                np.array([_pair_tol(a) for a in A]))
+    n_g = len(isometries)
+    return [None if r == j else (r, isometries[g % n_g], 1.0 if g < n_g else -1.0)
+            for j, (r, g) in enumerate(zip(first.tolist(), element.tolist()))]
 
 
 def continuation_run(

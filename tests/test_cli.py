@@ -429,6 +429,19 @@ class TestConfigAndReport:
         assert len(err) == 1 and "config error" in err[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("grid, shown", [("[64.9, 64.9]", "64.9"), ("[true, true]", "True"),
+                                             ("64.9", "64.9")])
+    def test_verify_grid_takes_integers_only(self, grid, shown, tmp_path, capsys):
+        # a float entry is refused, not truncated (64.9 ran at 64^2), and so
+        # is a bool; a scalar float named no key ("'float' object is not
+        # iterable")
+        argv = ["verify", "--domain", "square", "--lam", "5",
+                "--config", f'{{"verify": {{"grid": {grid}}}}}']
+        assert main([*_with_config_file(argv, tmp_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"bifurcbox: config error: verify.grid: expected int, got {shown}\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv, message", _VACUOUS,
                              ids=[message.split(":")[0] for _, message in _VACUOUS])
     def test_vacuous_search_is_refused_by_key(self, argv, message, tmp_path, capsys):

@@ -21,6 +21,7 @@ from bifurcbox.critpoints import (
     _neighbourhood_min,
     _newton_refine,
     _orbit_union_size,
+    _orbits,
     _pair_representatives,
     _solve_rows,
     _start_orbits,
@@ -66,6 +67,26 @@ def sequential_pairs(candidates, radius):
             first.append(i)
     order = sorted(range(len(first)), key=lambda r: tuple(np.round(reps[r], 10)))
     return [(reps[r], first[r]) for r in order]
+
+
+def sequential_orbits(X, src, sign, tol):
+    """The orbit rule one row at a time, against every image of every
+    earlier opening row: (first, element, stab)."""
+    first, element, stab = [], [], []
+    openers, images = [], np.empty((0, *src.shape), dtype=X.dtype)
+    for i, x in enumerate(X):
+        fixed = np.max(np.abs(x[src] * sign - x), axis=1) <= tol[i]
+        hits = np.argwhere(np.max(np.abs(images - x), axis=2) <= tol[i])  # opener-major
+        if len(hits):
+            first.append(openers[hits[0, 0]])
+            element.append(hits[0, 1])
+        else:
+            first.append(i)
+            element.append(np.argmax(fixed))
+            openers.append(i)
+            images = np.concatenate([images, (x[src] * sign)[None]])
+        stab.append(np.sum(fixed))
+    return np.array(first), np.array(element), np.array(stab)
 
 
 def assert_same_pairs(got, expected):
@@ -439,6 +460,31 @@ class TestCertifiedSearch:
         # rows that share an orbit (a path jump's endpoints) count once
         pooled = np.concatenate([reps, -reps[::-1], images[::7]]).astype(complex)
         assert _orbit_union_size(pooled, src, sign) == 728
+
+    @pytest.mark.parametrize("phase", [None, 0.3])
+    def test_orbits_match_the_sequential_rule(self, cube, phase):
+        # 90 orbits, the 29 start orbits (nontrivial stabilisers) and 61
+        # generic ones, each as 42 images under random elements with noise
+        # far below tol, shuffled: more rows than one block of images, real
+        # as the verifier's pairs and complex as the homotopy's roots
+        f = bb.ReducedFunctional.for_group(bb.find_group(cube, eigenvalue=14), cube)
+        src, sign = _box_group(f)
+        rng = np.random.default_rng(4)
+        base = np.concatenate([_start_orbits(src, sign), rng.standard_normal((61, 6))])
+        g = rng.integers(len(src), size=(len(base), 42))
+        images = _images(base, src, sign).reshape(len(base), len(src), 6)
+        X = images[np.arange(len(base))[:, None], g].reshape(-1, 6)
+        X = X[rng.permutation(len(X))] + 1e-10 * rng.uniform(-1.0, 1.0, X.shape)
+        if phase is not None:
+            X = X * np.exp(1j * phase)
+        tol = 1e-7 * (1.0 + np.max(np.abs(X), axis=1))
+        assert len(X) > 2**20 // (len(src) * 6)
+        first, element, stab = _orbits(X, src, sign, tol)
+        for got, expected in zip((first, element, stab), sequential_orbits(X, src, sign, tol)):
+            assert np.array_equal(got, expected)
+        assert len(np.unique(first)) == 90
+        empty = _orbits(X[:0], src, sign, tol[:0])
+        assert [len(a) for a in empty] == [0, 0, 0]
 
     def test_box_group_keeps_only_symmetries_of_the_tensor(self, cube):
         f = bb.ReducedFunctional.for_group(bb.find_group(cube, eigenvalue=14), cube)

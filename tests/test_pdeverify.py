@@ -29,6 +29,7 @@ from bifurcbox.pdeverify import (
     _linear_solve,
     _lowest_entries,
     _pair_orbits,
+    _pair_tol,
     _axes,
     _residual,
     _sector_slots,
@@ -61,6 +62,40 @@ def reference_stencil(dp) -> sp.csr_matrix:
             term = f if term is None else sp.kron(term, f, format="csr")
         A = term if A is None else A + term
     return A.tocsr()
+
+
+def stencil_eigenvalues(dp) -> np.ndarray:
+    """D, the stencil eigenvalue at every sine index of ``dp``'s grid: the
+    sum of the axes' symbols, in axis order."""
+    return functools.reduce(np.add.outer, dp.freq_1d)
+
+
+def project(dp, v) -> np.ndarray:
+    """Discrete L2 projections of v onto the dense group basis."""
+    return dp.weight * (dp.eigvecs.T @ v)
+
+
+def norm_h1(dp, u) -> float:
+    """The discrete H1 seminorm sqrt(w u . A u), A applied in sine coordinates."""
+    Q = dp.transform
+    return math.sqrt(dp.weight * float(np.sum(Q.eigenvalues * Q.dst(Q.restrict(u)) ** 2)))
+
+
+def reference_pair_orbits(dp, pairs):
+    """The verifier's orbit search before it shared the keyed rule of
+    ``critpoints._orbits``, kept as the reference: a loop over pairs x
+    representatives x isometries in the 2-norm, + before -."""
+    isometries, src, sign = dp.symmetries
+    images, sources = {}, []
+    for j, a in enumerate(pairs):
+        tol = _pair_tol(a)
+        source = next(((i, isometries[n], s) for i, img in images.items() for s in (1.0, -1.0)
+                       for n in np.flatnonzero(np.linalg.norm(s * img - a, axis=1) <= tol)),
+                      None)
+        if source is None:
+            images[j] = np.asarray(a)[src] * sign
+        sources.append(source)
+    return sources
 
 
 def orbit_representatives(domain, eigenvalue, grid):
@@ -230,17 +265,16 @@ class TestBuildLaplacian:
         finally:
             tracemalloc.stop()
         assert peak <= 8e6
-        assert not {"eigvecs", "eigenvalues"} & vars(dp).keys()
+        assert "eigvecs" not in vars(dp)
 
-    def test_dense_basis_and_spectrum_are_built_on_first_use(self, square, sq_g5):
+    def test_dense_basis_is_built_on_first_use(self, square, sq_g5):
         dp = bb.build_laplacian(square, 32, sq_g5)
-        assert not {"eigvecs", "eigenvalues"} & vars(dp).keys()
+        assert "eigvecs" not in vars(dp)
         assert dp.eigvecs is dp.eigvecs and dp.eigvecs.shape == (dp.n, 2)
-        assert dp.eigenvalues is dp.eigenvalues and dp.eigenvalues.shape == dp.shape
         A = reference_stencil(dp)
         assert np.max(np.abs(A @ dp.eigvecs - dp.eigvecs * dp.lambda_h)) <= 1e-10 * dp.lambda_h
         freq = [_sine_eigenvalues_1d(g, L) for g, L in zip(dp.grid, dp.domain.sides)]
-        assert np.array_equal(dp.eigenvalues, freq[0][:, None] + freq[1])
+        assert np.array_equal(stencil_eigenvalues(dp), freq[0][:, None] + freq[1])
 
     @pytest.mark.parametrize("side_sq, eigenvalue, grid", [
         (["pi^2", "pi^2"], 5, 64), (["pi^2", "pi^2"], 50, 33), (["pi^2", "pi^2"], 82, 20),
@@ -253,7 +287,7 @@ class TestBuildLaplacian:
         dom = bb.DomainSpec.from_strings(side_sq)
         group = bb.find_group(dom, eigenvalue=eigenvalue)
         dp = bb.build_laplacian(dom, grid, group)
-        dist = np.abs(dp.eigenvalues - dp.lambda_h)
+        dist = np.abs(stencil_eigenvalues(dp) - dp.lambda_h)
         dist[tuple(np.array([m.indices for m in group.modes]).T - 1)] = np.inf
         assert dp.neighbor_gap == dist.min()
 
@@ -480,7 +514,7 @@ class TestBuildLaplacian:
     def test_h1_norm_matches_stencil(self, dp_sq5):
         u = np.random.default_rng(2).standard_normal(dp_sq5.n)
         ref = math.sqrt(dp_sq5.weight * float(u @ (reference_stencil(dp_sq5) @ u)))
-        assert dp_sq5.norm_h1(u) == pytest.approx(ref, rel=1e-13)
+        assert norm_h1(dp_sq5, u) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("domain, eigenvalue, grid", [("square", 5, 32), ("cube", 6, 12)])
     def test_linear_solve_matches_dense(self, domain, eigenvalue, grid):
@@ -665,9 +699,9 @@ class TestSolveBranch:
                 if dp.norm_l2(r) <= 1e-13:
                     break
                 ref -= np.linalg.solve(A - np.diag(lam + 3.0 * eps * ref**2), r)
-            a_ref = dp.project(ref)
+            a_ref = project(dp, ref)
             assert np.max(np.abs(rec.a_lambda - a_ref)) <= 1e-10
-            assert rec.phi_norm == pytest.approx(dp.norm_h1(ref - dp.eigvecs @ a_ref),
+            assert rec.phi_norm == pytest.approx(norm_h1(dp, ref - dp.eigvecs @ a_ref),
                                                  abs=1e-10)
             checked += 1
         assert checked == {"square": 2, "cube": 3}[domain]
@@ -694,11 +728,11 @@ class TestSolveBranch:
             ref = Q.dst(Q.restrict(dp.eigvecs @ cp.a))
             assert np.max(np.abs(start - ref)) <= 1e-13 * np.max(np.abs(ref))
             rec = bb.solve_branch(dp, cp.a, 0.05)
-            a_ref = dp.project(rec.v)
+            a_ref = project(dp, rec.v)
             assert np.max(np.abs(rec.a_lambda - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
             assert np.all(rec.a_lambda[~inside] == 0.0)
-            phi_ref = dp.norm_h1(rec.v - dp.eigvecs @ a_ref)
-            assert abs(rec.phi_norm - phi_ref) <= 1e-13 * dp.norm_h1(rec.v)
+            phi_ref = norm_h1(dp, rec.v - dp.eigvecs @ a_ref)
+            assert abs(rec.phi_norm - phi_ref) <= 1e-13 * norm_h1(dp, rec.v)
 
     def test_supercritical_exponent_refused(self, cube, cube_g6):
         dp = bb.build_laplacian(cube, 12, cube_g6)
@@ -775,7 +809,7 @@ class TestMorseIndex:
         rec = dataclasses.replace(rec, images=8.0 * rec.images)
         c = rec.lam + 3.0 * rec.epsilon * rec.v**2
         window = cube_g6.j - 1 + cube_g6.k + 2
-        assert int(np.sum(dp.eigenvalues <= c.max())) > window
+        assert int(np.sum(stencil_eigenvalues(dp) <= c.max())) > window
         mu = np.linalg.eigvalsh(reference_stencil(dp).toarray() - np.diag(c))
         morse, _ = bb.discrete_morse_index(dp, rec)
         assert morse == int(np.sum(mu < 0.0)) == 10
@@ -790,7 +824,7 @@ class TestMorseIndex:
         # latter up to ties at its last value
         dom = bb.DomainSpec.from_strings(side_sq)
         dp = bb.build_laplacian(dom, grid, bb.find_group(dom, eigenvalue=len(side_sq)))
-        D = dp.eigenvalues
+        D = stencil_eigenvalues(dp)
         flat = np.sort(D, axis=None)
         for t in [flat[0] - 1.0, *flat[[0, 7, 100, 531]], 0.5 * (flat[40] + flat[41]),
                   flat[-1], 2.0 * flat[-1]]:
@@ -986,7 +1020,7 @@ class TestMorseIndex:
         rec = bb.solve_branch(dp, cp.a, 0.05)
         rec = dataclasses.replace(rec, images=8.0 * rec.images)
         c = rec.lam + 3.0 * rec.epsilon * rec.v**2
-        assert int(np.sum(dp.eigenvalues <= c.max())) > dp.group.j + dp.group.k + 1
+        assert int(np.sum(stencil_eigenvalues(dp) <= c.max())) > dp.group.j + dp.group.k + 1
         mu = np.linalg.eigvalsh(reference_stencil(dp).toarray() - np.diag(c))
         morse, _ = bb.discrete_morse_index(dp, rec)
         assert morse == int(np.sum(mu < 0.0)) == negatives
@@ -1214,6 +1248,25 @@ class TestGridSymmetry:
         dp = bb.build_laplacian(dom, grid, bb.find_group(dom, eigenvalue=eigenvalue))
         assert len(dp.symmetries[0]) == order
 
+    @pytest.mark.parametrize("domain, eigenvalue, grid, orbits", [
+        ("cube", 14, 13, 19), ("cube", 21, 13, 15), ("cube", 26, 13, 29),
+        ("square", 5, 64, 2), ("square", 50, 64, 9),
+    ])
+    def test_pair_orbits_match_the_reference_loop(self, domain, eigenvalue, grid, orbits):
+        # the keyed orbit rule picks the loop's representative, isometry and
+        # sign for every pair, in the given order and in a shuffled one
+        dom = getattr(bb.DomainSpec, domain)()
+        group = bb.find_group(dom, eigenvalue=eigenvalue)
+        dp = bb.build_laplacian(dom, grid, group)
+        pred = bb.predict_branches(
+            group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom)))
+        pairs = [cp.a for cp in pred.pairs]
+        shuffled = [pairs[i] for i in np.random.default_rng(0).permutation(len(pairs))]
+        for order in (pairs, shuffled):
+            sources = _pair_orbits(dp, order)
+            assert sources == reference_pair_orbits(dp, order)
+            assert sum(source is None for source in sources) == orbits
+
     @pytest.mark.parametrize("n", [16, 63, 127])
     def test_sine_matrix_reflects_exactly(self, n):
         # reversing the grid axis maps column m to (-1)^(m+1) times itself,
@@ -1250,7 +1303,7 @@ class TestGridSymmetry:
             assert np.array_equal(np.abs(P).sum(axis=0), np.ones(dp.group.k))
             assert np.array_equal(np.abs(P).sum(axis=1), np.ones(dp.group.k))
             assert set(np.unique(P)) <= {-1.0, 0.0, 1.0}
-            assert np.max(np.abs(dp.project(g(dp.eigvecs @ a)) - P @ a)) <= 1e-13
+            assert np.max(np.abs(project(dp, g(dp.eigvecs @ a)) - P @ a)) <= 1e-13
             assert np.max(np.abs(residual(g(v)) - g(r))) <= 1e-13 * np.max(np.abs(r))
 
     @pytest.mark.parametrize("domain, eigenvalue, grid, schedule, n_transported", [
