@@ -518,7 +518,7 @@ def _orbits(X: np.ndarray, src: np.ndarray, sign: np.ndarray, tol: np.ndarray):
     so each block of 64 rows is compared only with the opening rows in its
     rows' key windows, widened by the keys' rounding, and the rows that
     match none with each other in the same windows.  Images are built in
-    blocks of about 2^20 entries.
+    blocks of about 2^16 entries.
 
     Returns (first, element, stab), one entry per row: the first row of its
     orbit, the first g with P_g X[first] within ``tol`` of the row, and the
@@ -526,7 +526,7 @@ def _orbits(X: np.ndarray, src: np.ndarray, sign: np.ndarray, tol: np.ndarray):
     n, k = X.shape
     w = np.exp(1j * np.arange(1, k + 1)) / np.arange(1, k + 1)
     w = w if np.iscomplexobj(X) else w.real  # Re(w . x) for real rows, in reals
-    block = max(1, 2**20 // (len(src) * k))
+    block = max(1, 2**16 // (len(src) * k))  # at 2^20 its temporaries set a search's peak
     key, stab, element = np.empty(n), np.empty(n, dtype=int), np.empty(n, dtype=int)
     for lo in range(0, n, block):
         rows = slice(lo, lo + block)
@@ -549,11 +549,10 @@ def _orbits(X: np.ndarray, src: np.ndarray, sign: np.ndarray, tol: np.ndarray):
         """Each row of ``later`` joins the orbit of the least row of
         ``earlier`` that opens one and has an image within its tol."""
         g = np.empty(len(later), dtype=int)  # the first such image, or -1
-        step = max(1, block // 16)  # 2^16 entries: at 2^20 the heap outgrew the keys' pass
-        for lo in range(0, len(later), step):
-            r, e = later[lo:lo + step], earlier[lo:lo + step]
+        for lo in range(0, len(later), block):  # images of 2^16 entries, as in the key pass
+            r, e = later[lo:lo + block], earlier[lo:lo + block]
             hit = np.max(np.abs(X[e][:, src] * sign - X[r, None, :]), axis=2) <= tol[r, None]
-            g[lo:lo + step] = np.where(np.any(hit, axis=1), np.argmax(hit, axis=1), -1)
+            g[lo:lo + block] = np.where(np.any(hit, axis=1), np.argmax(hit, axis=1), -1)
         for r, e, h in sorted(zip(later.tolist(), earlier.tolist(), g.tolist())):
             if h >= 0 and first[r] == r and first[e] == e:  # e < r is settled
                 first[r], element[r] = e, h

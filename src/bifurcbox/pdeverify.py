@@ -371,11 +371,6 @@ class DiscreteProblem:
     def norm_l2(self, u) -> float:
         return math.sqrt(self.inner(u, u))
 
-    @property
-    def transform(self) -> _SineTransform:
-        """The sine transform on every class: the sector of no symmetry."""
-        return self.sector(((0, 1),))
-
     @functools.cached_property
     def grid_quartic(self) -> QuarticTensor:
         """The grid-sum quartic T[i, h, l, m] = sum_x w E_i E_h E_l E_m of
@@ -761,7 +756,7 @@ def solve_branch(
     a,
     epsilon: float,
     p: float = 3.0,
-    v0: np.ndarray | None = None,
+    v0: np.ndarray | ContinuationRecord | None = None,
     tol: float = 1e-10,
     max_iter: int = 60,
     linear_rtol: float = 1e-12,
@@ -778,8 +773,10 @@ def solve_branch(
     nonlinearity on the sector's images, MINRES steps and line search stay
     in coefficients, and residual norms are taken there (Parseval).  The
     start a . e is placed at the group modes' coefficients, and a full-grid
-    ``v0`` is cut to the images.  The record keeps the solution on those
-    images (``ContinuationRecord.images``).  The projection a_lambda and the
+    ``v0`` is cut to the images; a record ``v0`` on the same sector, such
+    as an earlier solve of the same a, starts from its images as they are.
+    The record keeps the solution on those images
+    (``ContinuationRecord.images``).  The projection a_lambda and the
     remainder phi are read off the solution's coefficients: the group modes'
     own, and all the others.
 
@@ -799,8 +796,10 @@ def solve_branch(
     if v0 is None:
         coef = np.zeros(Q.shape)
         coef[slots] = a[inside] / math.sqrt(dp.weight)
+    elif isinstance(v0, ContinuationRecord) and v0.sector is Q:
+        coef = Q.dst(v0.images)
     else:
-        coef = Q.dst(Q.restrict(v0))
+        coef = Q.dst(Q.restrict(v0.v if isinstance(v0, ContinuationRecord) else v0))
     residual = functools.partial(_residual, Q, lam, epsilon, p)
 
     def norm(r):
@@ -991,7 +990,7 @@ def discrete_morse_index(
     dp: DiscreteProblem,
     record: ContinuationRecord,
     p: float = 3.0,
-    n_extra: int = 2,
+    n_extra: int = 0,
     zero_tol: float = 1e-10,
     rng_seed: int = 0,
 ) -> tuple[int, np.ndarray]:
@@ -1001,14 +1000,19 @@ def discrete_morse_index(
 
     In sine coordinates the linearization is L = D - Q c Q, with Q the sine
     transform, D the stencil eigenvalues and c = lambda + eps F >= lambda
-    pointwise.  P holds the ell lowest entries of D, every D <= max(c)
-    among them; the count of those is one search of the last axis's symbol
-    per grid line (``_count_at_most``), and P comes from a hyperbolic cross
-    of indices (``_lowest_entries``), so D is never formed on the full
-    grid, and neither is c: it is formed on the record's images.  P splits
-    into N, the entries with D < lambda - eta, eta = max(c) - lambda, and
-    the window M, the rest of P.  The eliminated set is E = N + R, R the
-    entries beyond P.  Since Q c Q >= lambda,
+    pointwise.  P holds the ell lowest entries of D, with ell the largest
+    of #{D <= max(c)}, j - 1 + k, which covers the multiplet, and |N| + k
+    (below), which leaves k entries for the Ritz values; plus ``n_extra``
+    entries beyond that window (none by default: each costs a solve and
+    none can change the count).  Each count is one search of the last
+    axis's symbol per grid line (``_count_at_most``), and P comes from a
+    hyperbolic cross of indices (``_lowest_entries``); both sum D in the
+    same axis order, so every entry beyond P has D > max(c) bit for bit.
+    D is never formed on the full grid, and neither is c: it is formed on
+    the record's images.  P splits into N, the entries with
+    D < lambda - eta, eta = max(c) - lambda, and the window M, the rest of
+    P.  The eliminated set is E = N + R, R the entries beyond P.  Since
+    Q c Q >= lambda,
     L_NN <= D_N - lambda < 0, and L_RR >= min(D_R) - max(c) > 0, so the
     Schur complement C = L_RR - L_RN L_NN^(-1) L_NR >= L_RR > 0 too.  By
     inertia additivity (Haynsworth) L_EE has |N| negative eigenvalues, and
@@ -1052,12 +1056,14 @@ def discrete_morse_index(
     c *= record.epsilon * p
     c += record.lam
     c_max = c.max()
-    ell = min(max(j - 1 + k + n_extra, _count_at_most(dp.freq_1d, c_max) + 1), dp.n)
+    floor = 2.0 * record.lam - c_max  # N: D < lam - eta, eta = max(c) - lam
+    n_below = _count_at_most(dp.freq_1d, np.nextafter(floor, -np.inf))  # #{D < floor}
+    ell = min(max(_count_at_most(dp.freq_1d, c_max), j - 1 + k, n_below + k) + n_extra, dp.n)
     P, D_P = _lowest_entries(dp.freq_1d, ell)
     sigma = sum((i % 2) << d for d, i in enumerate(P))  # each entry's class
     keys = [tuple((h, (-1) ** (int(s) & h).bit_count()) for h, _ in record.sector.character)
             for s in sigma]
-    below = D_P < 2.0 * record.lam - c_max  # N: D < lam - eta, eta = max(c) - lam
+    below = D_P < floor
     blocks = []
     for key in dict.fromkeys(keys):
         Q = dp.sector(key)
@@ -1237,7 +1243,7 @@ def continuation_run(
                 verdict.transported_from = rep
                 v0 = _grid_map(dp, *isometry, start.sector.extend(sign * start.images))
             else:
-                v0 = None if previous is None else previous.v
+                v0 = previous  # on the sector of the same a: its images as they are
             try:
                 rec = solve_branch(
                     dp, cp.a, eps, p, v0=v0,
@@ -1251,7 +1257,7 @@ def continuation_run(
                 verdict.inconclusive = True
                 continue
             finally:
-                del v0  # a full grid: not held through the Morse count
+                del v0  # a mapped start is a full grid: not held through the Morse count
             previous = rec
             if (cfg.morse and mapped is not None and mapped.near_zero_mu is not None
                     and len(rec.residual_history) == 1):

@@ -75,9 +75,14 @@ def project(dp, v) -> np.ndarray:
     return dp.weight * (dp.eigvecs.T @ v)
 
 
+def full_transform(dp) -> _SineTransform:
+    """The sine transform on every class: the sector of no symmetry."""
+    return dp.sector(((0, 1),))
+
+
 def norm_h1(dp, u) -> float:
     """The discrete H1 seminorm sqrt(w u . A u), A applied in sine coordinates."""
-    Q = dp.transform
+    Q = full_transform(dp)
     return math.sqrt(dp.weight * float(np.sum(Q.eigenvalues * Q.dst(Q.restrict(u)) ** 2)))
 
 
@@ -230,7 +235,7 @@ class TestBuildLaplacian:
 
     def test_newton_operator_symmetric(self, dp_sq5, rec_sq5):
         # the split-preconditioned Jacobian MINRES runs on, as a dense matrix
-        Q = dp_sq5.transform
+        Q = full_transform(dp_sq5)
         shift = Q.eigenvalues - rec_sq5.lam
         w = np.abs(shift) ** -0.5
         f = 3.0 * rec_sq5.epsilon * Q.restrict(rec_sq5.v) ** 2
@@ -405,7 +410,7 @@ class TestBuildLaplacian:
         rng = np.random.default_rng(0)
         v = rng.standard_normal(dp_sq5.n)
         direct = reference_stencil(dp_sq5) @ v
-        Q = dp_sq5.transform
+        Q = full_transform(dp_sq5)
         spectral = Q.extend(Q.dst(Q.dst(Q.restrict(v)) * Q.eigenvalues, inverse=True))
         assert np.max(np.abs(direct - spectral)) <= 1e-10 * np.max(np.abs(direct))
 
@@ -502,7 +507,7 @@ class TestBuildLaplacian:
             assert np.vdot(got, got) == pytest.approx(float(np.vdot(x, x)), rel=1e-12)
 
     def test_operator_builds_without_a_matvec(self, dp_sq5, monkeypatch):
-        T = dp_sq5.transform
+        T = full_transform(dp_sq5)
         calls = []
         dst = T.dst
         monkeypatch.setattr(T, "dst", lambda *args, **kw: calls.append(1) or dst(*args, **kw))
@@ -526,7 +531,7 @@ class TestBuildLaplacian:
         v = dp.eigvecs @ np.linspace(1.0, 2.0, group.k)
         f = 3.0 * eps * v**2
         rhs = np.random.default_rng(3).standard_normal(dp.n)
-        Q = dp.transform
+        Q = full_transform(dp)
         x, info = _linear_solve(Q, lam, Q.restrict(f), Q.dst(Q.restrict(rhs)), 1e-12)
         x = Q.extend(Q.dst(x, inverse=True))
         assert info == 0
@@ -802,7 +807,7 @@ class TestMorseIndex:
 
     def test_window_holds_every_negative_mu_3d(self, cube, cube_g6, f_cube6):
         # eight times the solution makes c = lambda + 3 eps v^2 exceed 60
-        # stencil eigenvalues, far more than the default window j - 1 + k + 2
+        # stencil eigenvalues, far more than j - 1 + k + 2
         dp = bb.build_laplacian(cube, 12, cube_g6)
         pred = bb.predict_branches(cube_g6, bb.find_critical_points(f_cube6))
         rec = bb.solve_branch(dp, pred.pairs[0].a, 0.05)
@@ -1007,6 +1012,78 @@ class TestMorseIndex:
             counts[dp.group.j] = len(calls)
         assert counts[2] == counts[14]
 
+    @pytest.mark.parametrize("domain, eigenvalue, grid, pairs", [
+        ("cube", 21, 13, None), ("square", 13, 32, None), ("square", 50, 64, [3]),
+    ])
+    def test_entries_beyond_the_window_do_not_move_the_count(self, domain, eigenvalue, grid,
+                                                             pairs):
+        # entries above max c join R, where L_RR > 0 already: three more of
+        # them in P leave the count as it is and mu to the solve tolerance.
+        # Warm-started records of each orbit representative (square lambda=50
+        # at 64^2: its one conclusive pair) along the verifier's schedule
+        dp, reps = orbit_representatives(domain, eigenvalue, grid)
+        if pairs is not None:
+            pred = bb.predict_branches(dp.group, bb.find_critical_points(
+                bb.ReducedFunctional.for_group(dp.group, dp.domain)))
+            reps = [pred.pairs[i] for i in pairs]
+        for cp in reps:
+            rec = None
+            for eps in geometric_schedule(min(0.1, 0.1 * dp.neighbor_gap), 4):
+                rec = bb.solve_branch(dp, cp.a, eps, v0=rec)
+                morse, near = bb.discrete_morse_index(dp, rec)
+                morse3, near3 = bb.discrete_morse_index(dp, rec, n_extra=3)
+                assert morse3 == morse and near.shape == near3.shape == (dp.group.k,)
+                np.testing.assert_allclose(near3, near, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("domain, eigenvalue, grid, eps, solves", [
+        ("cube", 3, 65, 0.1, 2), ("square", 5, 32, 0.05, 4), ("square", 50, 64, 0.05, 6),
+    ])
+    def test_morse_count_runs_one_cg_solve_per_window_column(
+            self, domain, eigenvalue, grid, eps, solves, monkeypatch):
+        # one CG solve per column of each sector's M, one per refined mu
+        dp, reps = orbit_representatives(domain, eigenvalue, grid)
+        rec = bb.solve_branch(dp, reps[-1].a, eps)
+        cg, calls, blocks = pdeverify._cg, [], []
+        monkeypatch.setattr(pdeverify, "_cg",
+                            lambda *args, **kw: calls.append(1) or cg(*args, **kw))
+        init = pdeverify._SchurBlock.__init__
+        monkeypatch.setattr(pdeverify._SchurBlock, "__init__",
+                            lambda self, *args: blocks.append(self) or init(self, *args))
+        bb.discrete_morse_index(dp, rec)
+        assert len(calls) == sum(len(b.S) for b in blocks) + dp.group.k == solves
+
+    @pytest.mark.parametrize("scale, eps, binding", [
+        (1.0, 0.05, "multiplet"), (8.0, 0.05, "max c"), (1.0, 0.025, "k above N"),
+    ])
+    def test_window_is_what_the_inertia_proof_needs(self, square, sq_g50, scale, eps,
+                                                    binding, monkeypatch):
+        # every entry beyond P has D > max c, so L_RR > 0; and P is no
+        # larger than the largest of j - 1 + k entries (the multiplet),
+        # #{D <= max c} and |N| + k (k Ritz values in M).  Square lambda=50
+        # at 64^2, pair 3: eight times the solution raises max c above the
+        # multiplet; solved from a . e at eps = 0.025 its FD-split members
+        # fall into N
+        dp = bb.build_laplacian(square, 64, sq_g50)
+        pred = bb.predict_branches(sq_g50, bb.find_critical_points(
+            bb.ReducedFunctional.for_group(sq_g50, square)))
+        rec = bb.solve_branch(dp, pred.pairs[3].a, eps)
+        rec = dataclasses.replace(rec, images=scale * rec.images)
+        chosen, lowest = [], pdeverify._lowest_entries
+        monkeypatch.setattr(pdeverify, "_lowest_entries",
+                            lambda *args: chosen.append(lowest(*args)) or chosen[-1])
+        _, near = bb.discrete_morse_index(dp, rec)
+        (P, D_P), = chosen
+        c_max = (rec.lam + 3.0 * rec.epsilon * rec.v**2).max()
+        D = stencil_eigenvalues(dp)
+        beyond = np.ones(dp.shape, dtype=bool)
+        beyond[P] = False
+        assert np.all(D[beyond] > c_max)
+        j, k = dp.group.j, dp.group.k
+        needs = {"multiplet": j - 1 + k, "max c": int(np.sum(D <= c_max)),
+                 "k above N": int(np.sum(D < 2.0 * rec.lam - c_max)) + k}
+        assert len(D_P) == max(needs.values()) == needs[binding]
+        assert near.shape == (k,)
+
     @pytest.mark.parametrize("domain, eigenvalue, grid, n_parities, negatives", [
         ("square", 5, 33, 2, 5), ("cube", 6, 13, 1, 8),
     ])
@@ -1046,6 +1123,25 @@ class TestContinuation:
         assert [v.target_morse for v in verdicts] == [
             cp.morse_index + 1 for cp in pred_sq5.pairs
         ]
+
+    def test_warm_start_mirrors_nothing(self, square, sq_g5, pred_sq5, monkeypatch):
+        # square lambda=5 at 128^2: a warm start takes the previous record's
+        # images as they are, so the full grid is built once per solve, for
+        # |u|_L2, and once per start mapped from a representative's record,
+        # which is then cut to the pair's sector: 24 mirrors, where warm
+        # starts mirrored and cut back six more
+        dp = bb.build_laplacian(square, 128, sq_g5)
+        calls = {"extend": 0, "restrict": 0}
+        for name in calls:
+            method = getattr(pdeverify._SineTransform, name)
+            monkeypatch.setattr(pdeverify._SineTransform, name,
+                                lambda self, x, name=name, method=method:
+                                calls.__setitem__(name, calls[name] + 1) or method(self, x))
+        verdicts = bb.continuation_run(dp, pred_sq5, geometric_schedule(0.1, 4))
+        records = sum(len(v.records) for v in verdicts)
+        mapped = sum(len(v.records) for v in verdicts if v.transported_from is not None)
+        assert all(v.passed for v in verdicts) and (records, mapped) == (16, 8)
+        assert calls == {"extend": records + mapped, "restrict": mapped}
 
     def test_coinciding_solutions_fail_distinctness(self, dp_sq5, pred_sq5):
         # two verdicts whose final solutions agree, the second up to sign
@@ -1289,7 +1385,7 @@ class TestGridSymmetry:
         rng = np.random.default_rng(4)
         a = rng.standard_normal(dp.group.k)
         v = rng.standard_normal(dp.n)
-        Q = dp.transform
+        Q = full_transform(dp)
 
         def residual(v):
             r, _ = _residual(Q, dp.lambda_h - 0.05, 0.05, 3.0, Q.dst(Q.restrict(v)))
