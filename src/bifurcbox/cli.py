@@ -80,8 +80,7 @@ _DEFAULTS = {
     "backend": None,
     "oracle": False,
     "quadrature": {"nodes_per_panel": 12, "panels_per_halfwave": 1},
-    "search": {f.name: f.default for f in fields(SearchConfig)
-               if f.name not in ("radii", "scale")},
+    "search": {f.name: f.default for f in fields(SearchConfig)},
     "verify": {"grid": None, "eps0": None, "eps_steps": 4, "eps_ratio": 0.5,
                **{f.name: f.default for f in fields(VerifyConfig)}},
     "output_dir": "bifurcbox-out",

@@ -70,12 +70,12 @@ class SearchConfig:
 
     The certified search (p = 3, either backend) uses ``newton_tol``,
     ``max_iter``, ``dedup_radius`` and ``degeneracy_rtol``, and
-    ``rng_seed`` draws its homotopy constant gamma; it ignores ``radii``,
-    ``seed_budget`` and ``scale``.
+    ``rng_seed`` draws its homotopy constant gamma; it ignores
+    ``seed_budget``.
 
-    The multistart (p != 3) places every sign/support pattern
-    at each radius (times ``scale``, by default the functional's mode
-    scale), 4 (3^k - 1) seeds at the default radii, and always runs them.
+    The multistart (p != 3) places every sign/support pattern at each of
+    the ``_RADII`` times the functional's mode scale, 4 (3^k - 1) seeds,
+    and always runs them.
     ``seed_budget`` is the minimum total seed count, not a cap: random
     directions drawn from ``rng_seed`` top the structured seeds up to it
     (none for k >= 4 at the default 200).  All seeds run as the rows of one
@@ -87,9 +87,7 @@ class SearchConfig:
     max_iter: int = 100
     dedup_radius: float = 1e-6
     degeneracy_rtol: float = 1e-8
-    radii: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0)
     rng_seed: int = 0
-    scale: float | None = None
 
 
 def canonicalize(a: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -285,7 +283,7 @@ def find_critical_points(f: ReducedFunctional, cfg: SearchConfig | None = None):
     the closed form of a pattern tensor, else the real roots of a
     total-degree homotopy, either counted against the Bezout number 3^k.
     At any other p: multistart damped Newton from every
-    sign/support pattern in {-1, 0, 1}^k at radii ``cfg.radii`` times the
+    sign/support pattern in {-1, 0, 1}^k at radii ``_RADII`` times the
     mode scale, plus random directions up to the seed budget; completeness
     is checkable against the grid oracle for k <= 3 and heuristic (seed
     saturation) above.  Starts that fail to converge are dropped (logged,
@@ -331,13 +329,16 @@ def find_critical_points_with_diagnostics(
     return _classify_many(f, [a for a, _ in reps], cfg), diagnostics
 
 
+_RADII = (0.25, 0.5, 1.0, 2.0)  # multistart seed radii, in units of the mode scale
+
+
 def _multistart_seeds(f: ReducedFunctional, cfg: SearchConfig) -> np.ndarray:
     k = f.k
-    scale = cfg.scale if cfg.scale is not None else f.mode_scale()
+    scale = f.mode_scale()
     patterns = np.array([s for s in itertools.product((-1.0, 0.0, 1.0), repeat=k) if any(s)])
-    seeds = [r * scale * patterns for r in cfg.radii]
+    seeds = [r * scale * patterns for r in _RADII]
     rng = np.random.default_rng(cfg.rng_seed)
-    for _ in range(max(0, cfg.seed_budget - len(cfg.radii) * len(patterns))):
+    for _ in range(max(0, cfg.seed_budget - len(_RADII) * len(patterns))):
         d = rng.standard_normal(k)
         d /= np.linalg.norm(d)
         seeds.append(rng.uniform(0.25, 2.0) * scale * d[None])
@@ -697,9 +698,7 @@ def brute_force_oracle(
     k = f.k
     if k > 3:
         raise ValueError("grid oracle is limited to k <= 3")
-    R = box_radius if box_radius is not None else 2.5 * (
-        cfg.scale if cfg.scale is not None else f.mode_scale()
-    )
+    R = box_radius if box_radius is not None else 2.5 * f.mode_scale()
     npts = int(np.ceil(2.0 / grid_step_frac)) + 1
     axis = np.linspace(-R, R, npts)
     step = max(1, _SLAB // npts ** (k - 1))  # planes per slab

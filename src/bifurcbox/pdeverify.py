@@ -22,8 +22,10 @@ applied as dense matrix products along each axis, diagonalizes it
 exactly.  Its eigenvalues are kept as the 1-D symbols of the axes, and the
 group basis as the group modes' positions among the sine coefficients,
 where the start, the projection and the remainder of each solve are read
-and written; the dense basis is built only when a caller asks for it
-(``DiscreteProblem.eigvecs``), and the full grid of eigenvalues never.
+and written; neither the dense basis nor the full grid of eigenvalues is
+ever built.  The grid-sum functional that the orders of a are fitted
+against is the reduced functional on the trapezoid rule of the interior
+nodes (``grid_functional``), one sine table per axis.
 The Newton residual and the H1 norm apply the eigenvalues in sine
 coordinates, and the MINRES Newton steps and the CG solves of the Morse
 index run on operators of one shape there: pointwise, transform,
@@ -88,7 +90,7 @@ from .errors import (
     SpectrumTooClose,
     SupercriticalP,
 )
-from .reduced import QuarticTensor, ReducedFunctional
+from .reduced import ReducedFunctional
 from .spectrum import DomainSpec, EigenGroup
 
 # Not used here: bench/tracing.py wraps these two names on this module, so
@@ -332,9 +334,8 @@ class DiscreteProblem:
     sine index (i_1, ..., i_dim) is the sum of the axes' symbols there, and
     the group basis is the group modes' positions among the sine
     coefficients (``_sector_slots``): the verifier never holds either on
-    the full grid.  ``eigvecs``, the dense group basis, is built on first
-    use only.  Two problems are equal only when they are the same object,
-    and hash by identity."""
+    the full grid.  Two problems are equal only when they are the same
+    object, and hash by identity."""
 
     domain: DomainSpec
     group: EigenGroup
@@ -355,34 +356,11 @@ class DiscreteProblem:
     def n(self) -> int:
         return math.prod(self.shape)
 
-    @functools.cached_property
-    def eigvecs(self) -> np.ndarray:
-        """The (n, k) group basis: each mode's DST-I columns over sqrt(weight)."""
-        return np.column_stack([
-            functools.reduce(np.multiply.outer,
-                             [_sine_matrix(n, np.arange(1, n + 1), [i])[:, 0]
-                              for n, i in zip(self.shape, m.indices)]).ravel()
-            for m in self.group.modes
-        ]) / math.sqrt(self.weight)
-
     def inner(self, u, v) -> float:
         return self.weight * float(u @ v)
 
     def norm_l2(self, u) -> float:
         return math.sqrt(self.inner(u, u))
-
-    @functools.cached_property
-    def grid_quartic(self) -> QuarticTensor:
-        """The grid-sum quartic T[i, h, l, m] = sum_x w E_i E_h E_l E_m of
-        the group basis.  E_i is a product over the axes of DST-I columns
-        S_d over sqrt(w), so T = (1/w) prod_d sum_x S_d(x, n_i) S_d(x, n_h)
-        S_d(x, n_l) S_d(x, n_m), n the mode indices on axis d: one sum
-        over each axis, not over the whole grid."""
-        T = np.full((self.group.k,) * 4, 1.0 / self.weight)
-        for d, n in enumerate(self.shape):
-            S = _sine_matrix(n, np.arange(1, n + 1), [m.indices[d] for m in self.group.modes])
-            T *= np.einsum("xi,xh,xl,xm->ihlm", S, S, S, S)
-        return QuarticTensor(self.group.k, T)
 
     def sector(self, character: tuple) -> _SineTransform:
         """The sine transform on the sector of ``character`` (see
@@ -1092,22 +1070,28 @@ def discrete_morse_index(
     return morse, near_zero
 
 
-def discrete_reference_point(dp: DiscreteProblem, a, p: float = 3.0,
-                             max_iter: int = 40, tol: float = 1e-13) -> np.ndarray:
-    """Critical point of the grid-sum reduced functional nearest ``a``.
+def grid_functional(dp: DiscreteProblem, p: float) -> ReducedFunctional:
+    """The reduced functional summed over the grid: the quadrature functional
+    of the trapezoid rule on the interior nodes, weight h_d per node of axis
+    d, where each mode's factor on axis d is its DST-I column over sqrt(h_d)
+    (the boundary nodes, where every sine vanishes, drop out).  Its
+    critical points are the eps -> 0 limits of the discrete branch
+    projections."""
+    axes = [(_sine_matrix(n, np.arange(1, n + 1), [m.indices[d] for m in dp.group.modes])
+             / math.sqrt(h), np.full(n, h)) for d, (n, h) in enumerate(zip(dp.shape, dp.h))]
+    return ReducedFunctional._on_rule(dp.group, dp.domain, p, axes)
+
+
+def discrete_reference_point(f: ReducedFunctional, a, max_iter: int = 40,
+                             tol: float = 1e-13) -> np.ndarray:
+    """Critical point of the grid-sum functional ``f`` (:func:`grid_functional`)
+    nearest ``a``.
 
     This is the exact eps -> 0 limit of the discrete branch projections;
     fitting convergence orders against it separates the eps asymptotics
-    from the O(h^2) discretization bias.  At p = 3 the grid-sum functional
-    is the quartic ``dp.grid_quartic``; at any other p it is a quadrature
-    functional with the grid points as nodes.  Raises
-    :class:`NewtonDiverged` when Newton from ``a`` does not converge.
+    from the O(h^2) discretization bias.  Raises :class:`NewtonDiverged`
+    when Newton from ``a`` does not converge.
     """
-    if p == 3.0:
-        f = ReducedFunctional.from_tensor(dp.grid_quartic)
-    else:
-        f = ReducedFunctional(dp.group.k, p, "quadrature", quad_points=dp.eigvecs,
-                              quad_weights=np.full(dp.n, dp.weight))
     A, ok = _newton_refine(f, a, SearchConfig(newton_tol=tol, max_iter=max_iter))
     if not ok[0]:
         raise NewtonDiverged(f"Newton found no grid-sum critical point near the pair "
@@ -1226,6 +1210,7 @@ def continuation_run(
     sources = _pair_orbits(dp, all_pairs)
     last_member = {src[0]: j for j, src in enumerate(sources) if src is not None}
     landings = {}  # {rep: {eps: record of the landing}}, kept until the rep's last member
+    f_grid = None  # the grid-sum functional, built for the first order(a) fit
 
     for i, (cp, source) in enumerate(zip(prediction.pairs, sources)):
         target = cp.morse_index + dp.group.j - 1
@@ -1281,12 +1266,14 @@ def continuation_run(
             continue
 
         eps_done = [r.epsilon for r in verdict.records]
-        try:
-            a_ref = discrete_reference_point(dp, cp.a, p)
-            verdict.order_a = fit_order(
-                eps_done, [float(np.linalg.norm(r.a_lambda - a_ref)) for r in verdict.records])
-        except NewtonDiverged as exc:
-            verdict.notes.append(f"order(a) not fitted: {exc}")
+        if len(eps_done) > 1:  # fit_order needs two eps
+            f_grid = f_grid or grid_functional(dp, p)
+            try:
+                a_ref = discrete_reference_point(f_grid, cp.a)
+                verdict.order_a = fit_order(
+                    eps_done, [float(np.linalg.norm(r.a_lambda - a_ref)) for r in verdict.records])
+            except NewtonDiverged as exc:
+                verdict.notes.append(f"order(a) not fitted: {exc}")
         verdict.order_phi = fit_order(eps_done, [r.phi_norm for r in verdict.records])
 
         last = verdict.records[-1]

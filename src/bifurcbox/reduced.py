@@ -9,16 +9,22 @@ Its nontrivial critical points are what the branch predictor counts and
 classifies.  At p = 3 the integral term is a fully symmetric 4-index
 tensor T of eigenfunction products, each entry a product over the axes of
 1-D four-sine integrals; the backend decides only how those are integrated:
-in closed form (``exact-quartic``, p = 3 only, authoritative), or on
-composite Gauss-Legendre panels per axis aligned to the nodal lines of the
-highest mode (``quadrature``, any p > 1; at p != 3 the functional is summed
-over the tensor grid of their nodes).  Through T the batched gradient and
-Hessian are one matrix product: the pair products a_l a_m of a block of
-rows times T read as a k^2 x k^2 matrix give Y[n, i, h] =
-sum_lm T_ihlm a_l a_m, so the Hessian is I - 3Y and the gradient a - Y a,
-index roles exactly those of the contraction.  On a tensor grid each
-gradient component is a cubic whose monomial table is contracted with the
-powers of the grid axis, one axis at a time (an n-mode product).
+in closed form (``exact-quartic``, p = 3 only, authoritative), or on a
+tensor-product rule (``quadrature``, any p > 1; at p != 3 the functional is
+summed over the tensor grid of its nodes).  One constructor,
+``ReducedFunctional._on_rule``, builds every rule's functional from the
+modes' 1-D sines at the nodes of each axis and the node weights: the
+predictor's composite Gauss-Legendre panels aligned to the nodal lines of
+the highest mode, and the verifier's grid sum, the trapezoid rule on the
+interior nodes of the finite-difference grid.
+
+Through T the batched gradient and Hessian are one matrix product: the
+pair products a_l a_m of a block of rows times T read as a k^2 x k^2
+matrix give Y[n, i, h] = sum_lm T_ihlm a_l a_m, so the Hessian is I - 3Y
+and the gradient a - Y a, index roles exactly those of the contraction.
+On a tensor grid each gradient component is a cubic whose monomial table
+is contracted with the powers of the grid axis, one axis at a time (an
+n-mode product).
 
 Functionals are immutable after construction and their evaluators are pure.
 """
@@ -35,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PatternMismatch, SupercriticalExponentWarning
-from .spectrum import DomainSpec, EigenGroup, eigenfunction_eval
+from .spectrum import DomainSpec, EigenGroup
 
 _SIGNS4 = list(itertools.product((1, -1), repeat=4))
 
@@ -135,18 +141,6 @@ def build_quartic_tensor(group: EigenGroup, domain: DomainSpec) -> QuarticTensor
     factors = [4.0 * (_signed_zero_sum(*np.ix_(n, n, n, n)) / 16.0) / L
                for n, L in zip(np.array([m.indices for m in group.modes]).T, domain.sides)]
     return QuarticTensor(group.k, functools.reduce(np.multiply, factors) + 0.0)  # no -0.0
-
-
-def _quadrature_quartic_tensor(group: EigenGroup, domain: DomainSpec, nodes_per_panel: int,
-                               panels_per_halfwave: int) -> QuarticTensor:
-    """:func:`build_quartic_tensor` with each axis's factor sum_x w_x s_i s_h
-    s_l s_m, s_i = sqrt(2/L) sin(n_i pi x / L), on that axis's nodes."""
-    factors = []
-    for n, L, (x, w) in zip(np.array([m.indices for m in group.modes]).T, domain.sides,
-                            _axis_panels(group, domain, nodes_per_panel, panels_per_halfwave)):
-        S = np.sqrt(2.0 / L) * np.sin(np.pi / L * np.outer(x, n))
-        factors.append(np.einsum("x,xi,xh,xl,xm->ihlm", w, S, S, S, S, optimize=True))
-    return QuarticTensor(group.k, functools.reduce(np.multiply, factors) + 0.0)
 
 
 @dataclass(frozen=True)
@@ -250,20 +244,35 @@ class ReducedFunctional:
             )
         if backend is None:
             backend = "exact-quartic" if p == 3.0 else "quadrature"
-        tensor = E = w = None
+        if backend == "exact-quartic":
+            tensor = build_quartic_tensor(group, domain) if p == 3.0 else None
+            return cls(group.k, p, backend, tensor=tensor, group=group, domain=domain)
+        panels = _axis_panels(group, domain, nodes_per_panel, panels_per_halfwave)
+        return cls._on_rule(group, domain, p, [
+            (np.sqrt(2.0 / L) * np.sin(np.pi / L * np.outer(x, n)), w)
+            for n, L, (x, w) in zip(np.array([m.indices for m in group.modes]).T,
+                                    domain.sides, panels)])
+
+    @classmethod
+    def _on_rule(cls, group: EigenGroup, domain: DomainSpec, p: float,
+                 axes) -> "ReducedFunctional":
+        """The quadrature functional of a tensor-product rule.  ``axes`` holds,
+        per axis, the modes' normalised 1-D sines at the nodes, (nodes, k),
+        and the node weights.  At p = 3 it is the quartic tensor
+        prod_d sum_x w s_i s_h s_l s_m; at any other p the functional on the
+        tensor grid of the nodes, E the axes' row-wise Khatri-Rao product and
+        w their outer product, in C order of the grid."""
+        k = group.k
         if p == 3.0:
-            tensor = (build_quartic_tensor(group, domain) if backend == "exact-quartic" else
-                      _quadrature_quartic_tensor(group, domain, nodes_per_panel,
-                                                 panels_per_halfwave))
-        elif backend == "quadrature":
-            axes = _axis_panels(group, domain, nodes_per_panel, panels_per_halfwave)
-            pts = [g.ravel() for g in np.meshgrid(*[a[0] for a in axes], indexing="ij")]
-            w = functools.reduce(np.multiply.outer, [a[1] for a in axes]).ravel()
-            E = np.column_stack(
-                [eigenfunction_eval(m, domain, pts) for m in group.modes]
-            )
-        return cls(group.k, p, backend, tensor=tensor, group=group, domain=domain,
-                   quad_points=E, quad_weights=w)
+            T = functools.reduce(np.multiply, [
+                np.einsum("x,xi,xh,xl,xm->ihlm", w, S, S, S, S, optimize=True) for S, w in axes])
+            return cls(k, p, "quadrature", tensor=QuarticTensor(k, T + 0.0),  # no -0.0
+                       group=group, domain=domain)
+        E = functools.reduce(lambda A, B: (A[:, None, :] * B[None, :, :]).reshape(-1, k),
+                             [S for S, _ in axes])
+        w = functools.reduce(np.multiply.outer, [w for _, w in axes]).ravel()
+        return cls(k, p, "quadrature", group=group, domain=domain, quad_points=E,
+                   quad_weights=w)
 
     @classmethod
     def from_tensor(cls, tensor: QuarticTensor, p: float = 3.0) -> "ReducedFunctional":

@@ -166,7 +166,7 @@ class TestFindCriticalPoints:
         cfg = SearchConfig()
         patterns = np.array([s for s in itertools.product((-1.0, 0.0, 1.0), repeat=f.k)
                              if any(s)])
-        seeds = np.concatenate([r * f.mode_scale() * patterns for r in cfg.radii])
+        seeds = np.concatenate([r * f.mode_scale() * patterns for r in critpoints._RADII])
         A, ok = _newton_refine(f, seeds, cfg)
         rows = [_newton_refine(f, s, cfg) for s in seeds]
         assert np.array_equal(ok, [r_ok[0] for _, r_ok in rows])

@@ -40,6 +40,7 @@ from bifurcbox.pdeverify import (
     discrete_reference_point,
     fit_order,
     geometric_schedule,
+    grid_functional,
 )
 
 PI = math.pi
@@ -72,7 +73,18 @@ def stencil_eigenvalues(dp) -> np.ndarray:
 
 def project(dp, v) -> np.ndarray:
     """Discrete L2 projections of v onto the dense group basis."""
-    return dp.weight * (dp.eigvecs.T @ v)
+    return dp.weight * (group_basis(dp).T @ v)
+
+
+def group_basis(dp) -> np.ndarray:
+    """The (n, k) dense group basis, which the package never builds: each
+    mode's DST-I columns, one per axis, multiplied out over the grid and
+    divided by sqrt(weight)."""
+    return np.column_stack([
+        functools.reduce(np.multiply.outer, [_sine_matrix(n, np.arange(1, n + 1), [i])[:, 0]
+                                             for n, i in zip(dp.shape, m.indices)]).ravel()
+        for m in dp.group.modes
+    ]) / math.sqrt(dp.weight)
 
 
 def full_transform(dp) -> _SineTransform:
@@ -272,15 +284,6 @@ class TestBuildLaplacian:
         assert peak <= 8e6
         assert "eigvecs" not in vars(dp)
 
-    def test_dense_basis_is_built_on_first_use(self, square, sq_g5):
-        dp = bb.build_laplacian(square, 32, sq_g5)
-        assert "eigvecs" not in vars(dp)
-        assert dp.eigvecs is dp.eigvecs and dp.eigvecs.shape == (dp.n, 2)
-        A = reference_stencil(dp)
-        assert np.max(np.abs(A @ dp.eigvecs - dp.eigvecs * dp.lambda_h)) <= 1e-10 * dp.lambda_h
-        freq = [_sine_eigenvalues_1d(g, L) for g, L in zip(dp.grid, dp.domain.sides)]
-        assert np.array_equal(stencil_eigenvalues(dp), freq[0][:, None] + freq[1])
-
     @pytest.mark.parametrize("side_sq, eigenvalue, grid", [
         (["pi^2", "pi^2"], 5, 64), (["pi^2", "pi^2"], 50, 33), (["pi^2", "pi^2"], 82, 20),
         (["pi^2", "pi^2", "pi^2"], 6, 13), (["pi^2", "pi^2", "pi^2"], 54, 65),
@@ -370,7 +373,7 @@ class TestBuildLaplacian:
             bb.build_laplacian(cube, 8, cube_g6)
 
     def test_basis_discretely_orthonormal(self, dp_sq5):
-        E = dp_sq5.eigvecs
+        E = group_basis(dp_sq5)
         gram = dp_sq5.weight * (E.T @ E)
         assert np.max(np.abs(gram - np.eye(2))) <= 1e-13
 
@@ -390,7 +393,7 @@ class TestBuildLaplacian:
                 for i, h, g in zip(m.indices, dp.h, dp.grid))
             for m in group.modes
         ])
-        E = dp.eigvecs
+        E = group_basis(dp)
         assert np.max(np.abs(A @ E - E * vals)) <= 1e-10 * np.max(np.abs(A @ E))
         # the basis is the sampled continuum eigenfunctions, sign included
         pts = np.meshgrid(*[h * np.arange(1, g) for h, g in zip(dp.h, dp.grid)],
@@ -528,7 +531,7 @@ class TestBuildLaplacian:
         dp = bb.build_laplacian(dom, grid, group)
         eps = 0.05
         lam = dp.lambda_h - eps
-        v = dp.eigvecs @ np.linspace(1.0, 2.0, group.k)
+        v = group_basis(dp) @ np.linspace(1.0, 2.0, group.k)
         f = 3.0 * eps * v**2
         rhs = np.random.default_rng(3).standard_normal(dp.n)
         Q = full_transform(dp)
@@ -631,12 +634,12 @@ class TestSolveBranch:
         assert hist[-1] <= 10.0 * hist[-2] ** 2
 
     def test_projection_identity(self, dp_sq1, rec_sq1):
-        recon = dp_sq1.eigvecs @ rec_sq1.a_lambda + (
-            rec_sq1.v - dp_sq1.eigvecs @ rec_sq1.a_lambda
+        recon = group_basis(dp_sq1) @ rec_sq1.a_lambda + (
+            rec_sq1.v - group_basis(dp_sq1) @ rec_sq1.a_lambda
         )
         assert np.max(np.abs(recon - rec_sq1.v)) == 0.0
-        phi = rec_sq1.v - dp_sq1.eigvecs @ rec_sq1.a_lambda
-        assert abs(dp_sq1.inner(phi, dp_sq1.eigvecs[:, 0])) <= 1e-12
+        phi = rec_sq1.v - group_basis(dp_sq1) @ rec_sq1.a_lambda
+        assert abs(dp_sq1.inner(phi, group_basis(dp_sq1)[:, 0])) <= 1e-12
 
     def test_sign_flip_gives_exact_negation(self, dp_sq1, pred_sq1):
         a = pred_sq1.pairs[0].a
@@ -698,7 +701,7 @@ class TestSolveBranch:
             v = rec.v.reshape(dp.shape)
             for h, chi in character:
                 assert np.array_equal(v, chi * np.flip(v, _axes(h)))
-            ref = dp.eigvecs @ cp.a
+            ref = group_basis(dp) @ cp.a
             for _ in range(20):
                 r = A @ ref - lam * ref - eps * ref**3
                 if dp.norm_l2(r) <= 1e-13:
@@ -706,7 +709,7 @@ class TestSolveBranch:
                 ref -= np.linalg.solve(A - np.diag(lam + 3.0 * eps * ref**2), r)
             a_ref = project(dp, ref)
             assert np.max(np.abs(rec.a_lambda - a_ref)) <= 1e-10
-            assert rec.phi_norm == pytest.approx(norm_h1(dp, ref - dp.eigvecs @ a_ref),
+            assert rec.phi_norm == pytest.approx(norm_h1(dp, ref - group_basis(dp) @ a_ref),
                                                  abs=1e-10)
             checked += 1
         assert checked == {"square": 2, "cube": 3}[domain]
@@ -730,13 +733,13 @@ class TestSolveBranch:
                 Q, tuple(np.array([m.indices for m in group.modes]).T - 1))
             start = np.zeros(Q.shape)
             start[slots] = cp.a[inside] / math.sqrt(dp.weight)
-            ref = Q.dst(Q.restrict(dp.eigvecs @ cp.a))
+            ref = Q.dst(Q.restrict(group_basis(dp) @ cp.a))
             assert np.max(np.abs(start - ref)) <= 1e-13 * np.max(np.abs(ref))
             rec = bb.solve_branch(dp, cp.a, 0.05)
             a_ref = project(dp, rec.v)
             assert np.max(np.abs(rec.a_lambda - a_ref)) <= 1e-13 * np.max(np.abs(a_ref))
             assert np.all(rec.a_lambda[~inside] == 0.0)
-            phi_ref = norm_h1(dp, rec.v - dp.eigvecs @ a_ref)
+            phi_ref = norm_h1(dp, rec.v - group_basis(dp) @ a_ref)
             assert abs(rec.phi_norm - phi_ref) <= 1e-13 * norm_h1(dp, rec.v)
 
     def test_supercritical_exponent_refused(self, cube, cube_g6):
@@ -1257,19 +1260,31 @@ class TestContinuation:
     @pytest.mark.parametrize("domain, lam, grid, aliased", [
         ("square", 5, 32, False), ("cube", 6, 12, False),
         ("square", 90, 18, True), ("cube", 44, 12, True)])
-    def test_grid_quartic_is_the_grid_sum(self, domain, lam, grid, aliased):
-        # T from one sum per axis equals sum_x w E x E x E x E; with modes
-        # (3, 9) on 18 intervals, or (2, 2, 6) on 12, four indices reach 2N
-        # and the grid sum aliases away from the continuum tensor
+    def test_grid_functional_is_the_grid_sum(self, domain, lam, grid, aliased):
+        # the trapezoid rule of the interior nodes, one sum per axis, equals
+        # sum_x w E x E x E x E; with modes (3, 9) on 18 intervals, or
+        # (2, 2, 6) on 12, four indices reach 2N and the grid sum aliases
+        # away from the continuum tensor
         dom = getattr(bb.DomainSpec, domain)()
         group = bb.find_group(dom, eigenvalue=lam)
         dp = bb.build_laplacian(dom, grid, group)
-        E = dp.eigvecs
+        E = group_basis(dp)
         grid_sum = dp.weight * np.einsum("xi,xh,xl,xm->ihlm", E, E, E, E)
-        T = dp.grid_quartic.entries
+        f = grid_functional(dp, 3.0)
+        T = f.tensor.entries
         assert np.max(np.abs(T - grid_sum)) <= 1e-13 * np.max(np.abs(grid_sum))
         continuum = bb.build_quartic_tensor(group, dom).entries
         assert (np.max(np.abs(T - continuum)) > 1e-3) == aliased
+        # at p != 3 the functional on the grid nodes has the derivatives of
+        # the quadrature functional on the dense basis
+        dense = bb.ReducedFunctional(group.k, 2.5, "quadrature", quad_points=E,
+                                     quad_weights=np.full(dp.n, dp.weight))
+        nodes = grid_functional(dp, 2.5)
+        A = np.random.default_rng(5).standard_normal((8, group.k))
+        for derivative in ("gradient_many", "hessian_many"):
+            want = getattr(dense, derivative)(A)
+            got = getattr(nodes, derivative)(A)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         if aliased:  # the continuum root need not start a converging Newton here
             return
         # the reference point is the grid-sum quadrature functional's root
@@ -1278,11 +1293,30 @@ class TestContinuation:
                                           quad_weights=np.full(dp.n, dp.weight))
         expected = critpoints._newton_refine(
             quadrature, a, critpoints.SearchConfig(newton_tol=1e-13, max_iter=40))[0][0]
-        assert discrete_reference_point(dp, a) == pytest.approx(expected, rel=0, abs=1e-12)
+        assert discrete_reference_point(f, a) == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_reference_point_only_where_an_order_is_fitted(self, dp_sq5, pred_sq5,
+                                                           monkeypatch):
+        # order(a) is a fit over two eps at least: a one-eps run builds no
+        # grid functional and runs no reference Newton, a two-eps run builds
+        # the functional once and runs Newton once per pair
+        built, refined = [], []
+        build, refine = pdeverify.grid_functional, pdeverify.discrete_reference_point
+        monkeypatch.setattr(pdeverify, "grid_functional",
+                            lambda *args: built.append(args) or build(*args))
+        monkeypatch.setattr(pdeverify, "discrete_reference_point",
+                            lambda *args: refined.append(args) or refine(*args))
+        cfg = VerifyConfig(morse=False)
+        verdicts = bb.continuation_run(dp_sq5, pred_sq5, [0.05], cfg)
+        assert (len(built), len(refined)) == (0, 0)
+        assert all(v.order_a is None and not v.notes for v in verdicts)
+        verdicts = bb.continuation_run(dp_sq5, pred_sq5, [0.05, 0.025], cfg)
+        assert (len(built), len(refined)) == (1, len(pred_sq5.pairs))
+        assert all(v.order_a is not None for v in verdicts)
 
     def test_reference_point_matches_prediction(self, dp_sq1, pred_sq1):
         # aliasing-free grid sums reproduce the continuum critical point
-        ref = discrete_reference_point(dp_sq1, pred_sq1.pairs[0].a)
+        ref = discrete_reference_point(grid_functional(dp_sq1, 3.0), pred_sq1.pairs[0].a)
         assert ref == pytest.approx(pred_sq1.pairs[0].a, abs=1e-10)
 
     def test_unconverged_reference_point_raises(self, square):
@@ -1292,10 +1326,10 @@ class TestContinuation:
         dp = bb.build_laplacian(square, 18, group)
         pred = bb.predict_branches(
             group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, square)))
-        failed = []
+        f, failed = grid_functional(dp, 3.0), []
         for i, cp in enumerate(pred.pairs):
             try:
-                discrete_reference_point(dp, cp.a)
+                discrete_reference_point(f, cp.a)
             except NewtonDiverged as exc:
                 assert "no grid-sum critical point" in str(exc)
                 failed.append(i)
@@ -1399,7 +1433,7 @@ class TestGridSymmetry:
             assert np.array_equal(np.abs(P).sum(axis=0), np.ones(dp.group.k))
             assert np.array_equal(np.abs(P).sum(axis=1), np.ones(dp.group.k))
             assert set(np.unique(P)) <= {-1.0, 0.0, 1.0}
-            assert np.max(np.abs(project(dp, g(dp.eigvecs @ a)) - P @ a)) <= 1e-13
+            assert np.max(np.abs(project(dp, g(group_basis(dp) @ a)) - P @ a)) <= 1e-13
             assert np.max(np.abs(residual(g(v)) - g(r))) <= 1e-13 * np.max(np.abs(r))
 
     @pytest.mark.parametrize("domain, eigenvalue, grid, schedule, n_transported", [

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ from bifurcbox.errors import PatternMismatch, SupercriticalExponentWarning
 from bifurcbox.critpoints import _box_group
 from bifurcbox.reduced import (
     QuarticTensor,
+    _axis_panels,
     build_quartic_tensor,
     extract_rect_coefficients,
     sine_product_integral,
@@ -258,6 +260,20 @@ class TestQuadratureBackend:
                 assert quadr.value(a) == pytest.approx(exact.value(a), abs=1e-9, rel=1e-9)
                 assert np.max(np.abs(quadr.gradient(a) - exact.gradient(a))) <= 1e-9
                 assert np.max(np.abs(quadr.hessian(a) - exact.hessian(a))) <= 1e-9
+
+    @pytest.mark.parametrize("domain, lam", [("square", 50), ("cube", 14)])
+    def test_quadrature_tensor_is_the_panel_einsum(self, domain, lam):
+        # bit for bit, since quadrature-backend reports are kept byte for byte:
+        # per axis sum_x w s_i s_h s_l s_m on the Gauss panels, multiplied
+        dom = getattr(bb.DomainSpec, domain)()
+        group = bb.find_group(dom, eigenvalue=lam)
+        f = bb.ReducedFunctional.for_group(group, dom, backend="quadrature")
+        factors = []
+        for n, L, (x, w) in zip(np.array([m.indices for m in group.modes]).T, dom.sides,
+                                _axis_panels(group, dom, 12, 1)):
+            S = np.sqrt(2.0 / L) * np.sin(np.pi / L * np.outer(x, n))
+            factors.append(np.einsum("x,xi,xh,xl,xm->ihlm", w, S, S, S, S, optimize=True))
+        assert np.array_equal(f.tensor.entries, functools.reduce(np.multiply, factors) + 0.0)
 
     def test_backend_agreement_high_frequency_group(self, square, sq_g50):
         exact = bb.ReducedFunctional.for_group(sq_g50, square, backend="exact-quartic")

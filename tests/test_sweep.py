@@ -29,7 +29,9 @@ COINCIDENT = "GridTooCoarse: FD mode"
 # Cube lambda=14 FAILs the per-|t| eigenvalue test on its pairs of small
 # Hessian eigenvalues, whose error is O(eps).  Square lambda=50 and 65 at
 # 32^2 are INCONCL: the FD multiplet splits by 0.90 and 1.12, more than
-# eps0 = 0.1, and every solve lands at the trivial solution.
+# eps0 = 0.1, and every solve lands at the trivial solution; at 64^2 the
+# multiplets of square lambda=50, 65 and 85 split by 0.23, 0.29 and 0.57,
+# and the few solves that land elsewhere FAIL the a, phi and mu checks.
 FAULTS = {
     ("square", 18, 50): SPLIT,
     ("square", 18, 65): SPLIT,
@@ -46,16 +48,22 @@ FAULTS = {
     **{("square", 32, lam): (2, 0, 4, 0, {"morse_ok"}) for lam in (73, 89, 90, 100, 101)},
     ("square", 32, 72): (2, 0, 1, 0, {"morse_ok"}),
     ("square", 32, 98): (2, 0, 1, 0, {"morse_ok"}),
+    ("square", 64, 50): (2, 0, 1, 12, {"a_ok", "eig_ok", "phi_ok"}),
+    ("square", 64, 65): (2, 0, 4, 36, {"a_ok", "eig_ok", "phi_ok"}),
+    ("square", 64, 85): (2, 0, 0, 40, set()),
     ("cube", 13, 14): (2, 163, 9, 0, {"eig_ok"}),
     ("cube", 13, 26): (2, 0, 364, 0, {"morse_ok"}),
     ("cube", 13, 27): SPLIT,
+    ("cube", 17, 14): (2, 151, 21, 0, {"eig_ok"}),
+    ("cube", 17, 27): SPLIT,
 }
 FLAGS = ("a_ok", "phi_ok", "morse_ok", "eig_ok", "distinct_ok")
 
 
 def _slice():
     cases = []
-    for domain, count, grid in (("square", 40, 18), ("square", 40, 32), ("cube", 14, 13)):
+    for domain, count, grid in (("square", 40, 18), ("square", 40, 32), ("square", 40, 64),
+                                ("cube", 14, 13), ("cube", 14, 17)):
         dom = getattr(bb.DomainSpec, domain)()
         cases += [(domain, grid, round(g.eigenvalue(dom)))
                   for g in bb.enumerate_groups(dom, count)]
