@@ -213,18 +213,14 @@ def pair_set_distance(points_a, points_b) -> float:
     set of the distance to the nearest point of the other's pairs, either
     sign (max norm).  Empty against empty is 0; empty against nonempty is
     infinite."""
-    A = [np.asarray(a, dtype=float) for a in points_a]
-    B = [np.asarray(b, dtype=float) for b in points_b]
-    if not A and not B:
+    if not len(points_a) and not len(points_b):
         return 0.0
-    if not A or not B:
+    if not len(points_a) or not len(points_b):
         return float("inf")
-
-    def one_sided(xs, ys):
-        return max(min(float(min(np.max(np.abs(x - y)), np.max(np.abs(x + y))))
-                       for y in ys) for x in xs)
-
-    return max(one_sided(A, B), one_sided(B, A))
+    A = np.asarray(points_a, dtype=float)[:, None]
+    B = np.asarray(points_b, dtype=float)[None]
+    d = np.minimum(np.abs(A - B).max(axis=2), np.abs(A + B).max(axis=2))  # (|A|, |B|)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 @dataclass(frozen=True)

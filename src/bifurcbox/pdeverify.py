@@ -34,7 +34,10 @@ inertia count: the modes below a window around lambda form a block that
 is negative definite by construction and count as they are, the modes
 above the kept ones a positive definite block, and a small Schur
 complement on the window gives the rest; the window comes from the 1-D
-symbols too, no eigensolver runs, and CG runs for the window only.
+symbols too, no eigensolver runs, and CG runs for the window only.  The
+same enumeration of the lowest entries gives the neighbour gap, and the
+Schur complement's columns Q c Q e are the transform pair applied to a
+unit sine coefficient.
 MINRES, CG and the Cholesky-reduced pencil solves of Rayleigh-Ritz are
 written here in numpy, on grid-shaped arrays, so numpy is the only
 run-time dependency; MINRES and CG keep SciPy's recurrences and stopping
@@ -198,7 +201,11 @@ class _SineTransform:
     is (classes, h_1, ..., h_dim), the same for the grid side (images) and
     the coefficient side (classes); ``valid`` marks the real coefficients,
     False at the zero columns of odd classes, which stay zero.
-    ``eigenvalues`` is D there.
+    ``eigenvalues`` is D there.  The images of a single sine mode, which
+    the Morse count needs per column, are ``dst(e, inverse=True)`` of a
+    unit coefficient e: every other product term is an exact zero, so they
+    are exactly the axes' table entries times the image's Hadamard sign (a
+    zero's sign aside).
 
     ``dst`` is one batched product per axis over the class stack: with the
     classes laid out as (2,) * k, the parity of axis d is constant, one
@@ -299,15 +306,6 @@ class _SineTransform:
 
         return apply
 
-    def mode(self, cls: int, idx) -> np.ndarray:
-        """The images of the grid function whose only sine coefficient, 1,
-        is at position ``idx`` of class ``cls``."""
-        sigma, last = self.classes[cls], len(self.tables) - 1
-        e = functools.reduce(np.multiply.outer, [
-            t.inverse[sigma >> d & 1][i] if d == last else t.inverse[sigma >> d & 1][:, i]
-            for d, (t, i) in enumerate(zip(self.tables, idx))])
-        return np.multiply.outer(self.hadamard[:, cls], e)
-
     def restrict(self, x: np.ndarray) -> np.ndarray:
         """The images of a full-grid function: its values on the half grid
         reflected by each image's reversals, copied."""
@@ -382,19 +380,14 @@ def _discrete_mode_value(freq_1d, indices) -> float:
     return math.fsum(sorted(freq_1d[d][i - 1] for d, i in enumerate(indices)))
 
 
-def _line_sums(freq_1d) -> np.ndarray:
-    """The stencil eigenvalues less the last axis's symbol: one entry per
-    grid line along the last axis, shaped like the other axes.  D at a sine
-    index is this entry plus the last symbol there, summed in axis order."""
-    return functools.reduce(np.add.outer, freq_1d[:-1])
-
-
 def _count_at_most(freq_1d, t: float) -> int:
-    """#{D <= t} over every sine index.  D is ascending along each grid
-    line, so one search of the last symbol per line finds its count; the
-    entry at each cut is then compared as D itself sums it, so that the
-    rounding of t minus the line's sum cannot move the count."""
-    base, f = _line_sums(freq_1d).ravel(), freq_1d[-1]
+    """#{D <= t} over every sine index.  D at a sine index is the sum of
+    the other axes' symbols there, one entry per grid line along the last
+    axis, plus the last symbol, summed in axis order; D is ascending along
+    each line, so one search of the last symbol per line finds its count.
+    The entry at each cut is then compared as D itself sums it, so that
+    the rounding of t minus the line's sum cannot move the count."""
+    base, f = functools.reduce(np.add.outer, freq_1d[:-1]).ravel(), freq_1d[-1]
     cut = np.searchsorted(f, t - base, side="right")
     cut -= (cut > 0) & (base + f[np.maximum(cut - 1, 0)] > t)
     cut += (cut < f.size) & (base + f[np.minimum(cut, f.size - 1)] <= t)
@@ -422,26 +415,18 @@ def _lowest_entries(freq_1d, ell: int) -> tuple[tuple, np.ndarray]:
 def _neighbor_gap(freq_1d, lambda_h: float, positions: tuple) -> tuple[float, tuple]:
     """The distance from lambda_h to the nearest stencil eigenvalue off the
     group's ``positions`` (0-based sine indices), and the first sine index
-    in C order at that distance.  Along each grid line D is ascending, so
-    the line's nearest entries off the group lie within k + 1 places of the
-    cut where D passes lambda_h, on either side, k the number of group
-    entries; one place more covers the rounding of the cut.  Each line
-    keeps that window only."""
-    base, f = _line_sums(freq_1d).ravel(), freq_1d[-1]
-    shape, reach = tuple(g.size for g in freq_1d), len(positions[0]) + 2
-    width = min(2 * reach, f.size)
-    start = np.clip(np.searchsorted(f, lambda_h - base) - reach, 0, f.size - width)
-    dist = np.lib.stride_tricks.sliding_window_view(f, width)[start]  # a copy
-    dist += base[:, None]
-    dist -= lambda_h
-    np.abs(dist, out=dist)
-    line = np.ravel_multi_index(positions[:-1], shape[:-1])
-    offset = positions[-1] - start[line]
-    mine = (offset >= 0) & (offset < width)
-    dist[line[mine], offset[mine]] = np.inf
+    in C order at that distance.  The c entries with D <= lambda_h and the
+    k + 1 lowest above them hold it, k the number of group entries, since
+    at most k of those above are the group's: the Morse window's count and
+    lowest entries, in the same sums of D."""
+    shape = tuple(f.size for f in freq_1d)
+    ell = min(_count_at_most(freq_1d, lambda_h) + len(positions[0]) + 1, math.prod(shape))
+    P, D_P = _lowest_entries(freq_1d, ell)
+    flat = np.ravel_multi_index(P, shape)
+    off = ~np.isin(flat, np.ravel_multi_index(positions, shape))
+    flat, dist = flat[off], np.abs(D_P[off] - lambda_h)
     gap = float(dist.min())
-    first, at = np.argwhere(dist == gap)[0]
-    return gap, np.unravel_index(first * f.size + start[first] + at, shape)
+    return gap, np.unravel_index(flat[dist == gap].min(), shape)
 
 
 def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProblem:
@@ -449,7 +434,9 @@ def build_laplacian(domain: DomainSpec, grid, group: EigenGroup) -> DiscreteProb
     its sine transform.  The group basis is the transform's own DST-I
     columns, the exact and orthonormal discrete eigenvectors of the group's
     modes, kept as their positions among the sine coefficients, and the
-    neighbour gap is read off the 1-D symbols, one grid line at a time.
+    neighbour gap is read off the 1-D symbols: a count of the entries up
+    to lambda_h (``_count_at_most``) and the lowest entries through k + 1
+    beyond it (``_lowest_entries``), as the Morse window enumerates them.
 
     Raises :class:`GridTooCoarse` when a non-group discrete eigenvalue
     equals lambda_h to rounding (1e-12 lambda_h), or when the discrete
@@ -868,7 +855,9 @@ class _SchurBlock:
     entries below the window (``P`` indexes the sector's coefficients,
     ``below`` marks N among them, ``c`` is on the record's images, which all
     sectors share, read and never copied); the count of negative eigenvalues
-    of L, and the Ritz values ``theta`` and vectors ``W`` of S's first pencil."""
+    of L, and the Ritz values ``theta`` and vectors ``W`` of S's first pencil.
+    Each column Q c Q e of an entry of N or M is ``Q.dst`` of c times the
+    inverse transform of that entry's unit coefficient."""
 
     def __init__(self, Q: _SineTransform, c: np.ndarray, P: tuple, below: np.ndarray,
                  lam: float):
@@ -884,11 +873,16 @@ class _SchurBlock:
         self.d = D.ravel()  # flat, like the rows of the flat views Xf, Zf and Rf
         ell, nN, n = len(M[0]), len(N[0]), D.size
 
+        def QcQ(at):  # Q c Q e_at, from the images of a unit coefficient
+            e = np.zeros(Q.shape)
+            e[at] = 1.0
+            return Q.dst(c * Q.dst(e, inverse=True))
+
         # -L_NN = (Q c Q)_NN - D_N is positive definite, since c >= lam > D_N:
         # with -L_NN = F F^T, C = L_RR + B^T B, B = F^(-1) (Q c Q)_NR
         QcQ_NN, K = np.empty((nN, nN)), np.empty((nN, *Q.shape))
-        for b, (cls, *idx) in enumerate(zip(*N)):
-            col = Q.dst(c * Q.mode(cls, idx))
+        for b, at in enumerate(zip(*N)):
+            col = QcQ(at)
             QcQ_NN[b], K[b] = col[N], rest * col
         try:
             self.Finv = np.linalg.inv(np.linalg.cholesky(QcQ_NN - np.diag(D[N])))
@@ -909,13 +903,13 @@ class _SchurBlock:
         X = np.empty((ell, *Q.shape))  # X[a]: L_EE^(-1) L_EM e_a, zero on M
         self.Xf = Xf = X.reshape(ell, n)
         S = np.empty((ell, ell))
-        for a, (cls, *idx) in enumerate(zip(*M)):
-            col = Q.dst(c * Q.mode(cls, idx))  # Q c Q e_a
+        for a, at in enumerate(zip(*M)):
+            col = QcQ(at)
             L_eM = -(self.elim * col)
             X[a] = self.solve(L_eM)
             # S is symmetric: row a needs only the columns of X solved so far
             S[a, :a + 1] = -col[M][:a + 1] - Xf[:a + 1] @ L_eM.ravel()
-            S[a, a] += D[(cls, *idx)]
+            S[a, a] += D[at]
             S[:a, a] = S[a, :a]
         self.S = S
         self.count += int(np.sum(np.linalg.eigvalsh(S) < 0.0))

@@ -28,6 +28,7 @@ from bifurcbox.pdeverify import (
     _grid_tables,
     _linear_solve,
     _lowest_entries,
+    _neighbor_gap,
     _pair_orbits,
     _pair_tol,
     _axes,
@@ -271,7 +272,7 @@ class TestBuildLaplacian:
     def test_build_peak_memory_at_the_grid_limit(self, cube):
         # cube lambda=54 (k = 12) at 65^3: with the dense group basis and the
         # full-grid spectrum the build peaked at 52 MB; from the 1-D symbols,
-        # one window of each grid line, at about 1.1 MB
+        # a count per grid line and then the lowest entries, at about 0.3 MB
         group = bb.find_group(cube, eigenvalue=54)
         assert group.k == 12
         bb.build_laplacian(cube, 65, group)
@@ -288,16 +289,30 @@ class TestBuildLaplacian:
         (["pi^2", "pi^2"], 5, 64), (["pi^2", "pi^2"], 50, 33), (["pi^2", "pi^2"], 82, 20),
         (["pi^2", "pi^2", "pi^2"], 6, 13), (["pi^2", "pi^2", "pi^2"], 54, 65),
         (["pi^2", "4pi^2"], 10, 48),
+        # FD-split group members above lambda_h
+        (["pi^2", "pi^2"], 50, 64), (["pi^2", "pi^2"], 65, 64),
+        # a mode below lambda_h and one above it at the same distance
+        (["pi^2", "pi^2"], 5, 32), (["pi^2", "pi^2", "pi^2"], 6, 17),
     ])
     def test_neighbor_gap_matches_the_full_spectrum(self, side_sq, eigenvalue, grid):
-        # the window of each grid line finds the full grid's nearest
-        # non-group eigenvalue, bit for bit
+        # the entries up to lambda_h and the k + 1 lowest above them hold
+        # the full grid's nearest non-group eigenvalue, bit for bit, and of
+        # the modes at that distance the first in C order, the one a
+        # coincident-mode refusal names; all cases but two tie several
         dom = bb.DomainSpec.from_strings(side_sq)
         group = bb.find_group(dom, eigenvalue=eigenvalue)
         dp = bb.build_laplacian(dom, grid, group)
-        dist = np.abs(stencil_eigenvalues(dp) - dp.lambda_h)
-        dist[tuple(np.array([m.indices for m in group.modes]).T - 1)] = np.inf
+        D = stencil_eigenvalues(dp)
+        positions = tuple(np.array([m.indices for m in group.modes]).T - 1)
+        dist = np.abs(D - dp.lambda_h)
+        dist[positions] = np.inf
+        nearest = np.argwhere(dist == dist.min())
+        assert len(nearest) > 1 or (eigenvalue, grid) in {(5, 64), (10, 48)}
         assert dp.neighbor_gap == dist.min()
+        assert _neighbor_gap(dp.freq_1d, dp.lambda_h, positions) == (
+            dp.neighbor_gap, tuple(nearest[0]))
+        if grid == 64 and eigenvalue in (50, 65):
+            assert np.any(D[positions] > dp.lambda_h)
 
     @pytest.mark.parametrize("domain, eigenvalue, grid, mode, gap", [
         ("square", 82, 18, (5, 7), "1.421e-14"), ("cube", 26, 15, (1, 1, 5), "0.000e+00"),
@@ -473,6 +488,27 @@ class TestBuildLaplacian:
         u = sector_function(shape, character, 7)
         assert np.vdot(T.dst(T.restrict(u)), got) == pytest.approx(
             float(np.vdot(u, x)), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(17, 16), (9, 10, 11)])
+    def test_unit_coefficient_images_are_the_table_product(self, shape):
+        # the Schur block takes a unit mode's images from the inverse
+        # transform of a unit coefficient: on every sector, odd and even
+        # axes alike, exactly the axes' inverse-table entries multiplied in
+        # axis order, times the image's Hadamard sign (a zero's sign aside:
+        # the product gives -0.0 where the transform's sums give +0.0)
+        tables, last = unit_tables(shape), len(shape) - 1
+        for character in subgroup_characters(len(shape)):
+            T = _SineTransform(shape, tables, character)
+            for at in zip(*np.nonzero(T.valid)):
+                cls, *idx = at
+                sigma = T.classes[cls]
+                ref = functools.reduce(np.multiply.outer, [  # the last table is transposed
+                    t.inverse[sigma >> d & 1][i] if d == last else t.inverse[sigma >> d & 1][:, i]
+                    for d, (t, i) in enumerate(zip(tables, idx))])
+                e = np.zeros(T.shape)
+                e[at] = 1.0
+                assert np.array_equal(T.dst(e, inverse=True),
+                                      np.multiply.outer(T.hadamard[:, cls], ref))
 
     @pytest.mark.parametrize("shape", [(16, 16), (17, 17), (11, 13, 16)])
     def test_class_stack_transform_matches_scipy_dst(self, shape):
