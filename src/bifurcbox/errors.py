@@ -46,11 +46,8 @@ class ConvergedToWrongBranch(BifurcBoxError):
     (``nearest_index`` None), than to the one it started from.  Carries the
     converged solve's ``ContinuationRecord`` in ``record``."""
 
-    def __init__(self, message, got=None, expected=None, nearest_index=None,
-                 record=None):
+    def __init__(self, message, nearest_index=None, record=None):
         super().__init__(message)
-        self.got = got
-        self.expected = expected
         self.nearest_index = nearest_index
         self.record = record
 

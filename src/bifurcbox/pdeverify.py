@@ -61,7 +61,8 @@ The grid's symmetries (axis reversals, and swaps of axes with equal N and
 side) map discrete solutions onto discrete solutions and act on the group
 coefficients as signed permutations: ``DiscreteProblem.symmetries``, the
 certified search's ``critpoints._box_isometries`` table, whose reversals
-also give each solve's sector.  A pair whose orbit representative
+also give each solve's sector.  The pairs are solved orbit by orbit, the
+representative first.  A pair whose orbit representative
 was solved at an eps starts its own solve there from the representative's
 mapped solution; when that start already meets the tolerance, the Morse
 index and mu are copied instead of recounted.  A representative's landing
@@ -71,6 +72,7 @@ on a wrong branch starts its orbit's other pairs the same way.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -833,8 +835,7 @@ def solve_branch(
             raise ConvergedToWrongBranch(
                 f"solve launched at pair {expected_index} landed at "
                 + ("the trivial solution" if trivial else f"pair {nearest}"),
-                got=a_lam, expected=a, nearest_index=None if trivial else nearest,
-                record=record,
+                nearest_index=None if trivial else nearest, record=record,
             )
     return record
 
@@ -1039,9 +1040,8 @@ def discrete_morse_index(
     blocks = []
     for key in dict.fromkeys(keys):
         Q = dp.sector(key)
-        mine = [a for a, other in enumerate(keys) if other == key]
-        _, P_key = _sector_slots(Q, tuple(i[mine] for i in P))
-        blocks.append(_SchurBlock(Q, c, P_key, below[mine], record.lam))
+        inside, P_key = _sector_slots(Q, P)  # the window's entries in Q's sector, in order
+        blocks.append(_SchurBlock(Q, c, P_key, below[inside], record.lam))
     morse = sum(b.count for b in blocks)
 
     near = np.sort(np.argsort(np.abs(np.concatenate([b.theta for b in blocks])))[:k])
@@ -1076,20 +1076,19 @@ def grid_functional(dp: DiscreteProblem, p: float) -> ReducedFunctional:
     return ReducedFunctional._on_rule(dp.group, dp.domain, p, axes)
 
 
-def discrete_reference_point(f: ReducedFunctional, a, max_iter: int = 40,
-                             tol: float = 1e-13) -> np.ndarray:
+def discrete_reference_point(f: ReducedFunctional, a) -> np.ndarray:
     """Critical point of the grid-sum functional ``f`` (:func:`grid_functional`)
     nearest ``a``.
 
     This is the exact eps -> 0 limit of the discrete branch projections;
     fitting convergence orders against it separates the eps asymptotics
     from the O(h^2) discretization bias.  Raises :class:`NewtonDiverged`
-    when Newton from ``a`` does not converge.
+    when Newton from ``a`` does not converge to 1e-13 in 40 iterations.
     """
-    A, ok = _newton_refine(f, a, SearchConfig(newton_tol=tol, max_iter=max_iter))
+    A, ok = _newton_refine(f, a, SearchConfig(newton_tol=1e-13, max_iter=40))
     if not ok[0]:
-        raise NewtonDiverged(f"Newton found no grid-sum critical point near the pair "
-                             f"in {max_iter} iterations")
+        raise NewtonDiverged("Newton found no grid-sum critical point near the pair "
+                             "in 40 iterations")
     return A[0]
 
 
@@ -1182,16 +1181,19 @@ def continuation_run(
 
     The grid's symmetry group (axis reversals, and swaps of axes with equal
     N and side) maps the pairs of an orbit onto each other, v' = +-g v and
-    a' = +-P a.  Wherever the orbit's lowest pair has a record at an eps,
-    each other pair starts its solve there from that record's mapped
-    solution; at any other eps it starts from its own previous solution, or
-    from a . e.  A mapped start that meets ``newton_tol`` takes no Newton
-    step and copies the representative's Morse index and mu, when it has
-    them; any other solve is finished by Newton and Morse-counted.  Where
-    the representative landed on a wrong branch instead, the solution it
-    converged to is mapped the same way, and the pair's own checks
-    classify it.  ``transported_from`` of a verdict names the
-    representative whose solutions or landings started its solves.
+    a' = +-P a, so the pairs are solved orbit by orbit, the orbit's lowest
+    pair, its representative, first.  Wherever the representative has a
+    record at an eps, each other pair of its orbit starts its solve there
+    from that record's mapped solution; at any other eps it starts from its
+    own previous solution, or from a . e.  A mapped start that meets
+    ``newton_tol`` takes no Newton step and copies the representative's
+    Morse index and mu, when it has them; any other solve is finished by
+    Newton and Morse-counted.  Where the representative landed on a wrong
+    branch instead, the solution it converged to is mapped the same way,
+    and the pair's own checks classify it.  These starts live while their
+    orbit is solved and start no pair outside it.  ``transported_from`` of
+    a verdict names the representative whose solutions or landings started
+    its solves.  The verdicts are judged, in pair order, after all solves.
     """
     cfg = cfg or VerifyConfig()
     p = prediction.p
@@ -1200,61 +1202,61 @@ def continuation_run(
     if not schedule:
         raise ValueError("empty eps schedule")
     all_pairs = [cp.a for cp in prediction.pairs]
-    verdicts = []
+    verdicts = [BranchVerdict(pair_index=i, predicted=cp, records=[],
+                              target_morse=cp.morse_index + dp.group.j - 1)
+                for i, cp in enumerate(prediction.pairs)]
     sources = _pair_orbits(dp, all_pairs)
-    last_member = {src[0]: j for j, src in enumerate(sources) if src is not None}
-    landings = {}  # {rep: {eps: record of the landing}}, kept until the rep's last member
-    f_grid = None  # the grid-sum functional, built for the first order(a) fit
+    orbits = {}  # {representative: its orbit's pairs}, ascending, each first in its orbit
+    for i, source in enumerate(sources):
+        orbits.setdefault(i if source is None else source[0], []).append(i)
 
-    for i, (cp, source) in enumerate(zip(prediction.pairs, sources)):
-        target = cp.morse_index + dp.group.j - 1
-        verdict = BranchVerdict(
-            pair_index=i, predicted=cp, target_morse=target, records=[],
-        )
-        rep, isometry, sign = source or (None, None, None)
-        rep_records = {} if rep is None else {r.epsilon: r for r in verdicts[rep].records}
-        rep_landings = landings.get(rep, {})
-        previous = None
-        for eps in schedule:
-            mapped = rep_records.get(eps)
-            start = mapped if mapped is not None else rep_landings.get(eps)
-            if start is not None:  # mirrored and mapped: a transient full grid
-                verdict.transported_from = rep
-                v0 = _grid_map(dp, *isometry, start.sector.extend(sign * start.images))
-            else:
-                v0 = previous  # on the sector of the same a: its images as they are
-            try:
-                rec = solve_branch(
-                    dp, cp.a, eps, p, v0=v0,
-                    tol=cfg.newton_tol, max_iter=cfg.max_newton,
-                    linear_rtol=cfg.linear_rtol, all_pairs=all_pairs, expected_index=i,
-                )
-            except (NewtonDiverged, ConvergedToWrongBranch) as exc:
-                if isinstance(exc, ConvergedToWrongBranch) and i in last_member:
-                    landings.setdefault(i, {})[eps] = exc.record
-                verdict.notes.append(f"eps={eps:g}: {exc}")
-                verdict.inconclusive = True
-                continue
-            finally:
-                del v0  # a mapped start is a full grid: not held through the Morse count
-            previous = rec
-            if (cfg.morse and mapped is not None and mapped.near_zero_mu is not None
-                    and len(rec.residual_history) == 1):
-                # no Newton step: rec.v is +-g mapped.v, and g carries the
-                # linearization there onto the one here, spectrum and all
-                rec.discrete_morse_index, rec.near_zero_mu = (
-                    mapped.discrete_morse_index, mapped.near_zero_mu)
-            elif cfg.morse:
+    for rep, orbit in orbits.items():  # pass 1: solve orbit by orbit
+        starts = {}  # {eps: the representative's record, or its wrong-branch landing}
+        for i in orbit:
+            verdict, (_, isometry, sign) = verdicts[i], sources[i] or (None, None, None)
+            previous = None
+            for eps in schedule:
+                start = None if i == rep else starts.get(eps)
+                if start is not None:  # mirrored and mapped: a transient full grid
+                    verdict.transported_from = rep
+                    v0 = _grid_map(dp, *isometry, start.sector.extend(sign * start.images))
+                else:
+                    v0 = previous  # on the sector of the same a: its images as they are
                 try:
-                    rec.discrete_morse_index, rec.near_zero_mu = discrete_morse_index(dp, rec, p)
-                except SpectrumTooClose as exc:
+                    rec = solve_branch(
+                        dp, all_pairs[i], eps, p, v0=v0,
+                        tol=cfg.newton_tol, max_iter=cfg.max_newton,
+                        linear_rtol=cfg.linear_rtol, all_pairs=all_pairs, expected_index=i,
+                    )
+                except (NewtonDiverged, ConvergedToWrongBranch) as exc:
+                    if i == rep and isinstance(exc, ConvergedToWrongBranch):
+                        starts[eps] = exc.record
                     verdict.notes.append(f"eps={eps:g}: {exc}")
-                    rec.discrete_morse_index = exc.morse_index
-            verdict.records.append(rec)
-        verdicts.append(verdict)
-        if rep is not None and last_member[rep] == i:
-            landings.pop(rep, None)
+                    verdict.inconclusive = True
+                    continue
+                finally:
+                    del v0  # a mapped start is a full grid: not held through the Morse count
+                previous = rec
+                if i == rep:
+                    starts[eps] = rec
+                if (start is not None and start.near_zero_mu is not None
+                        and len(rec.residual_history) == 1):
+                    # no Newton step: rec.v is +-g start.v, and g carries the
+                    # linearization there onto the one here, spectrum and all
+                    rec.discrete_morse_index, rec.near_zero_mu = (
+                        start.discrete_morse_index, start.near_zero_mu)
+                elif cfg.morse:
+                    try:
+                        rec.discrete_morse_index, rec.near_zero_mu = discrete_morse_index(
+                            dp, rec, p)
+                    except SpectrumTooClose as exc:
+                        verdict.notes.append(f"eps={eps:g}: {exc}")
+                        rec.discrete_morse_index = exc.morse_index
+                verdict.records.append(rec)
 
+    f_grid = None  # the grid-sum functional, built for the first order(a) fit
+    for verdict in verdicts:  # pass 2: judge in pair order
+        cp, target = verdict.predicted, verdict.target_morse
         if not verdict.records:
             verdict.inconclusive = True
             continue
@@ -1278,19 +1280,15 @@ def continuation_run(
         if verdict.order_phi is not None:
             verdict.phi_ok = verdict.order_phi >= cfg.min_phi_order
 
-        morse_by_eps = [(r.epsilon, r.discrete_morse_index) for r in verdict.records
-                        if r.discrete_morse_index is not None]
-        if cfg.morse and morse_by_eps:
-            threshold = None
-            for eps, morse in morse_by_eps:  # descending in eps
-                if morse == target:
-                    if threshold is None:
-                        threshold = eps
-                else:
-                    threshold = None
-            verdict.morse_threshold = threshold
-            verdict.morse_ok = threshold is not None and morse_by_eps[-1][1] == target
-        if cfg.morse and last.near_zero_mu is not None:
+        # Morse fields exist only when cfg.morse is set; the threshold is
+        # the largest eps of the trailing run of counts on target
+        counts = [(r.epsilon, r.discrete_morse_index) for r in verdict.records
+                  if r.discrete_morse_index is not None]  # descending in eps
+        if counts:
+            run = list(itertools.takewhile(lambda c: c[1] == target, reversed(counts)))
+            verdict.morse_threshold = run[-1][0] if run else None
+            verdict.morse_ok = bool(run)
+        if last.near_zero_mu is not None:
             scaled = np.sort(last.near_zero_mu * dp.lambda_h / last.epsilon)
             target_eigs = np.sort(cp.hess_eigs)
             rel = float(

@@ -1229,6 +1229,26 @@ class TestContinuation:
         assert sorted(set(sizes)) == [16**3, 2 * 16**3, 4 * 16**3]
         assert sum(sizes) * 8 <= 1_100_000  # 3.4 MB as full grids
 
+    @pytest.mark.parametrize("shift, threshold", [
+        ((1, 0, 0, 0), 0.05), ((0, 1, 0, 0), 0.025), ((0, 0, 0, 1), None)])
+    def test_morse_threshold_is_the_trailing_run_on_target(self, dp_sq1, pred_sq1,
+                                                           monkeypatch, shift, threshold):
+        # scripted counts t + shift over four eps, descending: the threshold
+        # is the largest eps of the last run of counts on target t
+        morse, calls = pdeverify.discrete_morse_index, []
+        t = pred_sq1.pairs[0].morse_index + dp_sq1.group.j - 1
+
+        def scripted(dp, rec, p):
+            calls.append(rec.epsilon)
+            return t + shift[len(calls) - 1], morse(dp, rec, p)[1]
+
+        monkeypatch.setattr(pdeverify, "discrete_morse_index", scripted)
+        (v,) = bb.continuation_run(dp_sq1, pred_sq1, geometric_schedule(0.1, 4))
+        assert calls == geometric_schedule(0.1, 4) and v.target_morse == t
+        assert [r.discrete_morse_index for r in v.records] == [t + s for s in shift]
+        assert v.morse_threshold == threshold
+        assert v.morse_ok is (threshold is not None)
+
     def test_morse_stable_on_schedule_tail(self, dp_sq5, pred_sq5):
         verdicts = bb.continuation_run(dp_sq5, pred_sq5, geometric_schedule(0.1, 3))
         for v in verdicts:
@@ -1498,6 +1518,30 @@ class TestGridSymmetry:
                 np.testing.assert_allclose(got.near_zero_mu, ref.near_zero_mu,
                                            rtol=1e-8, atol=0.0)
                 assert got.newton_residual <= VerifyConfig().newton_tol
+
+    @pytest.mark.parametrize("domain, eigenvalue, grid, order", [
+        ("square", 5, 64, [0, 3, 1, 2]),
+        ("cube", 6, 13, [0, 3, 12, 1, 2, 8, 9, 10, 11, 4, 5, 6, 7]),
+    ])
+    def test_each_orbit_is_solved_as_one_run(self, domain, eigenvalue, grid, order,
+                                             monkeypatch):
+        # orbits interleave in pair order; the run solves every pair of an
+        # orbit, representative first, before the next orbit's first solve
+        dom = getattr(bb.DomainSpec, domain)()
+        group = bb.find_group(dom, eigenvalue=eigenvalue)
+        dp = bb.build_laplacian(dom, grid, group)
+        pred = bb.predict_branches(
+            group, bb.find_critical_points(bb.ReducedFunctional.for_group(group, dom)))
+        solve, log = pdeverify.solve_branch, []
+        monkeypatch.setattr(pdeverify, "solve_branch", lambda *args, **kw: log.append(
+            kw["expected_index"]) or solve(*args, **kw))
+        bb.continuation_run(dp, pred, [0.05, 0.025], VerifyConfig(morse=False))
+        assert log == [i for i in order for _ in range(2)]
+        reps = [i if src is None else src[0] for i, src in enumerate(_pair_orbits(
+            dp, [cp.a for cp in pred.pairs]))]
+        assert [reps[i] for i in order] == sorted(reps)  # orbits contiguous, ascending
+        firsts = [i for n, i in enumerate(order) if n == 0 or reps[order[n - 1]] != reps[i]]
+        assert firsts == sorted(set(reps))  # each orbit opens with its representative
 
     def test_failed_representative_falls_back_to_direct_solves(self, dp_sq5, pred_sq5,
                                                                caplog):
