@@ -29,6 +29,11 @@ partial report set behind.  Every JSON report (``spectrum.json``,
 bytes are those of ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
 final newline, at the cost of the json module's C encoder.
 
+Only ``verify`` loads the finite-difference verifier: the four names this
+module takes from ``pdeverify`` are bound on first use, so ``spectrum``,
+``predict`` and ``report`` run on ``spectrum``, ``reduced`` and
+``critpoints`` alone.
+
 The output directory resolves as: --out flag, then the BIFURCBOX_OUT
 environment variable, then the config file, then ./bifurcbox-out.
 """
@@ -54,21 +59,35 @@ import numpy as np
 from . import __version__
 from .critpoints import (
     SearchConfig,
+    VerifyConfig,
     brute_force_oracle,
     find_critical_points_with_diagnostics,
     pair_set_distance,
     predict_branches,
 )
 from .errors import BifurcBoxError, ConfigError, PatternMismatch, SupercriticalP
-from .pdeverify import (
-    VerifyConfig,
-    _check_exponent,
-    build_laplacian,
-    continuation_run,
-    geometric_schedule,
-)
 from .reduced import ReducedFunctional, extract_rect_coefficients
 from .spectrum import DomainSpec, enumerate_groups, find_group
+
+# The verifier's names, bound into this module on first use, by cmd_verify
+# or by an attribute lookup, so that only verify loads pdeverify.  A name
+# already set here (a wrapper patched on from outside) is kept.
+_VERIFIER = ("_check_exponent", "build_laplacian", "continuation_run", "geometric_schedule")
+
+
+def _bind_verifier() -> None:
+    from . import pdeverify
+
+    for name in _VERIFIER:
+        globals().setdefault(name, getattr(pdeverify, name))
+
+
+def __getattr__(name: str):
+    if name not in _VERIFIER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_verifier()
+    return globals()[name]
+
 
 # Every config key, declared once: its default fixes its type.  The search
 # and verify blocks are the fields of SearchConfig and VerifyConfig.
@@ -634,6 +653,7 @@ def cmd_predict(args, cfg: dict) -> int:
 
 
 def cmd_verify(args, cfg: dict) -> int:
+    _bind_verifier()
     if cfg["oracle"]:
         raise ConfigError("oracle: the grid oracle runs with predict only, not verify")
     domain, group, functional = _target(cfg, pde=True)

@@ -90,6 +90,24 @@ class SearchConfig:
     rng_seed: int = 0
 
 
+@dataclass(frozen=True)
+class VerifyConfig:
+    """Tolerances and switches of a continuation run
+    (:func:`bifurcbox.pdeverify.continuation_run`).  It is declared here,
+    next to SearchConfig, so that the CLI's config defaults need no
+    verifier import."""
+
+    newton_tol: float = 1e-10
+    max_newton: int = 60
+    linear_rtol: float = 1e-12
+    a_rtol: float = 0.1
+    min_phi_order: float = 0.9
+    mu_rtol: float = 0.05
+    morse: bool = True
+    dedup_radius: float = 1e-6
+    rng_seed: int = 0  # unused: the Morse solve is deterministic; --seed drives the search
+
+
 def canonicalize(a: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """Representative of the sign pair {a, -a}: first coordinate larger
     than ``tol`` in magnitude is made positive.  Each row of a 2-D ``a``

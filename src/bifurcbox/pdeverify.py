@@ -84,6 +84,7 @@ from .critpoints import (
     BranchPrediction,
     CriticalPoint,
     SearchConfig,
+    VerifyConfig,
     _box_isometries,
     _newton_refine,
     _orbits,
@@ -1100,21 +1101,6 @@ def fit_order(eps, vals, floor: float = 1e-13) -> float | None:
     if int(np.sum(keep)) < 2:
         return None
     return float(np.polyfit(np.log(e[keep]), np.log(v[keep]), 1)[0])
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Tolerances and switches of a continuation run."""
-
-    newton_tol: float = 1e-10
-    max_newton: int = 60
-    linear_rtol: float = 1e-12
-    a_rtol: float = 0.1
-    min_phi_order: float = 0.9
-    mu_rtol: float = 0.05
-    morse: bool = True
-    dedup_radius: float = 1e-6
-    rng_seed: int = 0  # unused: the Morse solve is deterministic; --seed drives the search
 
 
 def geometric_schedule(eps0: float, steps: int, ratio: float = 0.5) -> list[float]:

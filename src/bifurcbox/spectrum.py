@@ -165,6 +165,10 @@ def _modes_below(domain: DomainSpec, bound: Fraction) -> list[EigenMode]:
     n_d^2 <= s_d (bound - ground) + 1 on every axis d, so the index box
     holds all of them.  Raises ``ValueError`` before the scan when the box
     holds more than ``_MAX_SCAN_MODES`` modes.
+
+    The scan runs on integers: with side_sq[d] = p_d / q_d and L the lcm of
+    the p_d, L times a mode's value is the integer key
+    sum_d n_d^2 q_d (L / p_d), so only the kept modes get a ``Fraction``.
     """
     excess = max(bound - sum(1 / s for s in domain.side_sq), 0)
     axes = [range(1, math.isqrt(math.floor(s * excess + 1)) + 1) for s in domain.side_sq]
@@ -172,8 +176,13 @@ def _modes_below(domain: DomainSpec, bound: Fraction) -> list[EigenMode]:
     if size > _MAX_SCAN_MODES:
         raise ValueError(f"eigenvalue scan too large: an index box of {size} modes "
                          f"exceeds {_MAX_SCAN_MODES}")
-    modes = (EigenMode(idx, domain.mode_value(idx)) for idx in itertools.product(*axes))
-    return sorted((m for m in modes if m.value <= bound), key=lambda m: (m.value, m.indices))
+    lcm = math.lcm(*(s.numerator for s in domain.side_sq))
+    weights = [s.denominator * (lcm // s.numerator) for s in domain.side_sq]
+    top = math.floor(bound * lcm)
+    keyed = ((sum(w * n * n for w, n in zip(weights, idx)), idx)
+             for idx in itertools.product(*axes))
+    return [EigenMode(idx, Fraction(key, lcm))
+            for key, idx in sorted(k for k in keyed if k[0] <= top)]
 
 
 def enumerate_modes(domain: DomainSpec, count: int) -> list[EigenMode]:

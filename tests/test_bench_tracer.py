@@ -1,7 +1,7 @@
 """The benchmark's tracer (``bench/tracing.py``) patches names on the
 package's modules by attribute.  A name it patches that a module no longer
 has would break every traced benchmark run, so it is installed here on the
-current package around one small CLI call."""
+current package around one small predict and one small verify."""
 
 import importlib.util
 from pathlib import Path
@@ -36,3 +36,18 @@ def test_tracer_installs_counts_and_uninstalls(tmp_path):
     assert tracer.calls["critpoints.search"] == 1
     assert tracer.counts["critpoints.seeds"] > 0 and tracer.counts["critpoints.pairs"] == 4
     assert all(_current(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_tracer_counts_the_verifier_of_a_verify(tmp_path):
+    # the verifier's names are bound into the CLI on first use; the tracer
+    # must still wrap the ones a verify calls
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        assert cli.main(["verify", "--domain", "square", "--lam", "5", "--grid", "32",
+                         "--eps-steps", "1", "--out", str(tmp_path / "o")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["pdeverify.build"] == 1
+    assert tracer.calls["pdeverify.continuation"] == 1

@@ -854,14 +854,17 @@ class TestReportFiles:
         assert list(tmp_path.iterdir()) == []
 
 
+def _fresh(code: str, *args: str) -> str:
+    """The last line a fresh interpreter prints running ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(bifurcbox.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout.splitlines()[-1]
+
+
 def _loaded_by_cli_import(module: str) -> bool:
     """Whether a fresh interpreter has ``module`` loaded after importing
     the CLI; each module left out is import time every CLI call saves."""
-    env = dict(os.environ, PYTHONPATH=str(Path(bifurcbox.__file__).parents[1]))
-    code = f"import sys, bifurcbox.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return out.strip() == "True"
+    return _fresh(f"import sys, bifurcbox.cli; print({module!r} in sys.modules)") == "True"
 
 
 def test_cli_import_skips_scipy_ndimage():
@@ -872,19 +875,53 @@ def test_cli_import_skips_scipy_fft():
     assert not _loaded_by_cli_import("scipy.fft")
 
 
+def test_cli_import_skips_the_verifier():
+    assert not _loaded_by_cli_import("bifurcbox.pdeverify")
+
+
+def test_predict_runs_without_the_verifier(tmp_path):
+    code = (
+        "import sys, bifurcbox.cli\n"
+        "rc = bifurcbox.cli.main(['predict', '--domain', 'square', '--lam', '5',"
+        " '--out', sys.argv[1]])\n"
+        "print(rc, 'bifurcbox.pdeverify' in sys.modules)\n"
+    )
+    assert _fresh(code, str(tmp_path)) == "0 False"
+
+
+def test_package_import_loads_no_submodule_and_resolves_every_name():
+    code = (
+        "import sys, bifurcbox\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('bifurcbox.'))\n"
+        "names = bifurcbox.__all__\n"
+        "resolved = [n for n in names if getattr(bifurcbox, n, None) is not None]\n"
+        "print(loaded, resolved == names, set(names) <= set(dir(bifurcbox)),"
+        " hasattr(bifurcbox, 'no_such_name'))\n"
+    )
+    assert _fresh(code) == "[] True True False"
+
+
+def test_verifier_names_bind_on_lookup_and_keep_a_patched_value(monkeypatch):
+    from bifurcbox import pdeverify
+
+    assert not hasattr(bifurcbox.cli, "no_such_name")
+    for name in bifurcbox.cli._VERIFIER:
+        assert getattr(bifurcbox.cli, name) is getattr(pdeverify, name)
+    monkeypatch.setattr(bifurcbox.cli, "continuation_run", len)
+    bifurcbox.cli._bind_verifier()
+    assert bifurcbox.cli.continuation_run is len
+
+
 def test_verify_runs_without_scipy(tmp_path):
     """A fresh interpreter imports the package and the CLI and runs a
     verify with the Morse check without loading any part of scipy: each
     part left out is import time every CLI call saves."""
-    env = dict(os.environ, PYTHONPATH=str(Path(bifurcbox.__file__).parents[1]))
     code = (
         "import sys, bifurcbox, bifurcbox.cli\n"
         "rc = bifurcbox.cli.main(['verify', '--domain', 'square', '--lam', '5', '--grid', '32',"
         " '--eps-steps', '2', '--out', sys.argv[1]])\n"
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True,
-                          capture_output=True, text=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert _fresh(code, str(tmp_path)) == "0 []"
     verdicts = json.loads((tmp_path / "verdicts.json").read_text())["verdicts"]
     assert all(v["morse_ok"] for v in verdicts)

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -78,14 +79,32 @@ def test_find_group_matches_oracle(square, cube):
                 bb.find_group(domain, eigenvalue=float(value) * domain.eigenvalue_unit)
 
 
+@pytest.mark.parametrize("sides, nmax", [
+    (["2", "3/5"], 40),
+    (["9/4", "7/3"], 40),
+    (["1/3", "2/7", "5"], 16),
+    (["4/9 pi^2", "6pi^2", "10/3 pi^2"], 16),
+])
+def test_integer_scan_matches_mode_value(sides, nmax):
+    # the scan keys modes by integers over the lcm of the side numerators;
+    # it keeps the modes, values and order that mode_value gives
+    domain = bb.DomainSpec.from_strings(sides)
+    oracle = brute_force_values(domain, nmax)
+    for bound in (oracle[29][0], (oracle[29][0] + oracle[30][0]) / 2):
+        assert bound < min((nmax + 1) ** 2 / s for s in domain.side_sq)  # oracle complete
+        modes = bifurcbox.spectrum._modes_below(domain, bound)
+        assert [(m.value, m.indices) for m in modes] == [(v, i) for v, i in oracle if v <= bound]
+
+
 @pytest.mark.parametrize("lam", [325, 54])
 def test_find_group_by_eigenvalue_scans_few_modes(square, cube, lam, monkeypatch):
     # one scan below lambda: work proportional to the modes up to the group
     domain = square if lam == 325 else cube
     calls = []
-    mode_value = bb.DomainSpec.mode_value
-    monkeypatch.setattr(bb.DomainSpec, "mode_value",
-                        lambda self, idx: calls.append(idx) or mode_value(self, idx))
+    product = itertools.product
+    monkeypatch.setattr(bifurcbox.spectrum, "itertools", SimpleNamespace(
+        product=lambda *axes: (calls.append(idx) or idx for idx in product(*axes)),
+        groupby=itertools.groupby))
     group = bb.find_group(domain, eigenvalue=lam)
     assert group.value == lam
     assert len(calls) <= 4 * (group.j + group.k - 1)
